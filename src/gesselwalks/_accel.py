@@ -1,42 +1,8 @@
-"""Optional numba acceleration.
+"""Environment probe kept for benchmark report metadata."""
 
-Hot kernels (the enumeration DFS and the walk-DP layer update) are compiled
-with numba when it is importable and not disabled.  Setting the environment
-variable ``GESSELWALKS_NO_NUMBA`` to anything but ``0`` or the empty string
-forces the pure Python / numpy fallback paths.  The flag is read at call
-time, so it can be flipped between calls (the benchmark does exactly that).
-"""
-
-import os
-
-DISABLE_ENV = "GESSELWALKS_NO_NUMBA"
-
-try:
-    import numba as _numba
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _numba = None
+import importlib.util
 
 
 def numba_available():
-    return _numba is not None
-
-
-def numba_enabled():
-    """True when compiled kernels should be used for the current call."""
-    if _numba is None:
-        return False
-    return os.environ.get(DISABLE_ENV, "").strip() in ("", "0")
-
-
-def njit(*args, **kwargs):
-    """``numba.njit`` when numba is importable, identity decorator otherwise.
-
-    Kernels decorated with this are always *compiled* when numba exists;
-    whether the compiled path is *used* is decided per call via
-    :func:`numba_enabled`, keeping the fallback importable everywhere.
-    """
-    if _numba is None:
-        if args and callable(args[0]):
-            return args[0]
-        return lambda fn: fn
-    return _numba.njit(*args, **kwargs)
+    """Whether numba is installed; nothing in the package imports it."""
+    return importlib.util.find_spec("numba") is not None

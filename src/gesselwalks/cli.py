@@ -294,6 +294,9 @@ def main(argv=None) -> int:
     except FixtureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FIXTURE
+    except ValueError as exc:  # after FixtureError, which is a ValueError too
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (urllib.error.URLError, TimeoutError) as exc:
         print(f"error: network fetch failed: {exc}", file=sys.stderr)
         return EXIT_NETWORK

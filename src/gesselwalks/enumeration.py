@@ -6,16 +6,14 @@ outputs can be compared against the independent counting routes.
 
 Enumeration order is deterministic: words are produced in ascending
 lexicographic order of their code tuples, with codes ordered numerically
-(-d < ... < -1 < 1 < ... < d).  Counting dispatches to compiled kernels
-when numba is enabled and the raw search space fits in int64; the pure
-Python DFS below is the fallback and the reference for iteration.
+(-d < ... < -1 < 1 < ... < d).  Every count and triangle below tallies
+the words yielded by the one pure Python DFS, :func:`iter_complete_words`.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from . import _accel
 from .exceptions import CapExceededError
 from .words import GesselWord
 
@@ -32,11 +30,6 @@ def _check_cap(d, n, max_length):
             f"word length {2 * n} exceeds enumeration cap {max_length}; "
             f"pass max_length explicitly to override"
         )
-
-
-def _int64_safe(d, length):
-    # every DFS tally is bounded by the raw (2d)^length search space
-    return (2 * d) ** length < 2**62
 
 
 def iter_complete_words(
@@ -96,14 +89,6 @@ def iter_complete_words(
 
 def count_complete_words(d: int, n: int, *, max_length: int = DEFAULT_MAX_LENGTH) -> int:
     """Number of complete Gessel words of length 2n over d letter pairs."""
-    _check_cap(d, n, max_length)
-    length = 2 * n
-    if length == 0:
-        return 1
-    if _accel.numba_enabled() and _int64_safe(d, length):
-        from . import _kernels
-
-        return int(_kernels.count_complete_nb(d, length))
     return sum(1 for _ in iter_complete_words(d, n, max_length=max_length))
 
 
@@ -114,14 +99,7 @@ def profile_triangle_row(n: int, *, max_length: int = DEFAULT_MAX_LENGTH) -> tup
     (hence j barred 2s and n-j pairs of 1s).  Row sums recover the full d=2
     count; both extremal entries are Catalan numbers.
     """
-    _check_cap(2, n, max_length)
-    if n == 0:
-        return (1,)
-    length = 2 * n
-    if _accel.numba_enabled() and _int64_safe(2, length):
-        from . import _kernels
-
-        return tuple(int(v) for v in _kernels.profile_hist_d2_nb(length))
+    _check_cap(2, n, max_length)  # before sizing hist from n
     hist = [0] * (n + 1)
     for codes in iter_complete_words(2, n, max_length=max_length):
         hist[sum(1 for c in codes if c == 2)] += 1
@@ -136,20 +114,7 @@ def marker_position_triangle(
     Maps (i, j) with 1 <= i < j <= 2n to the number of complete words whose
     only 1/1-bar letters sit at positions i and j, in either order.
     """
-    _check_cap(2, n, max_length)
-    length = 2 * n
     tri: dict[tuple[int, int], int] = {}
-    if n == 0:
-        return tri
-    if _accel.numba_enabled() and _int64_safe(2, length):
-        from . import _kernels
-
-        mat = _kernels.marker_triangle_d2_nb(length)
-        for i in range(1, length + 1):
-            for j in range(i + 1, length + 1):
-                if mat[i, j]:
-                    tri[(i, j)] = int(mat[i, j])
-        return tri
     for codes in iter_complete_words(2, n, max_length=max_length, marker_cap=1):
         marks = [p for p, c in enumerate(codes, start=1) if abs(c) == 1]
         if len(marks) == 2:

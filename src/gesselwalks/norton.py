@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from .exceptions import CapExceededError
+from .exceptions import CapExceededError, IntegralityError
 
 DEFAULT_MAX_N = 10
 DEFAULT_TABLE_MAX_N = 6
@@ -98,6 +98,14 @@ def max_suffix_balance(w) -> int:
     return best
 
 
+def _check_witness(bits, a, target):
+    total = sum(x if b else -x for b, x in zip(bits, a))
+    if total != target:
+        raise IntegralityError(
+            f"witness for {''.join(map(str, bits))} sums to {total}, not {target}"
+        )
+
+
 def sum_witness(w, target: int) -> tuple[Fraction, ...]:
     """Exact rationals 0 < a_1 < ... < a_2n < 1 whose signed sum is target.
 
@@ -134,7 +142,7 @@ def sum_witness(w, target: int) -> tuple[Fraction, ...]:
         if jump > 0 and a[0] > 0 and a[-1] < 1 and all(
             x < y for x, y in zip(a, a[1:])
         ):
-            assert sum(e * x for e, x in zip(eps, a)) == target
+            _check_witness(bits, a, target)
             return a
         denom *= 2
 
@@ -145,9 +153,8 @@ def achievable_odd_sums(w) -> frozenset[int]:
     best = max_suffix_balance(bits)
     out = set()
     for t in range(1, best, 2):
-        wit = sum_witness(bits, t)  # exact certificate for membership
-        eps = (1 if b else -1 for b in bits)
-        assert sum(e * x for e, x in zip(eps, wit)) == t
+        # re-check the exact certificate for membership
+        _check_witness(bits, sum_witness(bits, t), t)
         out.add(t)
     return frozenset(out)
 

@@ -139,7 +139,7 @@ def suite_identities(n_max: int = 30, bound: int = 15, seed: int = 20260826):
                 c_val = closed(n)
                 if d_val != c_val:
                     bad.append((n, d_val, c_val))
-            return _tally(bad, n_max - lo + 1, "n values")
+            return _tally(bad, len(range(lo, n_max + 1)), "n values")
 
         return body
 
@@ -537,7 +537,7 @@ def suite_norton(n_max: int = 6, pairs_len_max: int = 12):
                         rep.expected_partial_total,
                     )
                 )
-        return _tally(bad, n_max - 1, "n values")
+        return _tally(bad, len(range(2, n_max + 1)), "n values")
 
     entries.append(
         _run(
@@ -552,29 +552,34 @@ def suite_norton(n_max: int = 6, pairs_len_max: int = 12):
 
 
 def run_suite(name: str, **bounds) -> list[ReportEntry]:
+    """Run one suite, or every suite for ``"all"``.
+
+    A bound left out or passed as None takes the suite's default; an
+    explicit value, including 0, is used as given.  Negative size bounds
+    raise ValueError.
+    """
+    for key, value in bounds.items():
+        if key != "seed" and value is not None and value < 0:
+            raise ValueError(f"{key} must be >= 0, got {value}")
+
+    def get(key, default):
+        value = bounds.get(key)
+        return default if value is None else value
+
     if name == "theorem":
-        return suite_theorem(
-            n_max=bounds.get("n_max") or 30,
-            enum_n_max=min(bounds.get("n_max") or 5, 5),
-        )
+        return suite_theorem(n_max=get("n_max", 30), enum_n_max=min(get("n_max", 5), 5))
     if name == "identities":
         return suite_identities(
-            n_max=bounds.get("n_max") or 30, bound=bounds.get("bound") or 15,
-            seed=bounds.get("seed") or 20260826,
+            n_max=get("n_max", 30), bound=get("bound", 15), seed=get("seed", 20260826)
         )
     if name == "bijection":
-        return suite_bijection(len_max=bounds.get("len_max") or 12)
+        return suite_bijection(len_max=get("len_max", 12))
     if name == "diamond":
-        return suite_diamond(n_max=bounds.get("n_max") or 8)
+        return suite_diamond(n_max=get("n_max", 8))
     if name == "cpt":
-        return suite_cpt(
-            n_max=bounds.get("n_max") or 5, n1_max=bounds.get("n1_max") or 2
-        )
+        return suite_cpt(n_max=get("n_max", 5), n1_max=get("n1_max", 2))
     if name == "norton":
-        return suite_norton(
-            n_max=bounds.get("n_max") or 6,
-            pairs_len_max=bounds.get("len_max") or 12,
-        )
+        return suite_norton(n_max=get("n_max", 6), pairs_len_max=get("len_max", 12))
     if name == "all":
         out = []
         for sub in ("theorem", "identities", "bijection", "diamond", "cpt", "norton"):

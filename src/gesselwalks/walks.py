@@ -7,9 +7,8 @@ over the box [0, extent)^d, which is an independent route from both the
 word enumeration and the closed forms.
 
 Counts stay exact: layers use int64 while |steps|^length fits, otherwise
-Python integers in an object array.  The int64 path dispatches to numba
-kernels for d <= 3 when enabled; numpy slice-shifting is the fallback and
-the only path for object dtype or d >= 4.
+Python integers in an object array.  Either way each step is the same
+numpy slice shift, one array add per step vector.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import _accel
 from .exceptions import CapExceededError
 
 DEFAULT_MAX_CELLS = 20_000_000
@@ -57,7 +55,7 @@ class WalkCountTable:
         return sum(self.counts.values())
 
 
-def _advance_numpy(layer, steps):
+def _advance(layer, steps):
     out = np.zeros_like(layer)
     shape = layer.shape
     for s in steps:
@@ -92,30 +90,14 @@ def _run_dp(d, steps, length, start, max_cells):
         raise CapExceededError(
             f"DP lattice of {cells} cells exceeds cap {max_cells}"
         )
-    exact64 = len(steps) ** length < 2**62
-    use_nb = exact64 and d <= 3 and _accel.numba_enabled()
-    dtype = np.int64 if exact64 else object
+    # every cell is bounded by the |steps|^length walks in total
+    dtype = np.int64 if len(steps) ** length < 2**62 else object
     layer = np.zeros(tuple(extent), dtype=dtype)
     layer[tuple(start)] = 1
     yield layer
-    if use_nb:
-        from . import _kernels
-
-        kern = {
-            1: _kernels.advance_layer_d1_nb,
-            2: _kernels.advance_layer_d2_nb,
-            3: _kernels.advance_layer_d3_nb,
-        }[d]
-        steps_arr = np.array(steps, dtype=np.int64)
-        out = np.zeros_like(layer)
-        for _ in range(length):
-            kern(layer, out, steps_arr)
-            layer, out = out, layer
-            yield layer
-    else:
-        for _ in range(length):
-            layer = _advance_numpy(layer, steps)
-            yield layer
+    for _ in range(length):
+        layer = _advance(layer, steps)
+        yield layer
 
 
 def _normalize(d, steps, start):

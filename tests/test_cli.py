@@ -71,6 +71,21 @@ def test_count_cap_exit_code(capsys):
     assert "cap" in err.lower() or "length" in err.lower()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--n", "-1"),
+        ("count", "--d", "0", "--n", "2"),
+        ("triangle", "--n", "-2"),
+    ],
+)
+def test_library_value_errors_exit_usage(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_triangle_profile(capsys):
     code, out, _ = run_cli(capsys, "triangle", "--kind", "profile", "--n", "3", "--format", "csv")
     assert code == 0
@@ -105,6 +120,29 @@ def test_verify_json(capsys):
     statuses = {e["name"]: e["status"] for e in entries}
     assert statuses["norton/total-n2"] == "pass"
     assert statuses["norton/multiplicity-conjecture"] == "conjecture-pass"
+
+
+def test_verify_zero_bounds_run_as_given(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "verify", "--suite", "all", "--n-max", "0", "--len-max", "0",
+        "--bound", "0", "--seed", "0", "--format", "json", "--no-timing",
+    )
+    assert code == 0
+    params = {e["name"]: e["params"] for e in json.loads(out)}
+    assert params["diamond/equal-blocks"] == {"n_max": 0}
+    assert params["bijection/round-trip"] == {"len_max": 0}
+    assert params["identities/triangle-binomial"] == {"bound": 0}
+    assert params["identities/triangular-split"]["seed"] == 0
+    # no suite reports a negative case total for an empty range
+    assert "all -" not in out
+
+
+def test_verify_negative_bound_exit_usage(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "diamond", "--n-max", "-1")
+    assert code == 2
+    assert out == ""
+    assert "n_max must be >= 0" in err
 
 
 def test_oeis_fixture_comparison(capsys):

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from gesselwalks import (
+    IntegralityError,
     achievable_odd_sums,
     diagonal_columns,
     disjoint_ten_pairs,
@@ -14,6 +15,7 @@ from gesselwalks import (
     sum_witness,
     table_counts,
 )
+from gesselwalks import norton
 from gesselwalks.norton import as_bits, table_csv_rows
 
 
@@ -113,6 +115,19 @@ def test_witness_handles_any_interior_target():
     # happens in achievable_odd_sums
     a = sum_witness("1111", 2)
     assert sum(a) == 2
+
+
+def test_bad_witness_raises_even_under_optimize(monkeypatch):
+    # the certificate check is a raise, not an assert, so python -O keeps it
+    real = norton.sum_witness
+
+    def perturbed(w, target):
+        a = real(w, target)
+        return (a[0] / 2,) + a[1:]
+
+    monkeypatch.setattr(norton, "sum_witness", perturbed)
+    with pytest.raises(IntegralityError):
+        achievable_odd_sums("1111")
 
 
 def test_multiplicity_conjecture_small():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from gesselwalks import (
@@ -8,6 +9,7 @@ from gesselwalks import (
     gessel_closed_form,
     gessel_steps,
     walk_count_table,
+    walks,
 )
 
 
@@ -86,6 +88,18 @@ def test_custom_steps():
 def test_cell_cap():
     with pytest.raises(CapExceededError):
         count_confined_walks(2, 40, max_cells=1000)
+
+
+def _final_layer_dtype(length):
+    *_, layer = walks._run_dp(2, gessel_steps(2), length, (0, 0), walks.DEFAULT_MAX_CELLS)
+    return layer.dtype
+
+
+def test_int64_side_of_dtype_gate_stays_exact():
+    # 4^30 = 2^60 < 2^62, so L=30 is the longest sweep kept in int64
+    assert _final_layer_dtype(30) == np.int64
+    assert _final_layer_dtype(31) == object
+    assert count_confined_walks(2, 30) == gessel_closed_form(15)
 
 
 def test_object_dtype_path_stays_exact():
