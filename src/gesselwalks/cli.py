@@ -23,24 +23,36 @@ EXIT_FIXTURE = 4
 EXIT_NETWORK = 5
 
 
-def _factorize(value: int) -> dict[int, int]:
+# Trial division stops here, so --factor does bounded work on any count.
+FACTOR_TRIAL_BOUND = 10**6
+
+
+def _factorize(value: int) -> tuple[dict[int, int], int]:
+    """Prime factors up to FACTOR_TRIAL_BOUND, plus the unfactored cofactor.
+
+    The cofactor is 1 when the factorisation is complete.  Otherwise it has
+    no prime factor up to the bound and may be prime or composite.
+    """
     out: dict[int, int] = {}
     rest = value
     p = 2
     while p * p <= rest:
+        if p > FACTOR_TRIAL_BOUND:
+            return out, rest
         while rest % p == 0:
             out[p] = out.get(p, 0) + 1
             rest //= p
         p += 1 if p == 2 else 2
     if rest > 1:
         out[rest] = out.get(rest, 0) + 1
-    return out
+    return out, 1
 
 
-def _format_factors(factors: dict[int, int]) -> str:
-    return " * ".join(
-        f"{p}^{e}" if e > 1 else str(p) for p, e in sorted(factors.items())
-    )
+def _format_factors(factors: dict[int, int], cofactor: int) -> str:
+    parts = [f"{p}^{e}" if e > 1 else str(p) for p, e in sorted(factors.items())]
+    if cofactor > 1:
+        parts.append(f"{cofactor} (unfactored)")
+    return " * ".join(parts)
 
 
 def _emit_count(args, rows) -> None:
@@ -51,9 +63,10 @@ def _emit_count(args, rows) -> None:
             item = {k: v for k, v in row.items()}
             item["count"] = str(item["count"])
             if args.factor and row["count"] > 0:
-                item["factors"] = {
-                    str(p): e for p, e in sorted(_factorize(row["count"]).items())
-                }
+                factors, cofactor = _factorize(row["count"])
+                item["factors"] = {str(p): e for p, e in sorted(factors.items())}
+                if cofactor > 1:
+                    item["cofactor"] = str(cofactor)
             payload.append(item)
         print(json.dumps(payload if len(payload) > 1 else payload[0], indent=2))
         return
@@ -64,7 +77,7 @@ def _emit_count(args, rows) -> None:
         else:
             print(row["count"])
         if args.factor and row["count"] > 0:
-            print(f"  = {_format_factors(_factorize(row['count']))}")
+            print(f"  = {_format_factors(*_factorize(row['count']))}")
 
 
 def cmd_count(args, parser) -> int:
@@ -236,7 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=enumeration.DEFAULT_MAX_LENGTH,
         help="word length cap for --method enum",
     )
-    p_count.add_argument("--factor", action="store_true", help="show factorization")
+    p_count.add_argument(
+        "--factor", action="store_true", help="show factorization (trial division up to 10^6)"
+    )
 
     p_tri = sub.add_parser("triangle", help="print a distribution triangle")
     p_tri.add_argument("--kind", choices=("profile", "positions"), default="profile")

@@ -44,12 +44,19 @@ def pochhammer(a, n: int) -> Fraction:
 
 
 def gessel_closed_form(n: int) -> int:
-    """Origin-to-origin d=2 Gessel walk count for 2n steps."""
+    """Origin-to-origin d=2 Gessel walk count for 2n steps.
+
+    16^n (5/6)_n (1/2)_n / ((2)_n (5/3)_n), evaluated by its term ratio
+    G(k+1) = G(k) * 4(6k+5)(2k+1) / ((k+2)(3k+5)), which stays integral.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    num = Fraction(16) ** n * pochhammer(Fraction(5, 6), n) * pochhammer(Fraction(1, 2), n)
-    den = pochhammer(2, n) * pochhammer(Fraction(5, 3), n)
-    return _as_integer(num / den, "Gessel count")
+    g = 1
+    for k in range(n):
+        g, r = divmod(g * 4 * (6 * k + 5) * (2 * k + 1), (k + 2) * (3 * k + 5))
+        if r:
+            raise IntegralityError(f"Gessel count recurrence not integral at n={k + 1}")
+    return g
 
 
 def one_pair_closed(n: int) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -106,7 +107,16 @@ def fetch_bfile(seq_id: str, *, cache_dir: str | None = None) -> BFile:
         url = f"https://oeis.org/{seq_id}/b{seq_id[1:]}.txt"
         with urlopen(url, timeout=30) as resp:  # may raise URLError
             data = resp.read().decode()
-        path.write_text(data)
+        # write beside the target and rename, so a reader never sees a
+        # partial b-file
+        fd, tmp = tempfile.mkstemp(dir=cache, prefix=path.name, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     return _read_bfile_text(path.read_text(), seq_id, offset)
 
 

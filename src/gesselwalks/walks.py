@@ -3,12 +3,23 @@
 The Gessel step family in dimension d consists of the d prefix vectors
 (1,0,..,0), (1,1,0,..,0), ..., (1,..,1) and their negatives; for d=2 these
 are (1,1), (1,0), (-1,0), (-1,-1).  Counting is plain layer-by-layer DP
-over the box [0, extent)^d, which is an independent route from both the
-word enumeration and the closed forms.
+over the orthant, which is an independent route from both the word
+enumeration and the closed forms.
 
-Counts stay exact: layers use int64 while |steps|^length fits, otherwise
-Python integers in an object array.  Either way each step is the same
-numpy slice shift, one array add per step vector.
+Each layer covers only the live region [0, hi_t] per axis.  A coordinate
+rises by at most max_up per step, so hi_t = start + t*max_up; when the
+endpoint is known it also falls by at most max_down per step, so hi_t is
+further capped at end + (length-t)*max_down.  Every cell that can carry a
+walk to that endpoint lies inside the region, so the counts read there are
+exact; for a walk returning to the origin the region is the wedge
+min(t, length-t) per axis.  The cell cap still applies to the full box
+start + length*max_up + 1.
+
+Counts stay exact: layers start in int64 and switch once to Python
+integers in an object array as soon as |steps| times the largest present
+value could reach 2^62, since no cell of the next layer exceeds that.
+Either way each step is the same numpy slice shift, one array add per step
+vector.
 """
 
 from __future__ import annotations
@@ -55,48 +66,61 @@ class WalkCountTable:
         return sum(self.counts.values())
 
 
-def _advance(layer, steps):
-    out = np.zeros_like(layer)
-    shape = layer.shape
+def _advance(layer, steps, out_shape):
+    """Shift layer by every step into a fresh layer of out_shape and the
+    same dtype, dropping what lands outside it."""
+    out = np.zeros(out_shape, dtype=layer.dtype)
     for s in steps:
         src = []
         dst = []
-        ok = True
-        for ax, dx in enumerate(s):
-            n = shape[ax]
-            lo_src, hi_src = max(0, -dx), n - max(0, dx)
-            if lo_src >= hi_src:
-                ok = False
+        for n_src, n_dst, dx in zip(layer.shape, out_shape, s):
+            lo, hi = max(0, -dx), min(n_src, n_dst - dx)
+            if lo >= hi:
                 break
-            src.append(slice(lo_src, hi_src))
-            dst.append(slice(max(0, dx), n - max(0, -dx)))
-        if ok:
+            src.append(slice(lo, hi))
+            dst.append(slice(lo + dx, hi + dx))
+        else:
             out[tuple(dst)] += layer[tuple(src)]
     return out
 
 
-def _run_dp(d, steps, length, start, max_cells):
+def _run_dp(d, steps, length, start, max_cells, end=None):
+    """Yield the layers of walk counts after 0..length steps from start.
+
+    Layer t is cut per axis to the cells a walk can reach in t steps and,
+    with end given, can still leave for end in the remaining length-t.
+    """
     steps = _sorted_steps(steps)
     if not steps:
         raise ValueError("step set must be nonempty")
     if any(len(s) != d for s in steps):
         raise ValueError("every step must have dimension d")
     max_up = [max(0, max(s[ax] for s in steps)) for ax in range(d)]
-    extent = [start[ax] + length * max_up[ax] + 1 for ax in range(d)]
+    max_down = [max(0, -min(s[ax] for s in steps)) for ax in range(d)]
     cells = 1
-    for e in extent:
-        cells *= e
+    for ax in range(d):
+        cells *= start[ax] + length * max_up[ax] + 1
     if cells > max_cells:
         raise CapExceededError(
             f"DP lattice of {cells} cells exceeds cap {max_cells}"
         )
-    # every cell is bounded by the |steps|^length walks in total
-    dtype = np.int64 if len(steps) ** length < 2**62 else object
-    layer = np.zeros(tuple(extent), dtype=dtype)
-    layer[tuple(start)] = 1
+
+    def live_shape(t):
+        hi = [start[ax] + t * max_up[ax] for ax in range(d)]
+        if end is not None:
+            hi = [min(h, end[ax] + (length - t) * max_down[ax]) for ax, h in enumerate(hi)]
+        return tuple(h + 1 for h in hi)
+
+    shape = live_shape(0)
+    layer = np.zeros(shape, dtype=np.int64)
+    if all(x < n for x, n in zip(start, shape)):
+        layer[tuple(start)] = 1
     yield layer
-    for _ in range(length):
-        layer = _advance(layer, steps)
+    for t in range(1, length + 1):
+        # no cell of the next layer exceeds |steps| * the current maximum
+        if layer.dtype != object and int(layer.max()) * len(steps) >= 2**62:
+            layer = layer.astype(object)
+        layer = _advance(layer, steps, live_shape(t))
         yield layer
 
 
@@ -132,7 +156,7 @@ def count_confined_walks(
     if any(x < 0 for x in end):
         return 0
     layer = None
-    for layer in _run_dp(d, steps, length, start, max_cells):
+    for layer in _run_dp(d, steps, length, start, max_cells, end):
         pass
     if any(e >= s for e, s in zip(end, layer.shape)):
         return 0
@@ -167,13 +191,15 @@ def g_sequence(
     """Origin-to-origin Gessel walk counts [G(0), ..., G(n_max)] (2n steps each).
 
     One DP sweep of 2*n_max steps, reading the origin after each even step.
+    The sweep is bounded by the origin as endpoint: every origin it reads
+    lies at or before the last step, so no walk it counts is cut.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     steps, start = _normalize(d, None, None)
     origin = (0,) * d
     out = []
-    for t, layer in enumerate(_run_dp(d, steps, 2 * n_max, start, max_cells)):
+    for t, layer in enumerate(_run_dp(d, steps, 2 * n_max, start, max_cells, origin)):
         if t % 2 == 0:
             out.append(int(layer[origin]))
     return out

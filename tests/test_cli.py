@@ -1,10 +1,11 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from gesselwalks.cli import main
+from gesselwalks.cli import _factorize, main
 
 
 def run_cli(capsys, *argv):
@@ -51,6 +52,29 @@ def test_count_factor(capsys):
     code, out, _ = run_cli(capsys, "count", "--d", "2", "--n", "4", "--factor")
     assert code == 0
     assert "2 * 17 * 23" in out
+
+
+def test_factorize_is_bounded():
+    start = time.perf_counter()
+    factors, cofactor = _factorize((2**61 - 1) * (2**89 - 1))
+    assert time.perf_counter() - start < 1.0
+    assert factors == {}
+    assert cofactor == (2**61 - 1) * (2**89 - 1)
+    assert _factorize(2**2 * 999983) == ({2: 2, 999983: 1}, 1)
+
+
+def test_count_factor_reports_cofactor(capsys):
+    argv = ("count", "--d", "2", "--length", "41", "--endpoint=1,0", "--factor")
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    product = int(data["cofactor"])
+    for p, e in data["factors"].items():
+        product *= int(p) ** e
+    assert product == int(data["count"])
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[1] == f"  = {data['cofactor']} (unfactored)"
 
 
 def test_count_flag_conflicts(capsys):

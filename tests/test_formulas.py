@@ -48,6 +48,13 @@ def test_gessel_closed_form_values():
     assert [gessel_closed_form(n) for n in range(7)] == [1, 2, 11, 85, 782, 8004, 88044]
 
 
+def test_gessel_recurrence_matches_pochhammer_quotient():
+    for n in range(60):
+        num = 16**n * pochhammer(Fraction(5, 6), n) * pochhammer(Fraction(1, 2), n)
+        den = pochhammer(2, n) * pochhammer(Fraction(5, 3), n)
+        assert gessel_closed_form(n) == num / den
+
+
 def test_one_pair_closed_values():
     assert [one_pair_closed(n) for n in range(1, 6)] == [1, 7, 38, 187, 874]
     with pytest.raises(ValueError):

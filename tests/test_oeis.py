@@ -1,4 +1,7 @@
+import io
 import json
+import os
+import urllib.request
 
 import pytest
 
@@ -9,6 +12,7 @@ from gesselwalks.oeis import (
     SEQUENCE_IDS,
     compare,
     computed_terms,
+    fetch_bfile,
     load_fixture,
 )
 
@@ -99,3 +103,36 @@ def test_compare_detects_mismatch(tmp_path, monkeypatch):
     monkeypatch.setenv(FIXTURE_DIR_ENV, str(tmp_path))
     rows = compare("A135404", 1)
     assert [r["match"] for r in rows] == [True, False]
+
+
+class _DroppedResponse(io.BytesIO):
+    def read(self, *args):
+        raise OSError("connection reset")
+
+
+def test_fetch_writes_one_cache_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(
+        urllib.request, "urlopen", lambda url, timeout: io.BytesIO(b"0 1\n1 2\n2 11\n")
+    )
+    bf = fetch_bfile("A135404", cache_dir=str(tmp_path))
+    assert bf.terms == {0: 1, 1: 2, 2: 11}
+    assert [p.name for p in tmp_path.iterdir()] == ["b135404.txt"]
+
+
+def test_fetch_failure_leaves_no_cache_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(urllib.request, "urlopen", lambda url, timeout: _DroppedResponse())
+    with pytest.raises(OSError):
+        fetch_bfile("A135404", cache_dir=str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_fetch_failed_rename_leaves_no_cache_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(urllib.request, "urlopen", lambda url, timeout: io.BytesIO(b"0 1\n"))
+
+    def no_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", no_replace)
+    with pytest.raises(OSError):
+        fetch_bfile("A135404", cache_dir=str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
