@@ -90,6 +90,8 @@ def cmd_count(args, parser) -> int:
         parser.error("--endpoint requires --length")
 
     if args.n_max is not None:
+        if args.n_max < 0:
+            raise ValueError(f"--n-max must be >= 0, got {args.n_max}")
         if args.method == "enum":
             counts = [
                 enumeration.count_complete_words(args.d, n, max_length=args.cap)
@@ -146,7 +148,7 @@ def cmd_triangle(args, parser) -> int:
         for row in rows:
             print(",".join(str(v) for v in row))
     else:
-        width = max(len(str(v)) for row in rows for v in row)
+        width = max((len(str(v)) for row in rows for v in row), default=0)
         for row in rows:
             print(" ".join(str(v).rjust(width) for v in row))
     return EXIT_OK

@@ -1,23 +1,35 @@
 """Brute-force enumeration of complete Gessel words.
 
-This module is the ground-truth oracle: everything here visits words one by
-one (with prefix pruning), never with closed forms or lattice DP, so its
-outputs can be compared against the independent counting routes.
+This module is the ground-truth oracle: everything here builds whole words
+letter by letter (with prefix pruning), never with closed forms or lattice
+DP, so its outputs can be compared against the independent counting routes.
+
+The words come from one chunked numpy frontier, :func:`_word_blocks`.  Each
+row of a block is one word prefix; a block is extended by all 2d letters at
+once, the infeasible rows are dropped, and the survivors go back on a stack
+in chunks of at most :data:`CHUNK` rows.  Rows are never merged, so every
+complete word is built and tallied on its own, and the stack holds at most
+about length * 2d * CHUNK rows.
 
 Enumeration order is deterministic: words are produced in ascending
 lexicographic order of their code tuples, with codes ordered numerically
-(-d < ... < -1 < 1 < ... < d).  Every count and triangle below tallies
-the words yielded by the one pure Python DFS, :func:`iter_complete_words`.
+(-d < ... < -1 < 1 < ... < d).  The counts and triangles below tally the
+same blocks that :func:`iter_complete_words` unpacks into tuples.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
+import numpy as np
+
 from .exceptions import CapExceededError
-from .words import GesselWord
 
 DEFAULT_MAX_LENGTH = 14
+
+# Rows per frontier block.  Smaller blocks spend more time in per-block
+# Python overhead; larger ones raise the peak memory of the stack.
+CHUNK = 4096
 
 
 def _check_cap(d, n, max_length):
@@ -30,6 +42,58 @@ def _check_cap(d, n, max_length):
             f"word length {2 * n} exceeds enumeration cap {max_length}; "
             f"pass max_length explicitly to override"
         )
+
+
+def _word_blocks(d: int, n: int, marker_cap: int | None) -> Iterator[np.ndarray]:
+    """Yield arrays of complete words of length 2n, one word per row.
+
+    Rows come out in ascending lexicographic order across all blocks.  A
+    prefix survives while every suffix sum of its letter differences
+    (diff[i] + ... + diff[d-1]) is >= 0 and the total imbalance sum(|diff|)
+    can still be closed by the letters left.  marker_cap, when given,
+    bounds the occurrences of letter 1 and of its barred twin separately.
+    Callers check n, d and the length cap first.
+    """
+    length = 2 * n
+    codes = np.array([*range(-d, 0), *range(1, d + 1)], dtype=np.min_scalar_type(-(d + 1)))
+    k = len(codes)
+    # delta[i, c]: change of diff[i] when letter c is appended.  The dtype
+    # holds +-(length + 1), the largest imbalance a child can reach.
+    delta = np.zeros((d, k), dtype=np.min_scalar_type(-(length + 2)))
+    delta[np.abs(codes) - 1, np.arange(k)] = np.sign(codes)
+    plain, barred = d, d - 1  # letter indices of codes 1 and -1
+
+    # diff holds one row per axis, so the tests below run on contiguous
+    # arrays instead of reducing along a short axis
+    stack = [(0, np.zeros((1, length), codes.dtype), np.zeros((d, 1), delta.dtype))]
+    while stack:
+        pos, words, diff = stack.pop()
+        if pos == length:
+            yield words
+            continue
+        kids = np.repeat(words, k, axis=0)
+        kids[:, pos] = np.tile(codes, len(words))
+        kid_diff = (diff[:, :, None] + delta[:, None, :]).reshape(d, -1)
+        ok = np.ones(kid_diff.shape[1], dtype=bool)
+        suffix = np.zeros_like(kid_diff[0])
+        imbalance = np.zeros_like(kid_diff[0])
+        for row in kid_diff[::-1]:
+            suffix += row
+            ok &= suffix >= 0
+            imbalance += np.abs(row)
+        ok &= imbalance <= length - pos - 1
+        if marker_cap is not None:
+            by_letter = ok.reshape(-1, k)  # a view: writes land in ok
+            placed = words[:, :pos]
+            by_letter[:, plain] &= np.count_nonzero(placed == 1, axis=1) < marker_cap
+            by_letter[:, barred] &= np.count_nonzero(placed == -1, axis=1) < marker_cap
+        kids, kid_diff = kids[ok], kid_diff[:, ok]
+        # The first chunk is popped first, so the order stays lexicographic.
+        # Chunks are copies: a popped chunk frees its rows, and its diff
+        # rows are contiguous again.
+        for start in reversed(range(0, len(kids), CHUNK)):
+            stop = start + CHUNK
+            stack.append((pos + 1, kids[start:stop].copy(), kid_diff[:, start:stop].copy()))
 
 
 def iter_complete_words(
@@ -45,51 +109,14 @@ def iter_complete_words(
     barred twin separately (marker_cap=1 restricts to single-pair words).
     """
     _check_cap(d, n, max_length)
-    length = 2 * n
-    if length == 0:
-        yield ()
-        return
-    codes = list(range(-d, 0)) + list(range(1, d + 1))
-    diff = [0] * d
-    ones = [0, 0]  # plain 1s, barred 1s placed so far
-    word = [0] * length
-
-    def feasible(pos):
-        s = 0
-        imb = 0
-        for i in range(d - 1, -1, -1):
-            s += diff[i]
-            if s < 0:
-                return False
-            imb += abs(diff[i])
-        return imb <= length - pos - 1
-
-    def rec(pos):
-        for c in codes:
-            axis = abs(c) - 1
-            sgn = 1 if c > 0 else -1
-            if marker_cap is not None and axis == 0:
-                slot = 0 if sgn > 0 else 1
-                if ones[slot] >= marker_cap:
-                    continue
-                ones[slot] += 1
-            diff[axis] += sgn
-            if feasible(pos):
-                word[pos] = c
-                if pos == length - 1:
-                    yield tuple(word)
-                else:
-                    yield from rec(pos + 1)
-            diff[axis] -= sgn
-            if marker_cap is not None and axis == 0:
-                ones[0 if sgn > 0 else 1] -= 1
-
-    yield from rec(0)
+    for block in _word_blocks(d, n, marker_cap):
+        yield from map(tuple, block.tolist())
 
 
 def count_complete_words(d: int, n: int, *, max_length: int = DEFAULT_MAX_LENGTH) -> int:
     """Number of complete Gessel words of length 2n over d letter pairs."""
-    return sum(1 for _ in iter_complete_words(d, n, max_length=max_length))
+    _check_cap(d, n, max_length)
+    return sum(len(block) for block in _word_blocks(d, n, None))
 
 
 def profile_triangle_row(n: int, *, max_length: int = DEFAULT_MAX_LENGTH) -> tuple[int, ...]:
@@ -100,10 +127,10 @@ def profile_triangle_row(n: int, *, max_length: int = DEFAULT_MAX_LENGTH) -> tup
     count; both extremal entries are Catalan numbers.
     """
     _check_cap(2, n, max_length)  # before sizing hist from n
-    hist = [0] * (n + 1)
-    for codes in iter_complete_words(2, n, max_length=max_length):
-        hist[sum(1 for c in codes if c == 2)] += 1
-    return tuple(hist)
+    hist = np.zeros(n + 1, dtype=np.int64)
+    for block in _word_blocks(2, n, None):
+        hist += np.bincount(np.count_nonzero(block == 2, axis=1), minlength=n + 1)
+    return tuple(hist.tolist())
 
 
 def marker_position_triangle(
@@ -114,13 +141,20 @@ def marker_position_triangle(
     Maps (i, j) with 1 <= i < j <= 2n to the number of complete words whose
     only 1/1-bar letters sit at positions i and j, in either order.
     """
-    tri: dict[tuple[int, int], int] = {}
-    for codes in iter_complete_words(2, n, max_length=max_length, marker_cap=1):
-        marks = [p for p, c in enumerate(codes, start=1) if abs(c) == 1]
-        if len(marks) == 2:
-            key = (marks[0], marks[1])
-            tri[key] = tri.get(key, 0) + 1
-    return tri
+    _check_cap(2, n, max_length)
+    length = 2 * n
+    tally = np.zeros(length * length, dtype=np.int64)  # flat (i-1, j-1)
+    for block in _word_blocks(2, n, 1):
+        # a complete word has 0 or 2 marks under marker_cap=1, so the marked
+        # columns come in (i, j) pairs
+        _, cols = np.nonzero(np.abs(block) == 1)
+        ij = cols.reshape(-1, 2)
+        tally += np.bincount(ij[:, 0] * length + ij[:, 1], minlength=length * length)
+    return {
+        (key // length + 1, key % length + 1): count
+        for key, count in enumerate(tally.tolist())
+        if count
+    }
 
 
 def triangle_rows(tri: dict[tuple[int, int], int], n: int) -> list[list[int]]:
@@ -136,8 +170,3 @@ def triangle_rows(tri: dict[tuple[int, int], int], n: int) -> list[list[int]]:
         gap = length - r
         rows.append([tri.get((i, i + gap), 0) for i in range(1, r + 1)])
     return rows
-
-
-def complete_word_objects(d: int, n: int, **kw) -> Iterator[GesselWord]:
-    for codes in iter_complete_words(d, n, **kw):
-        yield GesselWord.from_codes(codes, d)

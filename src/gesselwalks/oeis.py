@@ -139,6 +139,8 @@ def computed_terms(seq_id: str, n_max: int) -> dict[int, int]:
 
 def compare(seq_id: str, n_max: int, *, fetch: bool = False) -> list[dict]:
     """Per-index comparison rows between library values and the b-file."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     bfile = fetch_bfile(seq_id) if fetch else load_fixture(seq_id)
     ours = computed_terms(seq_id, n_max)
     rows = []

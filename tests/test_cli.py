@@ -124,6 +124,12 @@ def test_triangle_positions_json(capsys):
     assert data["rows"][4] == [2, 4, 3, 4, 2]
 
 
+@pytest.mark.parametrize("fmt", ["plain", "csv"])
+def test_triangle_positions_empty(capsys, fmt):
+    code, out, err = run_cli(capsys, "triangle", "--kind", "positions", "--n", "0", "--format", fmt)
+    assert (code, out, err) == (0, "", "")
+
+
 def test_verify_small(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--suite", "diamond", "--n-max", "5", "--no-timing"
@@ -173,6 +179,23 @@ def test_oeis_fixture_comparison(capsys):
     code, out, _ = run_cli(capsys, "oeis", "--sequence", "A135404", "--n-max", "8")
     assert code == 0
     assert out.count("ok") == 9
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--d", "2", "--n-max", "-1", "--method", "dp"),
+        ("count", "--d", "2", "--n-max", "-1", "--method", "enum"),
+        ("count", "--d", "2", "--n-max", "-1", "--method", "closed"),
+        ("oeis", "--sequence", "A135404", "--n-max", "-1"),
+    ],
+)
+def test_negative_n_max_exit_usage(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "must be >= 0" in err
 
 
 def test_oeis_missing_fixture_exit_code(capsys, monkeypatch, tmp_path):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gesselwalks import (
     MalformedWordError,
@@ -44,6 +46,15 @@ def test_ballot_closed_equals_dp():
         for j in range(13):
             for k in range(25):
                 assert ballot_count(i, j, k) == ballot_count_dp(i, j, k), (i, j, k)
+
+
+@given(
+    st.integers(min_value=-2, max_value=70),
+    st.integers(min_value=-2, max_value=70),
+    st.integers(min_value=0, max_value=64),
+)
+def test_ballot_closed_equals_dp_property(i, j, k):
+    assert ballot_count(i, j, k) == ballot_count_dp(i, j, k)
 
 
 def test_catalan():

@@ -1,3 +1,7 @@
+from collections import Counter
+from functools import cache
+from itertools import product
+
 import pytest
 
 from gesselwalks import (
@@ -11,7 +15,7 @@ from gesselwalks import (
     profile_triangle_row,
     triangle_rows,
 )
-from gesselwalks.enumeration import complete_word_objects
+from gesselwalks import enumeration
 
 GESSEL_D2 = [1, 2, 11, 85, 782, 8004]
 
@@ -26,6 +30,12 @@ def test_counts_d1_are_catalan():
     assert [count_complete_words(1, n) for n in range(7)] == [1, 1, 2, 5, 14, 42, 132]
 
 
+def test_codes_beyond_int8_stay_exact():
+    # length-2 complete words are (c, -c), one per letter pair
+    assert count_complete_words(128, 1) == 128
+    assert list(iter_complete_words(130, 1))[-1] == (130, -130)
+
+
 def test_iterated_words_are_valid_complete_and_sorted():
     seen = list(iter_complete_words(2, 3))
     assert len(seen) == 85
@@ -37,9 +47,56 @@ def test_iterated_words_are_valid_complete_and_sorted():
 
 
 def test_word_objects():
-    objs = list(complete_word_objects(2, 2))
+    objs = [GesselWord.from_codes(codes, 2) for codes in iter_complete_words(2, 2)]
     assert len(objs) == 11
     assert all(isinstance(w, GesselWord) for w in objs)
+
+
+@cache
+def brute_force_words(d, n, marker_cap=None):
+    """Every code tuple of length 2n that is complete, in lexicographic order."""
+    if marker_cap is not None:
+        return [w for w in brute_force_words(d, n)
+                if max(w.count(1), w.count(-1)) <= marker_cap]
+    codes = [*range(-d, 0), *range(1, d + 1)]
+    # a zero letter sum is necessary for completeness and cheap to test
+    return [w for w in product(codes, repeat=2 * n) if not sum(w) and is_complete(w, d=d)]
+
+
+@pytest.mark.parametrize("d, n_max", [(1, 6), (2, 4), (3, 3)])
+@pytest.mark.parametrize("marker_cap", [None, 1])
+def test_iteration_matches_brute_force(d, n_max, marker_cap):
+    for n in range(n_max + 1):
+        got = list(iter_complete_words(d, n, marker_cap=marker_cap))
+        assert got == brute_force_words(d, n, marker_cap), (d, n)
+
+
+def brute_force_profile(n):
+    hist = Counter(w.count(2) for w in brute_force_words(2, n))
+    return tuple(hist[j] for j in range(n + 1))
+
+
+def brute_force_positions(n):
+    tri = Counter()
+    for w in brute_force_words(2, n, marker_cap=1):
+        marks = [p for p, c in enumerate(w, start=1) if abs(c) == 1]
+        if marks:
+            tri[tuple(marks)] += 1
+    return dict(tri)
+
+
+def test_triangles_match_brute_force():
+    assert profile_triangle_row(5) == brute_force_profile(5)
+    assert marker_position_triangle(5) == brute_force_positions(5)
+
+
+def test_small_chunks_keep_results_and_order(monkeypatch):
+    monkeypatch.setattr(enumeration, "CHUNK", 3)
+    assert count_complete_words(2, 4) == GESSEL_D2[4]
+    assert list(iter_complete_words(2, 3, marker_cap=1)) == brute_force_words(2, 3, 1)
+    for n in range(5):
+        assert profile_triangle_row(n) == brute_force_profile(n)
+        assert marker_position_triangle(n) == brute_force_positions(n)
 
 
 def test_marker_cap_filters_letter_one_pairs():
