@@ -52,11 +52,12 @@ def _format_factors(factors: dict[int, int], cofactor: int) -> str:
     parts = [f"{p}^{e}" if e > 1 else str(p) for p, e in sorted(factors.items())]
     if cofactor > 1:
         parts.append(f"{cofactor} (unfactored)")
-    return " * ".join(parts)
+    return " * ".join(parts) or "1"
 
 
 def _emit_count(args, rows) -> None:
-    # rows: list of dicts with n/length, endpoint, count
+    # rows: list of dicts with n/length, endpoint, count; JSON is a list for
+    # --n-max and a single object for --n and --length
     if args.format == "json":
         payload = []
         for row in rows:
@@ -68,7 +69,7 @@ def _emit_count(args, rows) -> None:
                 if cofactor > 1:
                     item["cofactor"] = str(cofactor)
             payload.append(item)
-        print(json.dumps(payload if len(payload) > 1 else payload[0], indent=2))
+        print(json.dumps(payload if args.n_max is not None else payload[0], indent=2))
         return
     for row in rows:
         if args.format == "csv":
@@ -88,10 +89,11 @@ def cmd_count(args, parser) -> int:
         parser.error("choose exactly one of --n, --length, --n-max")
     if args.endpoint is not None and args.length is None:
         parser.error("--endpoint requires --length")
+    for flag, value in (("--n", args.n), ("--length", args.length), ("--n-max", args.n_max)):
+        if value is not None and value < 0:
+            raise ValueError(f"{flag} must be >= 0, got {value}")
 
     if args.n_max is not None:
-        if args.n_max < 0:
-            raise ValueError(f"--n-max must be >= 0, got {args.n_max}")
         if args.method == "enum":
             counts = [
                 enumeration.count_complete_words(args.d, n, max_length=args.cap)

@@ -15,11 +15,15 @@ exact; for a walk returning to the origin the region is the wedge
 min(t, length-t) per axis.  The cell cap still applies to the full box
 start + length*max_up + 1.
 
-Counts stay exact: layers start in int64 and switch once to Python
-integers in an object array as soon as |steps| times the largest present
-value could reach 2^62, since no cell of the next layer exceeds that.
-Either way each step is the same numpy slice shift, one array add per step
-vector.
+Counts stay exact in int64 arithmetic: a layer is a list of int64 limb
+arrays of the live-region shape, and a cell holds sum(limb[k] * 2^(B*k))
+with B = 62 - bit_length(|steps|).  Every limb but the top one lies in
+[0, 2^B).  A step shifts each limb by every step vector (one numpy slice
+add per step vector), appends a zero top limb when |steps| times the
+largest top value could pass 2^B - 1, and runs one carry pass that moves
+each limb's bits above B into the next.  No limb enters a step at 2^(B+1)
+or more, so every sum stays below |steps| * 2^(B+1) < 2^63.  Python
+integers are rebuilt only for the cells that are read.
 """
 
 from __future__ import annotations
@@ -66,29 +70,37 @@ class WalkCountTable:
         return sum(self.counts.values())
 
 
-def _advance(layer, steps, out_shape):
-    """Shift layer by every step into a fresh layer of out_shape and the
-    same dtype, dropping what lands outside it."""
-    out = np.zeros(out_shape, dtype=layer.dtype)
+def _limb_bits(steps) -> int:
+    """Bits B held by each limb below the top; |steps| * 2^(B+1) < 2^63."""
+    return 62 - len(steps).bit_length()
+
+
+def _moves(in_shape, out_shape, steps):
+    """(source, target) slice pairs that shift a layer of in_shape by each
+    step into a layer of out_shape, dropping what lands outside it."""
+    out = []
     for s in steps:
         src = []
         dst = []
-        for n_src, n_dst, dx in zip(layer.shape, out_shape, s):
+        for n_src, n_dst, dx in zip(in_shape, out_shape, s):
             lo, hi = max(0, -dx), min(n_src, n_dst - dx)
             if lo >= hi:
                 break
             src.append(slice(lo, hi))
             dst.append(slice(lo + dx, hi + dx))
         else:
-            out[tuple(dst)] += layer[tuple(src)]
+            out.append((tuple(src), tuple(dst)))
     return out
 
 
 def _run_dp(d, steps, length, start, max_cells, end=None):
-    """Yield the layers of walk counts after 0..length steps from start.
+    """Yield the limbs of the walk counts after 0..length steps from start.
 
     Layer t is cut per axis to the cells a walk can reach in t steps and,
-    with end given, can still leave for end in the remaining length-t.
+    with end given, can still leave for end in the remaining length-t.  The
+    same list is updated in place by the next step, so read it first; each
+    old limb is dropped as soon as it is shifted, which keeps about one
+    layer and one limb alive.
     """
     steps = _sorted_steps(steps)
     if not steps:
@@ -111,22 +123,40 @@ def _run_dp(d, steps, length, start, max_cells, end=None):
             hi = [min(h, end[ax] + (length - t) * max_down[ax]) for ax, h in enumerate(hi)]
         return tuple(h + 1 for h in hi)
 
+    bits = _limb_bits(steps)
+    mask = (1 << bits) - 1
     shape = live_shape(0)
-    layer = np.zeros(shape, dtype=np.int64)
+    limbs = [np.zeros(shape, dtype=np.int64)]
     if all(x < n for x, n in zip(start, shape)):
-        layer[tuple(start)] = 1
-    yield layer
+        limbs[0][tuple(start)] = 1
+    yield limbs
     for t in range(1, length + 1):
-        # no cell of the next layer exceeds |steps| * the current maximum
-        if layer.dtype != object and int(layer.max()) * len(steps) >= 2**62:
-            layer = layer.astype(object)
-        layer = _advance(layer, steps, live_shape(t))
-        yield layer
+        grow = int(limbs[-1].max()) * len(steps) > mask
+        new_shape = live_shape(t)
+        moves = _moves(shape, new_shape, steps)
+        for k in range(len(limbs)):
+            out = np.zeros(new_shape, dtype=np.int64)
+            for src, dst in moves:
+                out[dst] += limbs[k][src]
+            limbs[k] = out
+        if grow:
+            limbs.append(np.zeros(new_shape, dtype=np.int64))
+        for k in range(len(limbs) - 1):
+            limbs[k + 1] += limbs[k] >> bits
+            limbs[k] &= mask
+        shape = new_shape
+        yield limbs
+
+
+def _value(limbs, index, bits) -> int:
+    """The exact count held by the limbs at one cell."""
+    return sum(int(limb[index]) << (bits * k) for k, limb in enumerate(limbs))
 
 
 def _normalize(d, steps, start):
     if steps is None:
         steps = gessel_steps(d)
+    steps = _sorted_steps(steps)
     if start is None:
         start = (0,) * d
     start = tuple(int(x) for x in start)
@@ -155,12 +185,11 @@ def count_confined_walks(
         raise ValueError("end must have dimension d")
     if any(x < 0 for x in end):
         return 0
-    layer = None
-    for layer in _run_dp(d, steps, length, start, max_cells, end):
+    for limbs in _run_dp(d, steps, length, start, max_cells, end):
         pass
-    if any(e >= s for e, s in zip(end, layer.shape)):
+    if any(e >= s for e, s in zip(end, limbs[0].shape)):
         return 0
-    return int(layer[end])
+    return _value(limbs, end, _limb_bits(steps))
 
 
 def walk_count_table(
@@ -172,13 +201,13 @@ def walk_count_table(
     max_cells: int = DEFAULT_MAX_CELLS,
 ) -> WalkCountTable:
     steps, start = _normalize(d, steps, start)
-    layer = None
-    for layer in _run_dp(d, steps, length, start, max_cells):
+    for limbs in _run_dp(d, steps, length, start, max_cells):
         pass
-    counts = {}
-    for idx in np.argwhere(layer != 0):
-        pt = tuple(int(x) for x in idx)
-        counts[pt] = int(layer[pt])
+    bits = _limb_bits(steps)
+    nonzero = np.logical_or.reduce([limb != 0 for limb in limbs])
+    counts = {
+        pt: _value(limbs, pt, bits) for pt in map(tuple, np.argwhere(nonzero).tolist())
+    }
     return WalkCountTable(d, length, start, counts)
 
 
@@ -198,8 +227,9 @@ def g_sequence(
         raise ValueError("n_max must be >= 0")
     steps, start = _normalize(d, None, None)
     origin = (0,) * d
+    bits = _limb_bits(steps)
     out = []
-    for t, layer in enumerate(_run_dp(d, steps, 2 * n_max, start, max_cells, origin)):
+    for t, limbs in enumerate(_run_dp(d, steps, 2 * n_max, start, max_cells, origin)):
         if t % 2 == 0:
-            out.append(int(layer[origin]))
+            out.append(_value(limbs, origin, bits))
     return out

@@ -54,6 +54,24 @@ def test_count_factor(capsys):
     assert "2 * 17 * 23" in out
 
 
+def test_count_factor_of_one(capsys):
+    code, out, _ = run_cli(capsys, "count", "--d", "2", "--n", "0", "--factor")
+    assert code == 0
+    assert out.splitlines() == ["1", "  = 1"]
+
+
+def test_count_n_max_json_is_always_a_list(capsys):
+    for n_max in (0, 1):
+        code, out, _ = run_cli(
+            capsys, "count", "--d", "2", "--n-max", str(n_max), "--format", "json"
+        )
+        assert code == 0
+        rows = json.loads(out)
+        assert [row["count"] for row in rows] == ["1", "2"][: n_max + 1]
+    code, out, _ = run_cli(capsys, "count", "--d", "2", "--n", "0", "--format", "json")
+    assert json.loads(out) == {"d": 2, "n": 0, "count": "1"}
+
+
 def test_factorize_is_bounded():
     start = time.perf_counter()
     factors, cofactor = _factorize((2**61 - 1) * (2**89 - 1))
@@ -198,6 +216,14 @@ def test_negative_n_max_exit_usage(capsys, argv):
     assert "must be >= 0" in err
 
 
+@pytest.mark.parametrize("method", ["dp", "enum", "closed"])
+def test_negative_n_names_the_flag(capsys, method):
+    code, out, err = run_cli(capsys, "count", "--d", "2", "--n", "-1", "--method", method)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --n must be >= 0, got -1\n"
+
+
 def test_oeis_missing_fixture_exit_code(capsys, monkeypatch, tmp_path):
     from gesselwalks.oeis import FIXTURE_DIR_ENV
 
@@ -216,3 +242,14 @@ def test_console_script_smoke():
     )
     assert out.returncode == 0
     assert out.stdout.strip() == "42"
+
+
+def test_package_runs_as_module():
+    out = subprocess.run(
+        [sys.executable, "-m", "gesselwalks", "count", "--d", "2", "--n", "4"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0
+    assert out.stdout.strip() == "782"

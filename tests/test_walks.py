@@ -1,15 +1,15 @@
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import product
 
-import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gesselwalks import (
     CapExceededError,
     count_complete_words,
     count_confined_walks,
+    dyck,
     g_sequence,
     gessel_closed_form,
     gessel_steps,
@@ -104,29 +104,34 @@ def test_cell_cap_counts_the_full_box():
 
 def test_sweep_covers_only_the_live_region():
     steps, origin, cap = gessel_steps(2), (0, 0), walks.DEFAULT_MAX_CELLS
-    to_origin = [layer.shape for layer in walks._run_dp(2, steps, 10, origin, cap, origin)]
-    assert to_origin == [(min(t, 10 - t) + 1,) * 2 for t in range(11)]
-    open_end = [layer.shape for layer in walks._run_dp(2, steps, 10, (2, 0), cap)]
-    assert open_end == [(t + 3, t + 1) for t in range(11)]
+    sweep = walks._run_dp(2, steps, 10, origin, cap, origin)
+    to_origin = [{limb.shape for limb in limbs} for limbs in sweep]
+    assert to_origin == [{(min(t, 10 - t) + 1,) * 2} for t in range(11)]
+    sweep = walks._run_dp(2, steps, 10, (2, 0), cap)
+    open_end = [{limb.shape for limb in limbs} for limbs in sweep]
+    assert open_end == [{(t + 3, t + 1)} for t in range(11)]
 
 
-def _origin_sweep_dtypes(length):
+def _origin_sweep_limbs(length):
+    """(limb count, largest top-limb value) after each step of the d=2 origin sweep."""
     origin = (0, 0)
     sweep = walks._run_dp(2, gessel_steps(2), length, origin, walks.DEFAULT_MAX_CELLS, origin)
-    return [layer.dtype for layer in sweep]
+    return [(len(limbs), int(limbs[-1].max())) for limbs in sweep]
 
 
-def test_dtype_gate_follows_the_values():
-    # the largest cell of step 35 times |steps| first reaches 2^62
-    dtypes = _origin_sweep_dtypes(80)
-    assert dtypes[:36] == [np.dtype(np.int64)] * 36
-    assert dtypes[36:] == [object] * 45
+def test_second_limb_follows_the_values():
+    # B = 62 - bit_length(4) = 59: the largest cell of step 33 times |steps|
+    # is the first to pass 2^59 - 1, so step 34 is the first with two limbs
+    sweep = _origin_sweep_limbs(80)
+    assert [k for k, _ in sweep[:35]] == [1] * 34 + [2]
+    assert sweep[32][1] * 4 < 2**59 <= sweep[33][1] * 4
     assert g_sequence(2, 40) == [gessel_closed_form(n) for n in range(41)]
 
 
-def test_object_dtype_path_stays_exact():
-    # 2n = 80 runs past the switch at step 36
-    assert _origin_sweep_dtypes(80)[-1] == object
+def test_multi_limb_sweep_stays_exact():
+    # 2n = 80 ends on three limbs: a third appears at step 65
+    counts = [k for k, _ in _origin_sweep_limbs(80)]
+    assert counts == [1] * 34 + [2] * 31 + [3] * 16
     assert count_confined_walks(2, 80) == gessel_closed_form(40)
 
 
@@ -177,6 +182,72 @@ def test_dp_matches_brute_force(case):
     assert got == brute[end]
     table = walk_count_table(d, length, steps=steps, start=start)
     assert table.counts == dict(brute)
+
+
+def _dict_dp(steps, length, start):
+    """Endpoint counts by a layer-by-layer DP over a dict of Python ints."""
+    layer = {start: 1}
+    for _ in range(length):
+        nxt = defaultdict(int)
+        for point, count in layer.items():
+            for s in steps:
+                q = tuple(x + dx for x, dx in zip(point, s))
+                if min(q) >= 0:
+                    nxt[q] += count
+        layer = nxt
+    return dict(layer)
+
+
+# The dict DP touches every reachable cell, so cases are kept to a box of
+# at most this many cells; the examples below add the d=3 Gessel sweep.
+_LONG_BOX_CELLS = 5000
+
+
+def _box_cells(steps, start, length):
+    cells = 1
+    for ax, x in enumerate(start):
+        cells *= x + length * max(0, max(s[ax] for s in steps)) + 1
+    return cells
+
+
+@st.composite
+def _long_walk_cases(draw):
+    d = draw(st.integers(1, 3))
+    step = st.tuples(*[st.integers(-2, 2)] * d)
+    steps = draw(
+        st.sets(step, min_size=1, max_size=8).filter(lambda ss: any(any(s) for s in ss))
+    )
+    start = draw(st.tuples(*[st.integers(0, 3)] * d))
+    length = draw(st.integers(30, 70))
+    assume(_box_cells(steps, start, length) <= _LONG_BOX_CELLS)
+    return steps, start, length
+
+
+@given(_long_walk_cases())
+@example((_GESSEL2, (0, 0), 70))
+@example((gessel_steps(3), (0, 0, 0), 40))
+@example(({(2,), (-1,)}, (0,), 70))
+@settings(max_examples=25, deadline=None)
+def test_multi_limb_dp_matches_dict_dp(case):
+    steps, start, length = case
+    d = len(start)
+    want = _dict_dp(steps, length, start)
+    table = walk_count_table(d, length, steps=steps, start=start)
+    assert table.counts == want
+    end = max(want, key=want.get, default=start)
+    assert count_confined_walks(d, length, steps=steps, start=start, end=end) == want.get(end, 0)
+
+
+def test_d1_counts_match_ballot_numbers_to_300():
+    # B = 60 for two steps, so these lengths cross several limb boundaries
+    for length in (59, 60, 61, 62, 121, 122, 183, 244, 299, 300):
+        for j in {0, 1, 2, length // 2, length - 2, length - 1, length, length + 1}:
+            got = count_confined_walks(1, length, end=(j,))
+            assert got == dyck.ballot_count(0, j, length)
+    table = walk_count_table(1, 300)
+    assert table.counts == {
+        (j,): dyck.ballot_count(0, j, 300) for j in range(0, 301, 2)
+    }
 
 
 def test_bad_inputs():
