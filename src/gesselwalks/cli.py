@@ -278,6 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="treat conjecture failures like check failures",
     )
+    p_verify.add_argument("--format", choices=("plain", "json"), default="plain")
+    p_verify.add_argument(
+        "--no-timing", action="store_true", help="leave the run times out of the report"
+    )
 
     p_oeis = sub.add_parser("oeis", help="compare against a reference sequence")
     p_oeis.add_argument("--sequence", required=True, choices=sorted(oeis.SEQUENCE_IDS))
@@ -288,11 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="fetch the reference b-file instead of using the bundled fixture",
     )
 
-    for p in (p_count, p_tri, p_verify, p_oeis):
-        p.add_argument(
-            "--format", choices=("plain", "csv", "json"), default="plain"
-        )
-        p.add_argument("--no-timing", action="store_true", dest="no_timing")
+    for p in (p_count, p_tri, p_oeis):
+        p.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
     return parser
 
 

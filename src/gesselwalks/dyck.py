@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .exceptions import CapExceededError, MalformedWordError, PathConstraintError
-from .words import GesselWord, Letter, is_complete
+from .words import GesselWord, is_complete
 
 
 def binom(n: int, r: int) -> int:
@@ -135,34 +135,22 @@ class PHConstraint:
                     prof[t] = h[i]
         return prof
 
-    def to_json_dict(self) -> dict:
-        return {"P": list(self.positions), "H": list(self.floors)}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "PHConstraint":
-        return cls(tuple(data["P"]), tuple(data["H"]))
-
 
 @dataclass(frozen=True)
 class MarkerLists:
     """Marker data of a complete d=2 word.
 
-    letters: the 1/1-bar letters in word order; signs: +1 for plain, -1 for
+    signs: the 1/1-bar letters in word order, +1 for plain and -1 for
     barred; word_positions: their 1-based positions in the word;
     path_positions: the same positions shifted into path abscissae
     (word position minus marker ordinal); floors: running minimum heights
     forced on the path between consecutive markers.
     """
 
-    letters: tuple[Letter, ...]
     signs: tuple[int, ...]
     word_positions: tuple[int, ...]
     path_positions: tuple[int, ...]
     floors: tuple[int, ...]
-
-    @property
-    def pair_count(self) -> int:
-        return len(self.signs) // 2
 
     def constraint(self) -> PHConstraint:
         return PHConstraint(self.path_positions, self.floors)
@@ -190,9 +178,8 @@ def marker_lists(signs: Sequence[int], word_positions: Sequence[int]) -> MarkerL
             raise ValueError("positions must be strictly increasing")
     if pos and pos[0] < 1:
         raise ValueError("word positions are 1-based")
-    letters = tuple(Letter(1, s < 0) for s in signs)
     path_pos = tuple(p - i for i, p in enumerate(pos, start=1))
-    return MarkerLists(letters, signs, pos, path_pos, marker_floors(signs))
+    return MarkerLists(signs, pos, path_pos, marker_floors(signs))
 
 
 def word_to_markers(word: GesselWord) -> MarkerLists:
@@ -309,27 +296,3 @@ def count_ph_paths(constraint: PHConstraint, length: int, *, max_steps: int = 64
         cur = nxt
     return cur[0]
 
-
-def iter_ph_paths(constraint: PHConstraint, length: int) -> Iterator[tuple[int, ...]]:
-    """Enumerate the conforming paths (test-sized
-    lengths only; used to cross-check count_ph_paths)."""
-    prof = constraint.floor_profile(length)
-    if length % 2 or prof[0] > 0:
-        return
-    steps: list[int] = []
-
-    def rec(t, h):
-        if t == length:
-            if h == 0:
-                yield tuple(steps)
-            return
-        for s in (1, -1):
-            nh = h + s
-            # feasibility: stay above floor now and keep 0 reachable
-            if nh < prof[t + 1] or nh < 0 or nh > length - t - 1:
-                continue
-            steps.append(s)
-            yield from rec(t + 1, nh)
-            steps.pop()
-
-    yield from rec(0, 0)

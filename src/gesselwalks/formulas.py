@@ -18,11 +18,10 @@ in both direct and closed form.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from math import comb, factorial
 from typing import Callable, Sequence
 
-from .dyck import ballot_count, binom, catalan, marker_floors
+from .dyck import ballot_count, binom, catalan, marker_lists
 from .exceptions import IntegralityError
 
 
@@ -30,17 +29,6 @@ def _as_integer(x: Fraction, what: str) -> int:
     if x.denominator != 1:
         raise IntegralityError(f"{what} evaluated to non-integer {x}")
     return int(x)
-
-
-def pochhammer(a, n: int) -> Fraction:
-    """Rising factorial a (a+1) ... (a+n-1) as an exact rational."""
-    if n < 0:
-        raise ValueError("pochhammer needs n >= 0")
-    out = Fraction(1)
-    a = Fraction(a)
-    for k in range(n):
-        out *= a + k
-    return out
 
 
 def gessel_closed_form(n: int) -> int:
@@ -113,21 +101,6 @@ def bar_first_pair_count(i: int, j: int, n: int) -> int:
     return total
 
 
-def pair_position_count(i: int, j: int, n: int, *, first: str = "one") -> int:
-    """Single-pair words with markers pinned at positions i < j.
-
-    first="one": plain 1 at i (count is Catalan(n-1) for every legal pair);
-    first="bar": barred letter at i, evaluated by bar_first_pair_count.
-    """
-    if not 1 <= i < j <= 2 * n:
-        raise ValueError(f"need 1 <= i < j <= 2n, got ({i}, {j}, n={n})")
-    if first == "one":
-        return catalan(n - 1)
-    if first == "bar":
-        return bar_first_pair_count(i, j, n)
-    raise ValueError(f"first must be 'one' or 'bar', got {first!r}")
-
-
 def diamond_equal(i: int, j: int, n: int) -> bool:
     """Equal-block check: the four bar-first counts at rows 2i, 2i+1 and
     columns 2j, 2j+1 coincide (requires 1 <= i < j <= n-1)."""
@@ -142,11 +115,7 @@ def diamond_equal(i: int, j: int, n: int) -> bool:
 
 
 def count_words_fixed_markers(
-    signs: Sequence[int],
-    word_positions: Sequence[int],
-    n: int,
-    *,
-    literal_bounds: bool = False,
+    signs: Sequence[int], word_positions: Sequence[int], n: int
 ) -> int:
     """Complete d=2 words of length 2n with all markers pinned.
 
@@ -155,33 +124,17 @@ def count_words_fixed_markers(
     ballot products over the marker heights, evaluated by sequential
     contraction; it must agree with count_ph_paths on the derived floor
     constraint.  Unbalanced signs give 0.
-
-    literal_bounds=True instead transcribes the published display verbatim
-    (middle factors indexed by the right-hand floor and stopping one marker
-    early); it is kept for comparison only and generally differs.
     """
-    signs = tuple(int(s) for s in signs)
-    ptil = tuple(int(p) for p in word_positions)
-    m = len(signs)
-    if len(ptil) != m:
-        raise ValueError("signs and positions must have equal length")
-    if any(s not in (1, -1) for s in signs):
-        raise ValueError("signs must be +-1")
-    for a, b in zip(ptil, ptil[1:]):
-        if b <= a:
-            raise ValueError("positions must be strictly increasing")
-    if m and not (1 <= ptil[0] and ptil[-1] <= 2 * n):
+    ml = marker_lists(signs, word_positions)
+    m = len(ml.signs)
+    if m and ml.word_positions[-1] > 2 * n:
         raise ValueError("positions must lie in [1, 2n]")
     if m == 0:
         return catalan(n)
-    if sum(signs) != 0:
+    if sum(ml.signs) != 0:
         return 0
-    floors = marker_floors(signs)
     path_len = 2 * n - m
-    ppos = tuple(p - i for i, p in enumerate(ptil, start=1))
-
-    if literal_bounds:
-        return _fixed_markers_literal(signs, ptil, floors, n)
+    ppos = ml.path_positions
 
     # heights at each marker abscissa; contract left to right
     his = [min(pp, path_len - pp) for pp in ppos]
@@ -190,7 +143,7 @@ def count_words_fixed_markers(
     vec = {k: ballot_count(0, k, ppos[0]) for k in range(0, his[0] + 1)}
     for a in range(1, m):
         seg = ppos[a] - ppos[a - 1]
-        f = floors[a - 1]
+        f = ml.floors[a - 1]
         nxt = {}
         for k2 in range(0, his[a] + 1):
             tot = 0
@@ -201,25 +154,6 @@ def count_words_fixed_markers(
         vec = nxt
     tail = path_len - ppos[-1]
     return sum(v * ballot_count(k, 0, tail) for k, v in vec.items())
-
-
-def _fixed_markers_literal(signs, ptil, floors, n):
-    """Verbatim transcription of the displayed nested sum (comparison only)."""
-    m = len(signs)
-    lo0 = 1 if signs[0] == 1 else 0
-    ranges = [range(lo0, ptil[0])]
-    for i in range(1, m):
-        ranges.append(range(floors[i], ptil[i]))
-    total = 0
-    for ks in product(*ranges):
-        term = ballot_count(0, ks[0], ptil[0] - 1) * ballot_count(
-            ks[m - 1], 0, 2 * n - ptil[m - 1]
-        )
-        for i in range(1, m - 1):  # displayed product stops one marker early
-            f = floors[i]
-            term *= ballot_count(ks[i - 1] - f, ks[i] - f, ptil[i] - ptil[i - 1] - 1)
-        total += term
-    return total
 
 
 def adjacent_marker_sum_direct(n: int) -> int:
@@ -300,15 +234,6 @@ def bar_first_total(n: int) -> int:
         2 * n - 1
     )
     return _as_integer(val, "bar-first total")
-
-
-def bar_first_total_by_pairs(n: int) -> int:
-    """Same total by summing bar_first_pair_count over all position pairs."""
-    return sum(
-        bar_first_pair_count(i, j, n)
-        for i in range(1, 2 * n)
-        for j in range(i + 1, 2 * n + 1)
-    )
 
 
 def one_first_total(n: int) -> int:

@@ -10,9 +10,7 @@ threshold configuration.
 
 The statistic n10 counts the maximal number of disjoint 1-before-0 index
 pairs; with m(w) = floor((n1 - n10) / 2) the number of attainable positive
-odd targets equals max(m(w), 0).  An alternative 'factors' reading of n10
-(adjacent "10" occurrences) is exposed for comparison; it breaks the count
-conjecture, e.g. on 11011000.
+odd targets equals max(m(w), 0).
 """
 
 from __future__ import annotations
@@ -68,21 +66,10 @@ def disjoint_ten_pairs(w) -> int:
     return pairs
 
 
-def ten_factor_count(w) -> int:
-    """Adjacent '10' occurrences (the rejected alternative reading)."""
-    bits = as_bits(w)
-    return sum(1 for a, b in zip(bits, bits[1:]) if a == 1 and b == 0)
-
-
-def stats(w, *, n10_mode: str = "disjoint") -> SignWordStats:
+def stats(w) -> SignWordStats:
     bits = as_bits(w)
     n1 = sum(bits)
-    if n10_mode == "disjoint":
-        n10 = disjoint_ten_pairs(bits)
-    elif n10_mode == "factors":
-        n10 = ten_factor_count(bits)
-    else:
-        raise ValueError(f"n10_mode must be 'disjoint' or 'factors', got {n10_mode!r}")
+    n10 = disjoint_ten_pairs(bits)
     return SignWordStats(n1, n10, (n1 - n10) // 2)
 
 
@@ -188,19 +175,6 @@ def table_counts(n: int, *, max_n: int = DEFAULT_TABLE_MAX_N) -> dict[tuple[int,
             key = (n1, t)
             table[key] = table.get(key, 0) + 1
     return table
-
-
-def table_csv_rows(n: int, **kw) -> list[str]:
-    """CSV rows, one per sign profile (most plus signs first), odd-target columns."""
-    table = table_counts(n, **kw)
-    targets = list(range(1, 2 * n, 2))
-    rows = ["profile," + ",".join(str(t) for t in targets)]
-    for n1 in range(2 * n, 1, -1):
-        n0 = 2 * n - n1
-        label = f"{n1}+" if n0 == 0 else f"{n1}+{n0}-"
-        cells = [str(table.get((n1, t), "")) for t in targets]
-        rows.append(label + "," + ",".join(cells))
-    return rows
 
 
 @dataclass(frozen=True)

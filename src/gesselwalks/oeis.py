@@ -88,7 +88,7 @@ def load_fixture(seq_id: str) -> BFile:
     return _read_bfile_text(text, seq_id, int(entry["offset"]))
 
 
-def fetch_bfile(seq_id: str, *, cache_dir: str | None = None) -> BFile:
+def fetch_bfile(seq_id: str) -> BFile:
     """Download (or reuse from cache) the live b-file for seq_id."""
     from urllib.request import urlopen
 
@@ -96,11 +96,7 @@ def fetch_bfile(seq_id: str, *, cache_dir: str | None = None) -> BFile:
         raise FixtureError(f"unsupported sequence id {seq_id}")
     meta = _fixture_meta()
     offset = int(meta[seq_id]["offset"])
-    cache = Path(
-        cache_dir
-        or os.environ.get(CACHE_ENV)
-        or Path.home() / ".cache" / "gesselwalks" / "oeis"
-    )
+    cache = Path(os.environ.get(CACHE_ENV) or Path.home() / ".cache" / "gesselwalks" / "oeis")
     cache.mkdir(parents=True, exist_ok=True)
     path = cache / f"b{seq_id[1:]}.txt"
     if not path.exists():

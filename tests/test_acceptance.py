@@ -2,42 +2,17 @@
 
 Each test funnels through _report so the terminal summary carries one
 PASS/FAIL line per criterion; a failing criterion still fails its test the
-normal way.  All checks are exact integer comparisons.
+normal way.  All checks are exact integer comparisons.  The criteria that a
+verify suite covers run that suite at its default bounds and pin the case
+totals it reports.
 """
 
-from itertools import combinations, product
+from functools import cache
+from itertools import product
 
-from gesselwalks import (
-    GesselWord,
-    catalan,
-    count_complete_words,
-    count_confined_walks,
-    count_ph_paths,
-    count_words_fixed_markers,
-    diamond_equal,
-    g_sequence,
-    gessel_closed_form,
-    marker_lists,
-    markers_to_word,
-    one_pair_closed,
-    word_steps,
-    word_to_markers,
-)
+from gesselwalks import verify
 from gesselwalks.cli import main
 from gesselwalks.dyck import ballot_count, ballot_count_dp
-from gesselwalks.enumeration import iter_complete_words, profile_triangle_row
-from gesselwalks.formulas import (
-    adjacent_marker_sum_closed,
-    adjacent_marker_sum_direct,
-    bar_first_total,
-    catalan_binomial_identity,
-    catalan_convolution_identity,
-    even_marker_sum_free_closed,
-    even_marker_sum_free_direct,
-    even_marker_sum_reflected_closed,
-    even_marker_sum_reflected_direct,
-    one_first_total,
-)
 from gesselwalks.oeis import compare
 from gesselwalks.verify import (
     TABLE1_EXPECTED,
@@ -52,6 +27,26 @@ RESULTS = []
 def _report(num, name, ok, detail=""):
     RESULTS.append((num, name, ok, detail))
     assert ok, f"[acceptance {num:02d}] {name}: FAIL ({detail})"
+
+
+@cache
+def _suite(name):
+    return tuple(getattr(verify, f"suite_{name}")())
+
+
+def _suite_check(name, pinned):
+    """Run a verify suite at its default bounds: every entry must pass and
+    each entry named in ``pinned`` must report exactly that ``actual``."""
+    entries = _suite(name)
+    bad = [
+        (e.name, e.status, e.actual)
+        for e in entries
+        if e.status != "pass" or pinned.get(e.name, e.actual) != e.actual
+    ]
+    missing = sorted(set(pinned) - {e.name for e in entries})
+    if bad or missing:
+        return False, f"mismatches: {bad}, missing: {missing}"
+    return True, "; ".join(pinned.values())
 
 
 def test_criterion_01_profile_triangle_rows(capsys):
@@ -72,34 +67,29 @@ def test_criterion_01_profile_triangle_rows(capsys):
 
 
 def test_criterion_02_closed_vs_dp_vs_enumeration():
-    dp = g_sequence(2, 10)
-    ok = all(dp[n] == gessel_closed_form(n) for n in range(11))
-    ok = ok and all(
-        count_complete_words(2, n) == gessel_closed_form(n) for n in range(6)
-    )
-    _report(2, "closed form == walk DP (n<=10) == enumeration (n<=5)", ok)
+    ok, detail = _suite_check("theorem", {
+        "theorem/gessel-values": "(1, 2, 11, 85, 782)",
+        "theorem/engine-agreement": "all 17 engine pairs agree",
+    })
+    _report(2, "closed form == walk DP (n<=10) == enumeration (n<=5)", ok, detail)
 
 
 def test_criterion_03_single_pair_closed_form():
-    ok = [one_pair_closed(n) for n in range(1, 5)] == [1, 7, 38, 187]
-    ok = ok and all(
-        one_pair_closed(n) == bar_first_total(n) + one_first_total(n)
-        for n in range(1, 31)
-    )
-    _report(3, "single-pair closed form assembly n<=30", ok)
+    ok, detail = _suite_check("theorem", {
+        "theorem/one-pair-values": "(1, 7, 38, 187)",
+        "theorem/one-pair-assembly": "all 30 n values agree",
+    })
+    _report(3, "single-pair closed form assembly n<=30", ok, detail)
 
 
 def test_criterion_04_partial_sum_closed_forms():
-    ok = all(
-        adjacent_marker_sum_direct(n) == adjacent_marker_sum_closed(n)
-        and even_marker_sum_free_direct(n) == even_marker_sum_free_closed(n)
-        for n in range(2, 31)
-    )
-    ok = ok and all(
-        even_marker_sum_reflected_direct(n) == even_marker_sum_reflected_closed(n)
-        for n in range(3, 31)
-    )
-    _report(4, "partial sums direct == closed n<=30", ok)
+    ok, detail = _suite_check("identities", {
+        "identities/adjacent-sum": "all 29 n values agree",
+        "identities/even-pairs-free-sum": "all 29 n values agree",
+        "identities/even-pairs-reflected-sum": "all 28 n values agree",
+        "identities/bar-first-assembly": "all 30 n values agree",
+    })
+    _report(4, "partial sums direct == closed n<=30", ok, detail)
 
 
 def test_criterion_05_ballot_formula_vs_dp():
@@ -114,97 +104,34 @@ def test_criterion_05_ballot_formula_vs_dp():
 
 
 def test_criterion_06_bijection_round_trip():
-    trips = fibers = 0
-    ok = True
-    for n in range(0, 7):
-        groups = {}
-        for codes in iter_complete_words(2, n):
-            w = GesselWord.from_codes(codes, 2)
-            ml = word_to_markers(w)
-            back = markers_to_word(word_steps(w), ml.word_positions, ml.signs)
-            if back.codes() != codes:
-                ok = False
-            trips += 1
-            groups.setdefault((ml.signs, ml.word_positions), 0)
-            groups[(ml.signs, ml.word_positions)] += 1
-        for (signs, positions), count in groups.items():
-            ml = marker_lists(signs, positions)
-            if count_ph_paths(ml.constraint(), 2 * n - len(signs)) != count:
-                ok = False
-            fibers += 1
-    _report(
-        6,
-        "marker bijection round-trip + fiber counts (length <= 12)",
-        ok,
-        f"{trips} words, {fibers} classes",
-    )
+    ok, detail = _suite_check("bijection", {
+        "bijection/round-trip": "all 96929 words agree",
+        "bijection/fiber-counts": "all 30945 marker classes agree",
+    })
+    _report(6, "marker bijection round-trip + fiber counts (length <= 12)", ok, detail)
 
 
 def test_criterion_07_fixed_marker_formula():
-    checked = 0
-    ok = True
-    for n in range(1, 6):
-        brute = {}
-        for codes in iter_complete_words(2, n):
-            signs = tuple(1 if c == 1 else -1 for c in codes if abs(c) == 1)
-            pos = tuple(p for p, c in enumerate(codes, start=1) if abs(c) == 1)
-            brute[(signs, pos)] = brute.get((signs, pos), 0) + 1
-        for n1 in (1, 2):
-            if n1 > n:
-                continue
-            for signs in product((1, -1), repeat=2 * n1):
-                if sum(signs) != 0:
-                    continue
-                for pos in combinations(range(1, 2 * n + 1), 2 * n1):
-                    want = brute.get((signs, pos), 0)
-                    if count_words_fixed_markers(signs, pos, n) != want:
-                        ok = False
-                    checked += 1
-        # Catalan independence for legal sign paths of any pair count
-        for n1 in range(0, n + 1):
-            for signs in product((1, -1), repeat=2 * n1):
-                run = 0
-                if sum(signs) != 0:
-                    continue
-                legal = True
-                for s in signs:
-                    run += s
-                    if run < 0:
-                        legal = False
-                        break
-                if not legal:
-                    continue
-                for pos in combinations(range(1, 2 * n + 1), 2 * n1):
-                    if count_words_fixed_markers(signs, pos, n) != catalan(n - n1):
-                        ok = False
-                    checked += 1
-    _report(7, "fixed-marker count == brute force; Catalan independence", ok, f"{checked} cases")
+    # 1966 + 2573 = 4539 configurations
+    ok, detail = _suite_check("cpt", {
+        "cpt/ballot-product-vs-oracle": "all 1966 marker configurations agree",
+        "cpt/catalan-independence": "all 2573 legal-descent configurations agree",
+    })
+    _report(7, "fixed-marker count == brute force; Catalan independence", ok, detail)
 
 
 def test_criterion_08_diamond_blocks():
-    ok = all(
-        diamond_equal(i, j, n)
-        for n in range(3, 9)
-        for i in range(1, n - 1)
-        for j in range(i + 1, n)
-    )
-    _report(8, "four-way equal blocks 1<=i<j<=n-1, n<=8", ok)
+    ok, detail = _suite_check("diamond", {"diamond/equal-blocks": "all 56 blocks agree"})
+    _report(8, "four-way equal blocks 1<=i<j<=n-1, n<=8", ok, detail)
 
 
 def test_criterion_09_triangle_identities():
-    ok = all(
-        catalan_convolution_identity(a, b, c)
-        for a in range(16)
-        for b in range(16)
-        for c in range(16)
-    )
-    ok = ok and all(
-        catalan_binomial_identity(a, b, c)
-        for a in range(16)
-        for b in range(16)
-        for c in range(b + 1)
-    )
-    _report(9, "triangle identities exhaustive A,B,C <= 15", ok)
+    ok, detail = _suite_check("identities", {
+        "identities/triangle-convolution": "all 4096 triples agree",
+        "identities/triangle-binomial": "all 2176 triples agree",
+        "identities/triangular-split": "all 25 random tables agree",
+    })
+    _report(9, "triangle identities exhaustive A,B,C <= 15", ok, detail)
 
 
 def test_criterion_10_norton_tables_and_conjectures():

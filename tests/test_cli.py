@@ -107,6 +107,24 @@ def test_count_flag_conflicts(capsys):
     assert e3.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--n", "3", "--no-timing"),
+        ("triangle", "--n", "3", "--no-timing"),
+        ("oeis", "--sequence", "A135404", "--no-timing"),
+        ("verify", "--suite", "diamond", "--format", "csv"),
+    ],
+)
+def test_flags_only_on_the_subcommands_that_read_them(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        main(list(argv))
+    assert e.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "unrecognized arguments" in out.err or "invalid choice" in out.err
+
+
 def test_count_cap_exit_code(capsys):
     code, _, err = run_cli(capsys, "count", "--d", "2", "--n", "9", "--method", "enum")
     assert code == 3

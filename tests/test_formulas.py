@@ -24,18 +24,52 @@ from gesselwalks import (
     marker_position_triangle,
     one_first_total,
     one_pair_closed,
-    pair_position_count,
-    pochhammer,
     triangle_ext,
 )
 from gesselwalks.formulas import (
     _as_integer,
-    bar_first_total_by_pairs,
     catalan_binomial_identity,
     catalan_convolution_identity,
     split_triangular_sum,
 )
-from gesselwalks.dyck import ballot_count
+from gesselwalks.dyck import ballot_count, marker_floors
+
+
+def pochhammer(a, n: int) -> Fraction:
+    """Rising factorial a (a+1) ... (a+n-1) as an exact rational."""
+    out = Fraction(1)
+    for k in range(n):
+        out *= Fraction(a) + k
+    return out
+
+
+def bar_first_total_by_pairs(n: int) -> int:
+    """bar_first_total(n) as the sum of bar_first_pair_count over all position pairs."""
+    return sum(
+        bar_first_pair_count(i, j, n)
+        for i in range(1, 2 * n)
+        for j in range(i + 1, 2 * n + 1)
+    )
+
+
+def displayed_nested_sum(signs, ptil, n):
+    """The paper's displayed nested sum for pinned markers, transcribed verbatim.
+
+    Its middle factors take the floor on the right of each gap, and its
+    product stops one marker early; the tests pin that it undercounts.
+    """
+    m = len(signs)
+    floors = marker_floors(signs)
+    ranges = [range(1 if signs[0] == 1 else 0, ptil[0])]
+    ranges += [range(floors[i], ptil[i]) for i in range(1, m)]
+    total = 0
+    for ks in product(*ranges):
+        term = ballot_count(0, ks[0], ptil[0] - 1) * ballot_count(ks[-1], 0, 2 * n - ptil[-1])
+        for i in range(1, m - 1):
+            f = floors[i]
+            term *= ballot_count(ks[i - 1] - f, ks[i] - f, ptil[i] - ptil[i - 1] - 1)
+        total += term
+    return total
 
 
 def test_pochhammer():
@@ -105,21 +139,13 @@ def test_bar_first_pair_spot_values():
 
 
 def test_pair_position_count_matches_enumeration():
+    # a plain-first pair leaves Catalan(n-1) words wherever it sits
     for n in (2, 3, 4):
         tri = marker_position_triangle(n)
         for i in range(1, 2 * n):
             for j in range(i + 1, 2 * n + 1):
                 want = tri.get((i, j), 0)
-                got = pair_position_count(i, j, n, first="one") + pair_position_count(
-                    i, j, n, first="bar"
-                )
-                assert got == want, (i, j, n)
-
-
-def test_pair_position_count_one_first_is_catalan():
-    assert pair_position_count(2, 5, 4, first="one") == catalan(3)
-    with pytest.raises(ValueError):
-        pair_position_count(1, 2, 3, first="nope")
+                assert catalan(n - 1) + bar_first_pair_count(i, j, n) == want, (i, j, n)
 
 
 def test_diamond_blocks():
@@ -212,9 +238,9 @@ def test_fixed_markers_catalan_independence():
 
 
 def test_fixed_markers_literal_variant_differs():
-    # the uncorrected bound transcription undercounts even the smallest case
+    # the displayed bounds undercount even the smallest case
     assert count_words_fixed_markers((1, -1), (1, 2), 1) == 1
-    assert count_words_fixed_markers((1, -1), (1, 2), 1, literal_bounds=True) == 0
+    assert displayed_nested_sum((1, -1), (1, 2), 1) == 0
 
 
 def test_fixed_markers_validation():

@@ -16,7 +16,7 @@ from gesselwalks import (
     table_counts,
 )
 from gesselwalks import norton
-from gesselwalks.norton import as_bits, table_csv_rows
+from gesselwalks.norton import as_bits
 
 
 def test_as_bits_forms():
@@ -48,11 +48,15 @@ def test_disjoint_ten_pairs():
 def test_stats_modes():
     st = stats("1110")
     assert (st.n1, st.n10, st.multiplicity) == (3, 1, 1)
-    st2 = stats("11011000", n10_mode="factors")
-    # adjacent-only matching sees fewer pairs than the disjoint matching
-    assert st2.n10 <= stats("11011000").n10 + 1
-    with pytest.raises(ValueError):
-        stats("1100", n10_mode="bogus")
+    # n10 counts disjoint 1-before-0 pairs, not adjacent "10" factors:
+    # 11011000 has 4 disjoint pairs, so m = 0 and no odd target is attainable,
+    # while its 2 adjacent factors would give m = 1
+    word = "11011000"
+    st = stats(word)
+    assert (st.n1, st.n10, st.multiplicity) == (4, 4, 0)
+    assert achievable_odd_sums(word) == frozenset()
+    factors = sum(1 for a, b in zip(word, word[1:]) if a + b == "10")
+    assert factors == 2 and (st.n1 - factors) // 2 == 1
 
 
 TABLE1 = {
@@ -151,13 +155,6 @@ TABLE2 = {
 def test_published_table_n4():
     assert table_counts(4) == TABLE2
     assert sum(TABLE2.values()) == one_pair_closed(4)
-
-
-def test_table_csv_shape():
-    rows = list(table_csv_rows(4))
-    assert rows[0].startswith("profile,1,3,5,7")
-    assert len(rows) == 8  # header + profiles from 8 plus signs down to 2
-    assert rows[1].split(",")[1] == "1"
 
 
 def test_diagonal_report():

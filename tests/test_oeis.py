@@ -8,6 +8,7 @@ import pytest
 from gesselwalks import FixtureError, gessel_closed_form, one_pair_closed
 from gesselwalks.formulas import even_marker_sum_free_closed
 from gesselwalks.oeis import (
+    CACHE_ENV,
     FIXTURE_DIR_ENV,
     SEQUENCE_IDS,
     compare,
@@ -111,22 +112,25 @@ class _DroppedResponse(io.BytesIO):
 
 
 def test_fetch_writes_one_cache_file(tmp_path, monkeypatch):
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
     monkeypatch.setattr(
         urllib.request, "urlopen", lambda url, timeout: io.BytesIO(b"0 1\n1 2\n2 11\n")
     )
-    bf = fetch_bfile("A135404", cache_dir=str(tmp_path))
+    bf = fetch_bfile("A135404")
     assert bf.terms == {0: 1, 1: 2, 2: 11}
     assert [p.name for p in tmp_path.iterdir()] == ["b135404.txt"]
 
 
 def test_fetch_failure_leaves_no_cache_file(tmp_path, monkeypatch):
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
     monkeypatch.setattr(urllib.request, "urlopen", lambda url, timeout: _DroppedResponse())
     with pytest.raises(OSError):
-        fetch_bfile("A135404", cache_dir=str(tmp_path))
+        fetch_bfile("A135404")
     assert list(tmp_path.iterdir()) == []
 
 
 def test_fetch_failed_rename_leaves_no_cache_file(tmp_path, monkeypatch):
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
     monkeypatch.setattr(urllib.request, "urlopen", lambda url, timeout: io.BytesIO(b"0 1\n"))
 
     def no_replace(src, dst):
@@ -134,5 +138,5 @@ def test_fetch_failed_rename_leaves_no_cache_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "replace", no_replace)
     with pytest.raises(OSError):
-        fetch_bfile("A135404", cache_dir=str(tmp_path))
+        fetch_bfile("A135404")
     assert list(tmp_path.iterdir()) == []
