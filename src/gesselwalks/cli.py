@@ -89,7 +89,11 @@ def cmd_count(args, parser) -> int:
         parser.error("choose exactly one of --n, --length, --n-max")
     if args.endpoint is not None and args.length is None:
         parser.error("--endpoint requires --length")
-    for flag, value in (("--n", args.n), ("--length", args.length), ("--n-max", args.n_max)):
+    if args.length is not None and args.method != "dp":
+        parser.error(f"--length counts walks with --method dp only, not --method {args.method}")
+    for flag, value in (
+        ("--n", args.n), ("--length", args.length), ("--n-max", args.n_max), ("--cap", args.cap)
+    ):
         if value is not None and value < 0:
             raise ValueError(f"{flag} must be >= 0, got {value}")
 
@@ -139,6 +143,8 @@ def cmd_count(args, parser) -> int:
 
 
 def cmd_triangle(args, parser) -> int:
+    if args.cap < 0:
+        raise ValueError(f"--cap must be >= 0, got {args.cap}")
     if args.kind == "profile":
         rows = [list(enumeration.profile_triangle_row(args.n, max_length=args.cap))]
     else:

@@ -281,17 +281,20 @@ def count_ph_paths(constraint: PHConstraint, length: int, *, max_steps: int = 64
     cur = [0] * (length + 2)
     cur[0] = 1
     for t in range(1, length + 1):
+        # a path at step t sits at height <= t and must still fall back to
+        # 0 in length - t steps, so higher cells can never be counted
+        top = min(t, length - t)
         nxt = [0] * (length + 2)
-        for h in range(length + 1):
+        for h in range(min(t - 1, length - t + 1) + 1):
             v = cur[h]
             if not v:
                 continue
-            if h + 1 <= length:
+            if h + 1 <= top:
                 nxt[h + 1] += v
             if h - 1 >= 0:
                 nxt[h - 1] += v
         f = prof[t]
-        for h in range(min(f, length + 1)):
+        for h in range(min(f, top + 1)):
             nxt[h] = 0
         cur = nxt
     return cur[0]

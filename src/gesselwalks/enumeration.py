@@ -15,13 +15,14 @@ Enumeration order is deterministic: words are produced in ascending
 lexicographic order of their code tuples, with codes ordered numerically
 (-d < ... < -1 < 1 < ... < d).  The counts and triangles below tally the
 same blocks that :func:`iter_complete_words` unpacks into tuples.
+
+numpy is imported inside the functions that use it, so importing the
+package does not load it.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
-
-import numpy as np
 
 from .exceptions import CapExceededError
 
@@ -54,6 +55,8 @@ def _word_blocks(d: int, n: int, marker_cap: int | None) -> Iterator[np.ndarray]
     bounds the occurrences of letter 1 and of its barred twin separately.
     Callers check n, d and the length cap first.
     """
+    import numpy as np
+
     length = 2 * n
     codes = np.array([*range(-d, 0), *range(1, d + 1)], dtype=np.min_scalar_type(-(d + 1)))
     k = len(codes)
@@ -126,6 +129,8 @@ def profile_triangle_row(n: int, *, max_length: int = DEFAULT_MAX_LENGTH) -> tup
     (hence j barred 2s and n-j pairs of 1s).  Row sums recover the full d=2
     count; both extremal entries are Catalan numbers.
     """
+    import numpy as np
+
     _check_cap(2, n, max_length)  # before sizing hist from n
     hist = np.zeros(n + 1, dtype=np.int64)
     for block in _word_blocks(2, n, None):
@@ -141,6 +146,8 @@ def marker_position_triangle(
     Maps (i, j) with 1 <= i < j <= 2n to the number of complete words whose
     only 1/1-bar letters sit at positions i and j, in either order.
     """
+    import numpy as np
+
     _check_cap(2, n, max_length)
     length = 2 * n
     tally = np.zeros(length * length, dtype=np.int64)  # flat (i-1, j-1)

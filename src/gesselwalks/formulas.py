@@ -179,6 +179,13 @@ def adjacent_marker_sum_closed(n: int) -> int:
 
 
 def _spread_sum(n: int, reflected: bool) -> int:
+    # the catalan_triangle factors depend only on (i, r) and on (j, s)
+    left = {
+        i: [catalan_triangle(2 * i - r - 1, r) for r in range(i)] for i in range(1, n - 1)
+    }
+    right = {
+        j: [catalan_triangle(2 * n - 2 * j - s, s) for s in range(n - j)] for j in range(2, n)
+    }
     total = 0
     for i in range(1, n - 1):
         for j in range(i + 1, n):
@@ -189,11 +196,7 @@ def _spread_sum(n: int, reflected: bool) -> int:
                     else:
                         b = binom(2 * j - 2 * i - 1, 2 * j + s - n - r - 1)
                     if b:
-                        total += (
-                            catalan_triangle(2 * i - r - 1, r)
-                            * catalan_triangle(2 * n - 2 * j - s, s)
-                            * b
-                        )
+                        total += left[i][r] * right[j][s] * b
     return total
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, lcm
 
 from .exceptions import CapExceededError, IntegralityError
 
@@ -85,11 +85,13 @@ def max_suffix_balance(w) -> int:
     return best
 
 
-def _check_witness(bits, a, target):
-    total = sum(x if b else -x for b, x in zip(bits, a))
-    if total != target:
+def _check_witness(bits, nums, scale, target):
+    """Raise unless the signed sum of the witness nums / scale is target."""
+    total = sum(x if b else -x for b, x in zip(bits, nums))
+    if total != target * scale:
         raise IntegralityError(
-            f"witness for {''.join(map(str, bits))} sums to {total}, not {target}"
+            f"witness for {''.join(map(str, bits))} sums to "
+            f"{Fraction(total, scale)}, not {target}"
         )
 
 
@@ -99,8 +101,9 @@ def sum_witness(w, target: int) -> tuple[Fraction, ...]:
     Start from the threshold configuration attaining the max suffix balance
     (zeros before the cut, ones after), scale the jump to hit the target,
     and tilt everything by a small increasing ramp; the denominator is
-    doubled until all strict inequalities verify.  Raises ValueError when
-    the target is not attainable.
+    doubled until all strict inequalities verify.  The search runs on the
+    integer numerators over the common denominator denom * best.  Raises
+    ValueError when the target is not attainable.
     """
     bits = as_bits(w)
     L = len(bits)
@@ -119,18 +122,19 @@ def sum_witness(w, target: int) -> tuple[Fraction, ...]:
     wsum = sum((i + 1) * e for i, e in enumerate(eps))
     denom = 4 * (L + 1)
     while True:
-        eta = Fraction(1, denom)
-        base = Fraction(L + 2, denom)
-        # base*sigma + eta*wsum + jump*best == target
-        jump = Fraction(target - base * sigma - eta * wsum, best)
-        a = tuple(
-            base + (i + 1) * eta + (jump if i >= cut else 0) for i in range(L)
-        )
-        if jump > 0 and a[0] > 0 and a[-1] < 1 and all(
-            x < y for x, y in zip(a, a[1:])
+        # numerators over scale = denom * best: eta = best and
+        # base = (L + 2) * best, so base*sigma + eta*wsum + jump*best ==
+        # target * scale solves to the jump below
+        scale = denom * best
+        jump = target * denom - (L + 2) * sigma - wsum
+        nums = [
+            (L + 2) * best + (i + 1) * best + (jump if i >= cut else 0) for i in range(L)
+        ]
+        if jump > 0 and nums[0] > 0 and nums[-1] < scale and all(
+            x < y for x, y in zip(nums, nums[1:])
         ):
-            _check_witness(bits, a, target)
-            return a
+            _check_witness(bits, nums, scale, target)
+            return tuple(Fraction(x, scale) for x in nums)
         denom *= 2
 
 
@@ -140,8 +144,11 @@ def achievable_odd_sums(w) -> frozenset[int]:
     best = max_suffix_balance(bits)
     out = set()
     for t in range(1, best, 2):
-        # re-check the exact certificate for membership
-        _check_witness(bits, sum_witness(bits, t), t)
+        # re-check the exact certificate for membership, in integers over
+        # the lcm of its denominators
+        a = sum_witness(bits, t)
+        scale = lcm(*(x.denominator for x in a))
+        _check_witness(bits, [x.numerator * (scale // x.denominator) for x in a], scale, t)
         out.add(t)
     return frozenset(out)
 

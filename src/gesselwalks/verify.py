@@ -265,14 +265,15 @@ def suite_identities(n_max: int = 30, bound: int = 15, seed: int = 20260826):
     return entries
 
 
-def _marker_groups(n):
-    """Group the complete d=2 words of length 2n by (signs, positions)."""
-    groups = {}
+def _fiber_sizes(n):
+    """Count the complete d=2 words of length 2n per (signs, positions) class."""
+    sizes = {}
     for codes in enumeration.iter_complete_words(2, n):
         signs = tuple(1 if c == 1 else -1 for c in codes if abs(c) == 1)
         positions = tuple(p for p, c in enumerate(codes, start=1) if abs(c) == 1)
-        groups.setdefault((signs, positions), []).append(codes)
-    return groups
+        key = (signs, positions)
+        sizes[key] = sizes.get(key, 0) + 1
+    return sizes
 
 
 def suite_bijection(len_max: int = 12):
@@ -305,12 +306,12 @@ def suite_bijection(len_max: int = 12):
         bad = []
         total = 0
         for n in range(0, len_max // 2 + 1):
-            for (signs, positions), members in _marker_groups(n).items():
+            for (signs, positions), size in _fiber_sizes(n).items():
                 total += 1
                 ml = dyck.marker_lists(signs, positions)
                 got = dyck.count_ph_paths(ml.constraint(), 2 * n - len(signs))
-                if got != len(members):
-                    bad.append((n, signs, positions, got, len(members)))
+                if got != size:
+                    bad.append((n, signs, positions, got, size))
         return _tally(bad, total, "marker classes")
 
     entries.append(
@@ -361,10 +362,7 @@ def suite_cpt(n_max: int = 5, n1_max: int = 2):
         bad = []
         total = 0
         for n in range(1, n_max + 1):
-            groups = _marker_groups(n)
-            fibers = {
-                key: len(v) for key, v in groups.items()
-            }
+            fibers = _fiber_sizes(n)
             for n1 in range(1, min(n1_max, n) + 1):
                 for signs in _balanced_signs(n1):
                     for positions in combinations(range(1, 2 * n + 1), 2 * n1):

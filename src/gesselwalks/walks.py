@@ -24,14 +24,15 @@ largest top value could pass 2^B - 1, and runs one carry pass that moves
 each limb's bits above B into the next.  No limb enters a step at 2^(B+1)
 or more, so every sum stays below |steps| * 2^(B+1) < 2^63.  Python
 integers are rebuilt only for the cells that are read.
+
+numpy is imported inside the functions that use it, so importing the
+package does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .exceptions import CapExceededError
 
@@ -102,6 +103,8 @@ def _run_dp(d, steps, length, start, max_cells, end=None):
     old limb is dropped as soon as it is shifted, which keeps about one
     layer and one limb alive.
     """
+    import numpy as np
+
     steps = _sorted_steps(steps)
     if not steps:
         raise ValueError("step set must be nonempty")
@@ -200,6 +203,8 @@ def walk_count_table(
     start: Sequence[int] | None = None,
     max_cells: int = DEFAULT_MAX_CELLS,
 ) -> WalkCountTable:
+    import numpy as np
+
     steps, start = _normalize(d, steps, start)
     for limbs in _run_dp(d, steps, length, start, max_cells):
         pass

@@ -131,6 +131,29 @@ def test_count_cap_exit_code(capsys):
     assert "cap" in err.lower() or "length" in err.lower()
 
 
+@pytest.mark.parametrize("method", ["enum", "closed"])
+def test_length_rejects_other_methods(capsys, method):
+    with pytest.raises(SystemExit) as e:
+        main(["count", "--d", "2", "--length", "4", "--method", method])
+    assert e.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "--length" in out.err and f"--method {method}" in out.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--n", "3", "--method", "enum", "--cap", "-1"),
+        ("triangle", "--n", "3", "--cap", "-1"),
+        ("triangle", "--kind", "positions", "--n", "3", "--cap", "-1"),
+    ],
+)
+def test_negative_cap_exit_usage(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: --cap must be >= 0, got -1\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

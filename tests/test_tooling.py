@@ -1,7 +1,13 @@
-"""Source-level guards on the package itself."""
+"""Guards on the package itself: its source and its cold start."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import gesselwalks
 
@@ -19,3 +25,65 @@ def test_no_assert_statements_in_library():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def run_fresh(*args):
+    """Run a fresh interpreter that imports this checkout's package."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
+COLD_START = """
+import contextlib, io, json, sys
+
+loaded = []
+import gesselwalks, gesselwalks.cli
+from gesselwalks import oeis
+for s in oeis.SEQUENCE_IDS:
+    oeis.load_fixture(s)
+loaded.append("numpy" in sys.modules)
+
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        gesselwalks.cli.main(["count", "--method", "closed", "--n", "10"]),
+        gesselwalks.cli.main(["verify", "--suite", "diamond"]),
+    ]
+loaded.append("numpy" in sys.modules)
+
+word = gesselwalks.GesselWord.parse("2 -1 2 1 -2 -2", 2)
+ml = gesselwalks.word_to_markers(word)
+back = gesselwalks.markers_to_word(gesselwalks.word_steps(word), ml.word_positions, ml.signs)
+loaded.append("numpy" in sys.modules)
+print(json.dumps({"codes": codes, "complete": gesselwalks.is_complete(word.codes(), 2),
+                  "round_trip": back.codes() == word.codes(), "numpy": loaded}))
+"""
+
+
+def test_cold_start_leaves_numpy_unloaded():
+    # only the walk DP and the enumeration frontier import numpy, on first use
+    out = run_fresh("-c", COLD_START)
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout)
+    assert report == {
+        "codes": [0, 0], "complete": True, "round_trip": True, "numpy": [False, False, False]
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("count", "--n", "4", "--method", "enum"), "782\n"),
+        (("triangle", "--n", "3"), " 5 37 38  5\n"),
+        (("count", "--d", "2", "--n", "15"), "836838395382645\n"),
+    ],
+)
+def test_numpy_routes_from_a_fresh_interpreter(argv, expected):
+    # each of these is the first numpy use in its process
+    out = run_fresh("-m", "gesselwalks", *argv)
+    assert (out.returncode, out.stdout, out.stderr) == (0, expected, "")
