@@ -23,6 +23,9 @@ EXIT_FIXTURE = 4
 EXIT_NETWORK = 5
 
 
+# Every bound a verify suite takes, in table order, is a flag of `verify`.
+VERIFY_BOUNDS = tuple(dict.fromkeys(key for caps in verify.SUITES.values() for key in caps))
+
 # Trial division stops here, so --factor does bounded work on any count.
 FACTOR_TRIAL_BOUND = 10**6
 
@@ -163,15 +166,9 @@ def cmd_triangle(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
-    bounds = {}
-    if args.n_max is not None:
-        bounds["n_max"] = args.n_max
-    if args.len_max is not None:
-        bounds["len_max"] = args.len_max
-    if args.bound is not None:
-        bounds["bound"] = args.bound
-    if args.seed is not None:
-        bounds["seed"] = args.seed
+    bounds = {
+        key: getattr(args, key) for key in VERIFY_BOUNDS if getattr(args, key) is not None
+    }
     entries = verify.run_suite(args.suite, **bounds)
 
     if args.format == "json":
@@ -274,11 +271,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("--suite", choices=verify.SUITES, default="all")
-    p_verify.add_argument("--n-max", type=int, dest="n_max")
-    p_verify.add_argument("--len-max", type=int, dest="len_max")
-    p_verify.add_argument("--bound", type=int)
-    p_verify.add_argument("--seed", type=int)
+    p_verify.add_argument("--suite", choices=(*verify.SUITES, "all"), default="all")
+    for key in VERIFY_BOUNDS:
+        readers = [
+            f"{suite} (any integer)" if caps[key] is None else f"{suite} (cap {caps[key]})"
+            for suite, caps in verify.SUITES.items()
+            if key in caps
+        ]
+        p_verify.add_argument(
+            "--" + key.replace("_", "-"), type=int, dest=key, help="read by " + ", ".join(readers)
+        )
     p_verify.add_argument(
         "--strict-conjectures",
         action="store_true",

@@ -20,6 +20,7 @@ import tempfile
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import Iterable
 
 from .exceptions import FixtureError
 
@@ -116,45 +117,41 @@ def fetch_bfile(seq_id: str) -> BFile:
     return _read_bfile_text(path.read_text(), seq_id, offset)
 
 
-def computed_terms(seq_id: str, n_max: int) -> dict[int, int]:
-    """Library-side values aligned to the sequence's index convention."""
+def computed_terms(seq_id: str, indices: Iterable[int]) -> dict[int, int]:
+    """Library-side values at the given indices of the sequence."""
     from .formulas import (
         even_marker_sum_free_closed,
         gessel_closed_form,
         one_pair_closed,
     )
 
-    if seq_id == "A135404":
-        return {n: gessel_closed_form(n) for n in range(0, n_max + 1)}
-    if seq_id == "A000531":
-        return {n: one_pair_closed(n) for n in range(1, n_max + 1)}
-    if seq_id == "A045720":
-        return {k: even_marker_sum_free_closed(k + 3) for k in range(0, n_max + 1)}
-    raise FixtureError(f"unsupported sequence id {seq_id}")
+    term = {
+        "A135404": gessel_closed_form,
+        "A000531": one_pair_closed,
+        "A045720": lambda k: even_marker_sum_free_closed(k + 3),
+    }.get(seq_id)
+    if term is None:
+        raise FixtureError(f"unsupported sequence id {seq_id}")
+    return {i: term(i) for i in indices}
 
 
 def compare(seq_id: str, n_max: int, *, fetch: bool = False) -> list[dict]:
-    """Per-index comparison rows between library values and the b-file."""
-    if n_max < 0:
+    """Per-index comparison rows for the b-file indices up to n_max."""
+    if n_max < 0:  # rejected before any fetch; the offset check needs the b-file
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     bfile = fetch_bfile(seq_id) if fetch else load_fixture(seq_id)
-    ours = computed_terms(seq_id, n_max)
-    rows = []
-    for idx in sorted(ours):
-        if idx not in bfile.terms:
-            continue
-        ref = bfile.terms[idx]
-        rows.append(
-            {
-                "sequence": seq_id,
-                "index": idx,
-                "computed": str(ours[idx]),
-                "reference": str(ref),
-                "match": ours[idx] == ref,
-            }
-        )
-    if not rows:
-        raise FixtureError(
-            f"no overlapping indices between computed range and {seq_id} fixture"
-        )
-    return rows
+    if n_max < bfile.offset:
+        raise ValueError(f"n_max must be >= {bfile.offset}, the offset of {seq_id}, got {n_max}")
+    ours = computed_terms(seq_id, sorted(i for i in bfile.terms if i <= n_max))
+    if not ours:
+        raise FixtureError(f"no index of the {seq_id} fixture lies in [{bfile.offset}, {n_max}]")
+    return [
+        {
+            "sequence": seq_id,
+            "index": idx,
+            "computed": str(value),
+            "reference": str(bfile.terms[idx]),
+            "match": value == bfile.terms[idx],
+        }
+        for idx, value in ours.items()
+    ]

@@ -10,12 +10,16 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
-from itertools import combinations, product
+from dataclasses import asdict, dataclass, field
+from itertools import accumulate, combinations, product
 
 from . import dyck, enumeration, formulas, norton, walks
+from .exceptions import CapExceededError
 
-SUITES = ("theorem", "identities", "bijection", "diamond", "cpt", "norton", "all")
+# theorem checks the walk DP and enumeration up to these n; cpt pins <= 2 pairs
+THEOREM_DP_N_MAX = 10
+THEOREM_ENUM_N_MAX = 5
+CPT_N1_MAX = 2
 
 
 @dataclass
@@ -36,15 +40,10 @@ class ReportEntry:
         return self.status == "conjecture-fail"
 
     def to_dict(self, *, timing: bool = True) -> dict:
-        out = {
-            "name": self.name,
-            "params": dict(self.params),
-            "expected": self.expected,
-            "actual": self.actual,
-            "status": self.status,
-        }
+        out = asdict(self)
+        runtime_ms = out.pop("runtime_ms")
         if timing:
-            out["runtime_ms"] = round(self.runtime_ms, 3)
+            out["runtime_ms"] = round(runtime_ms, 3)
         return out
 
 
@@ -67,7 +66,7 @@ def _tally(mismatches, total, unit="cases"):
     return False, f"{len(mismatches)}/{total} {unit} disagree: {digest}{more}"
 
 
-def suite_theorem(n_max: int = 30, enum_n_max: int = 5, dp_n_max: int = 10):
+def suite_theorem(n_max: int = 30):
     entries = []
 
     def first_values():
@@ -106,21 +105,21 @@ def suite_theorem(n_max: int = 30, enum_n_max: int = 5, dp_n_max: int = 10):
 
     def engines():
         bad = []
-        seq = walks.g_sequence(2, dp_n_max)
-        for n in range(0, dp_n_max + 1):
+        seq = walks.g_sequence(2, THEOREM_DP_N_MAX)
+        for n in range(0, THEOREM_DP_N_MAX + 1):
             closed = formulas.gessel_closed_form(n)
             if seq[n] != closed:
                 bad.append(("dp", n, seq[n], closed))
-        for n in range(0, enum_n_max + 1):
+        for n in range(0, THEOREM_ENUM_N_MAX + 1):
             en = enumeration.count_complete_words(2, n)
             if en != formulas.gessel_closed_form(n):
                 bad.append(("enum", n, en))
-        return _tally(bad, dp_n_max + enum_n_max + 2, "engine pairs")
+        return _tally(bad, THEOREM_DP_N_MAX + THEOREM_ENUM_N_MAX + 2, "engine pairs")
 
     entries.append(
         _run(
             "theorem/engine-agreement",
-            {"dp_n_max": dp_n_max, "enum_n_max": enum_n_max},
+            {"dp_n_max": THEOREM_DP_N_MAX, "enum_n_max": THEOREM_ENUM_N_MAX},
             "closed == walk DP == enumeration",
             engines,
         )
@@ -348,14 +347,10 @@ def suite_diamond(n_max: int = 8):
 
 
 def _balanced_signs(pairs):
-    return [
-        s
-        for s in product((1, -1), repeat=2 * pairs)
-        if sum(s) == 0
-    ]
+    return [s for s in product((1, -1), repeat=2 * pairs) if sum(s) == 0]
 
 
-def suite_cpt(n_max: int = 5, n1_max: int = 2):
+def suite_cpt(n_max: int = 5):
     entries = []
 
     def against_brute_and_oracle():
@@ -363,7 +358,7 @@ def suite_cpt(n_max: int = 5, n1_max: int = 2):
         total = 0
         for n in range(1, n_max + 1):
             fibers = _fiber_sizes(n)
-            for n1 in range(1, min(n1_max, n) + 1):
+            for n1 in range(1, min(CPT_N1_MAX, n) + 1):
                 for signs in _balanced_signs(n1):
                     for positions in combinations(range(1, 2 * n + 1), 2 * n1):
                         total += 1
@@ -378,7 +373,7 @@ def suite_cpt(n_max: int = 5, n1_max: int = 2):
     entries.append(
         _run(
             "cpt/ballot-product-vs-oracle",
-            {"n_max": n_max, "n1_max": n1_max},
+            {"n_max": n_max, "n1_max": CPT_N1_MAX},
             "ballot-product sum == brute force == floor DP",
             against_brute_and_oracle,
         )
@@ -390,14 +385,7 @@ def suite_cpt(n_max: int = 5, n1_max: int = 2):
         for n in range(1, n_max + 1):
             for n1 in range(0, n + 1):
                 for signs in _balanced_signs(n1):
-                    run = 0
-                    legal = True
-                    for s in signs:
-                        run += s
-                        if run < 0:
-                            legal = False
-                            break
-                    if not legal:
+                    if min(accumulate(signs), default=0) < 0:
                         continue
                     want = dyck.catalan(n - n1)
                     for positions in combinations(range(1, 2 * n + 1), 2 * n1):
@@ -438,7 +426,7 @@ TABLE2_EXPECTED = {
 }
 
 
-def suite_norton(n_max: int = 6, pairs_len_max: int = 12):
+def suite_norton(n_max: int = 6, len_max: int = 12):
     entries = []
 
     def count_n2():
@@ -482,7 +470,7 @@ def suite_norton(n_max: int = 6, pairs_len_max: int = 12):
     def multiplicity():
         bad = []
         total = 0
-        for n in range(1, pairs_len_max // 2 + 1):
+        for n in range(1, len_max // 2 + 1):
             for bits in product((0, 1), repeat=2 * n):
                 total += 1
                 ach = norton.achievable_odd_sums(bits)
@@ -494,7 +482,7 @@ def suite_norton(n_max: int = 6, pairs_len_max: int = 12):
     entries.append(
         _run(
             "norton/multiplicity-conjecture",
-            {"len_max": pairs_len_max},
+            {"len_max": len_max},
             "|achievable| == max(m, 0)",
             multiplicity,
             conjecture=True,
@@ -549,38 +537,43 @@ def suite_norton(n_max: int = 6, pairs_len_max: int = 12):
     return entries
 
 
-def run_suite(name: str, **bounds) -> list[ReportEntry]:
-    """Run one suite, or every suite for ``"all"``.
+# Each suite in report order, with the cap on each bound it takes; defaults
+# live in the suite_<name> signatures.  A cap is the engine's own where it has
+# one, else the largest round value at which the suite ran in under about 30 s
+# on 2 vCPUs (times in the README).  A bound capped by None takes any integer.
+SUITES = {
+    "theorem": {"n_max": 4000},
+    "identities": {"n_max": 70, "bound": 40, "seed": None},
+    "bijection": {"len_max": enumeration.DEFAULT_MAX_LENGTH},
+    "diamond": {"n_max": 50},
+    "cpt": {"n_max": enumeration.DEFAULT_MAX_LENGTH // 2},
+    "norton": {"n_max": norton.DEFAULT_MAX_N, "len_max": 16},
+}
 
-    A bound left out or passed as None takes the suite's default; an
-    explicit value, including 0, is used as given.  Negative size bounds
-    raise ValueError.
+
+def run_suite(name: str, **bounds: int) -> list[ReportEntry]:
+    """Run one suite, or every suite for ``"all"``, each with the bounds it takes.
+
+    Every bound is checked before any suite runs: a negative bound, or one
+    that no selected suite takes, raises ValueError; a bound above a selected
+    suite's cap raises CapExceededError.
     """
+    if name != "all" and name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {(*SUITES, 'all')}")
+    selected = SUITES if name == "all" else {name: SUITES[name]}
     for key, value in bounds.items():
-        if key != "seed" and value is not None and value < 0:
+        caps = [c[key] for c in selected.values() if key in c]
+        if not caps:
+            raise ValueError(f"suite {name} takes no bound {key}")
+        if value < 0 and None not in caps:
             raise ValueError(f"{key} must be >= 0, got {value}")
-
-    def get(key, default):
-        value = bounds.get(key)
-        return default if value is None else value
-
-    if name == "theorem":
-        return suite_theorem(n_max=get("n_max", 30), enum_n_max=min(get("n_max", 5), 5))
-    if name == "identities":
-        return suite_identities(
-            n_max=get("n_max", 30), bound=get("bound", 15), seed=get("seed", 20260826)
-        )
-    if name == "bijection":
-        return suite_bijection(len_max=get("len_max", 12))
-    if name == "diamond":
-        return suite_diamond(n_max=get("n_max", 8))
-    if name == "cpt":
-        return suite_cpt(n_max=get("n_max", 5), n1_max=get("n1_max", 2))
-    if name == "norton":
-        return suite_norton(n_max=get("n_max", 6), pairs_len_max=get("len_max", 12))
-    if name == "all":
-        out = []
-        for sub in ("theorem", "identities", "bijection", "diamond", "cpt", "norton"):
-            out.extend(run_suite(sub, **bounds))
-        return out
-    raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
+    for suite, caps in selected.items():
+        for key, cap in caps.items():
+            if cap is not None and bounds.get(key, 0) > cap:
+                raise CapExceededError(f"suite {suite}: {key} {bounds[key]} exceeds the cap {cap}")
+    entries = []
+    for suite, caps in selected.items():
+        # through the module namespace, so a wrapper bound there sees the call
+        run = globals()[f"suite_{suite}"]
+        entries += run(**{key: value for key, value in bounds.items() if key in caps})
+    return entries

@@ -146,7 +146,7 @@ def test_criterion_10_norton_tables_and_conjectures():
             st = norton.stats(word)
             ok = ok and ach == want[0] and (st.n1, st.n10, st.multiplicity) == want[1]
     ok = ok and norton.table_counts(4) == TABLE2_EXPECTED
-    conj = [e for e in suite_norton(n_max=6, pairs_len_max=12) if "conjecture" in e.status]
+    conj = [e for e in suite_norton(n_max=6, len_max=12) if "conjecture" in e.status]
     conj_ok = all(e.status == "conjecture-pass" for e in conj)
     detail = "conjectures: " + ", ".join(
         f"{e.name.split('/')[1]}={'pass' if e.status == 'conjecture-pass' else 'FAIL'}"

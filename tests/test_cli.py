@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from gesselwalks import verify
 from gesselwalks.cli import _factorize, main
 
 
@@ -234,6 +235,64 @@ def test_verify_negative_bound_exit_usage(capsys):
     assert "n_max must be >= 0" in err
 
 
+def _spy_on_suites(monkeypatch):
+    """Replace every suite function with one that records its bounds."""
+    calls = {}
+
+    def spy(name):
+        def suite(**bounds):
+            calls[name] = bounds
+            return []
+
+        return suite
+
+    for name in verify.SUITES:
+        monkeypatch.setattr(verify, f"suite_{name}", spy(name))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, suite, key",
+    [
+        (("--suite", "all", "--n-max", "30"), "cpt", "n_max"),
+        (("--suite", "bijection", "--len-max", "20"), "bijection", "len_max"),
+        (("--suite", "norton", "--len-max", "40"), "norton", "len_max"),
+        (("--suite", "identities", "--bound", "1000"), "identities", "bound"),
+    ],
+)
+def test_verify_cap_exits_before_any_suite_runs(capsys, monkeypatch, argv, suite, key):
+    calls = _spy_on_suites(monkeypatch)
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert (code, out, calls) == (3, "", {})
+    cap = verify.SUITES[suite][key]
+    assert err == f"error: suite {suite}: {key} {argv[-1]} exceeds the cap {cap}\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [("--suite", "diamond", "--len-max", "3"), ("--suite", "theorem", "--seed", "1")]
+)
+def test_verify_bound_no_suite_reads_exit_usage(capsys, monkeypatch, argv):
+    calls = _spy_on_suites(monkeypatch)
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert (code, out, calls) == (2, "", {})
+    key = argv[2].lstrip("-").replace("-", "_")
+    assert err == f"error: suite {argv[1]} takes no bound {key}\n"
+
+
+def test_verify_routes_each_bound_to_the_suites_that_take_it(capsys, monkeypatch):
+    calls = _spy_on_suites(monkeypatch)
+    code, out, _ = run_cli(capsys, "verify", "--n-max", "3", "--seed", "-4", "--format", "json")
+    assert (code, out) == (0, "[]\n")
+    assert list(calls.items()) == [
+        ("theorem", {"n_max": 3}),
+        ("identities", {"n_max": 3, "seed": -4}),
+        ("bijection", {}),
+        ("diamond", {"n_max": 3}),
+        ("cpt", {"n_max": 3}),
+        ("norton", {"n_max": 3}),
+    ]
+
+
 def test_oeis_fixture_comparison(capsys):
     code, out, _ = run_cli(capsys, "oeis", "--sequence", "A135404", "--n-max", "8")
     assert code == 0
@@ -263,6 +322,12 @@ def test_negative_n_names_the_flag(capsys, method):
     assert code == 2
     assert out == ""
     assert err == "error: --n must be >= 0, got -1\n"
+
+
+def test_oeis_n_max_below_offset_exit_usage(capsys):
+    code, out, err = run_cli(capsys, "oeis", "--sequence", "A000531", "--n-max", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: n_max must be >= 1, the offset of A000531, got 0\n"
 
 
 def test_oeis_missing_fixture_exit_code(capsys, monkeypatch, tmp_path):

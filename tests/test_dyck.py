@@ -1,7 +1,7 @@
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gesselwalks import (
@@ -13,6 +13,7 @@ from gesselwalks import (
     catalan,
     count_ph_paths,
     format_path,
+    is_complete,
     marker_floors,
     marker_lists,
     markers_to_word,
@@ -134,6 +135,40 @@ def test_markers_to_word_round_trip_small():
             ml = word_to_markers(w)
             rebuilt = markers_to_word(word_steps(w), ml.word_positions, ml.signs)
             assert rebuilt.codes() == codes
+
+
+@st.composite
+def _complete_d2_words(draw):
+    """A complete d=2 word of length 14..40, drawn one letter at a time.
+
+    With a = #2 - #2bar and s = #plain - #barred, a word is valid while both
+    stay >= 0 and complete when both end at 0.  From (a, s) the shortest
+    completion takes a + |a - s| letters, so a letter is offered only when
+    the letters left can still close the word.
+    """
+    length = 2 * draw(st.integers(7, 20))
+    a = s = 0
+    codes = []
+    for left in range(length - 1, -1, -1):
+        options = [
+            (code, a + da, s + ds)
+            for code, da, ds in ((2, 1, 1), (-2, -1, -1), (1, 0, 1), (-1, 0, -1))
+            if 0 <= a + da and 0 <= s + ds and a + da + abs(a + da - s - ds) <= left
+        ]
+        code, a, s = draw(st.sampled_from(options))
+        codes.append(code)
+    return tuple(codes)
+
+
+@given(_complete_d2_words())
+@settings(max_examples=150, deadline=None)
+def test_markers_to_word_round_trip_long_words(codes):
+    # the exhaustive round trip in verify stops at length 12
+    w = GesselWord.from_codes(codes, 2)
+    assert is_complete(w)
+    ml = word_to_markers(w)
+    rebuilt = markers_to_word(word_steps(w), ml.word_positions, ml.signs)
+    assert rebuilt.codes() == codes
 
 
 def test_markers_to_word_rejects_nonconforming_path():

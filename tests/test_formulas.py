@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gesselwalks import (
     IntegralityError,
@@ -228,6 +230,26 @@ def test_fixed_markers_against_floor_dp():
                     oracle = count_ph_paths(ml.constraint(), 2 * n - 2 * n1)
                     got = count_words_fixed_markers(signs, pos, n)
                     assert got == oracle, (n, signs, pos)
+
+
+@st.composite
+def _marker_configurations(draw):
+    n = draw(st.integers(1, 12))
+    pairs = draw(st.integers(0, min(4, n)))
+    signs = draw(st.permutations([1] * pairs + [-1] * pairs))
+    positions = draw(
+        st.lists(st.integers(1, 2 * n), min_size=2 * pairs, max_size=2 * pairs, unique=True)
+    )
+    return tuple(signs), tuple(sorted(positions)), n
+
+
+@given(_marker_configurations())
+@settings(max_examples=300, deadline=None)
+def test_fixed_markers_against_floor_dp_property(case):
+    # up to 8 markers and n = 12, past the exhaustive n <= 4 above
+    signs, positions, n = case
+    oracle = count_ph_paths(marker_lists(signs, positions).constraint(), 2 * n - len(signs))
+    assert count_words_fixed_markers(signs, positions, n) == oracle
 
 
 def test_fixed_markers_catalan_independence():

@@ -43,15 +43,27 @@ def test_unknown_sequence():
 
 
 def test_computed_terms_route():
-    assert computed_terms("A135404", 5) == {
+    assert computed_terms("A135404", range(6)) == {
         n: gessel_closed_form(n) for n in range(6)
     }
-    assert computed_terms("A000531", 5) == {
+    assert computed_terms("A000531", range(1, 6)) == {
         n: one_pair_closed(n) for n in range(1, 6)
     }
-    assert computed_terms("A045720", 4) == {
+    assert computed_terms("A045720", range(5)) == {
         k: even_marker_sum_free_closed(k + 3) for k in range(5)
     }
+
+
+def test_compare_computes_only_fixture_indices(monkeypatch):
+    # the fixture holds n = 0..13, so a large n_max costs 14 closed forms
+    from gesselwalks import formulas
+
+    seen = []
+    closed = formulas.gessel_closed_form
+    monkeypatch.setattr(formulas, "gessel_closed_form", lambda n: seen.append(n) or closed(n))
+    rows = compare("A135404", 3000)
+    assert [row["index"] for row in rows] == seen == list(range(14))
+    assert all(row["match"] for row in rows)
 
 
 @pytest.mark.parametrize("seq_id", SEQUENCE_IDS)

@@ -1,6 +1,7 @@
 """Guards on the package itself: its source and its cold start."""
 
 import ast
+import inspect
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import gesselwalks
+from gesselwalks import verify
 
 SRC = Path(gesselwalks.__file__).resolve().parent
 
@@ -87,3 +89,10 @@ def test_numpy_routes_from_a_fresh_interpreter(argv, expected):
     # each of these is the first numpy use in its process
     out = run_fresh("-m", "gesselwalks", *argv)
     assert (out.returncode, out.stdout, out.stderr) == (0, expected, "")
+
+
+def test_suite_table_bounds_are_the_suite_parameters():
+    # defaults live only in the signatures, and every parameter has a route
+    for name, caps in verify.SUITES.items():
+        params = inspect.signature(getattr(verify, f"suite_{name}")).parameters
+        assert set(caps) == set(params), name
