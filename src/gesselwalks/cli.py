@@ -94,22 +94,27 @@ def cmd_count(args, parser) -> int:
         parser.error("--endpoint requires --length")
     if args.length is not None and args.method != "dp":
         parser.error(f"--length counts walks with --method dp only, not --method {args.method}")
+    if args.cap is not None and args.method != "enum":
+        parser.error(
+            f"--cap bounds word length for --method enum only, not --method {args.method}"
+        )
     for flag, value in (
         ("--n", args.n), ("--length", args.length), ("--n-max", args.n_max), ("--cap", args.cap)
     ):
         if value is not None and value < 0:
             raise ValueError(f"{flag} must be >= 0, got {value}")
+    cap = enumeration.DEFAULT_MAX_LENGTH if args.cap is None else args.cap
 
     if args.n_max is not None:
         if args.method == "enum":
             counts = [
-                enumeration.count_complete_words(args.d, n, max_length=args.cap)
+                enumeration.count_complete_words(args.d, n, max_length=cap)
                 for n in range(args.n_max + 1)
             ]
         elif args.method == "closed":
             if args.d != 2:
                 parser.error("--method closed is only available for --d 2")
-            counts = [formulas.gessel_closed_form(n) for n in range(args.n_max + 1)]
+            counts = formulas.gessel_closed_sequence(args.n_max)
         else:
             counts = walks.g_sequence(args.d, args.n_max)
         rows = [{"d": args.d, "n": n, "count": c} for n, c in enumerate(counts)]
@@ -134,7 +139,7 @@ def cmd_count(args, parser) -> int:
 
     n = args.n
     if args.method == "enum":
-        count = enumeration.count_complete_words(args.d, n, max_length=args.cap)
+        count = enumeration.count_complete_words(args.d, n, max_length=cap)
     elif args.method == "closed":
         if args.d != 2:
             parser.error("--method closed is only available for --d 2")
@@ -253,8 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument(
         "--cap",
         type=int,
-        default=enumeration.DEFAULT_MAX_LENGTH,
-        help="word length cap for --method enum",
+        help=f"word length cap for --method enum (default {enumeration.DEFAULT_MAX_LENGTH})",
     )
     p_count.add_argument(
         "--factor", action="store_true", help="show factorization (trial division up to 10^6)"

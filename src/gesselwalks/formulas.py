@@ -32,19 +32,28 @@ def _as_integer(x: Fraction, what: str) -> int:
 
 
 def gessel_closed_form(n: int) -> int:
-    """Origin-to-origin d=2 Gessel walk count for 2n steps.
-
-    16^n (5/6)_n (1/2)_n / ((2)_n (5/3)_n), evaluated by its term ratio
-    G(k+1) = G(k) * 4(6k+5)(2k+1) / ((k+2)(3k+5)), which stays integral.
-    """
+    """Origin-to-origin d=2 Gessel walk count for 2n steps."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    g = 1
-    for k in range(n):
-        g, r = divmod(g * 4 * (6 * k + 5) * (2 * k + 1), (k + 2) * (3 * k + 5))
+    return gessel_closed_sequence(n)[-1]
+
+
+def gessel_closed_sequence(n_max: int) -> list[int]:
+    """[G(0), ..., G(n_max)], the origin-to-origin d=2 Gessel walk counts.
+
+    16^n (5/6)_n (1/2)_n / ((2)_n (5/3)_n), evaluated in one pass of its
+    term ratio G(k+1) = G(k) * 4(6k+5)(2k+1) / ((k+2)(3k+5)), which stays
+    integral.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    out = [1]
+    for k in range(n_max):
+        g, r = divmod(out[-1] * 4 * (6 * k + 5) * (2 * k + 1), (k + 2) * (3 * k + 5))
         if r:
             raise IntegralityError(f"Gessel count recurrence not integral at n={k + 1}")
-    return g
+        out.append(g)
+    return out
 
 
 def one_pair_closed(n: int) -> int:

@@ -15,11 +15,23 @@ exact; for a walk returning to the origin the region is the wedge
 min(t, length-t) per axis.  The cell cap still applies to the full box
 start + length*max_up + 1.
 
+Within that region a layer holds only the coset a walk can occupy.  On
+each axis let g be the gcd of the differences between the steps'
+components there.  After t steps every walk from start sits at
+start + t*steps[0] modulo g, so index i of a layer stands for coordinate
+r_t + g*i, with r_t that residue in [0, g).  Every Gessel step moves the
+first coordinate by +-1, so g = 2 there and x_1 = t (mod 2): each layer
+holds half the cells of the region.  On an axis where every step moves
+alike (g = 0) the coordinate is start + t*steps[0] exactly, and the layer
+holds that one cell, or none once it is negative.  A step s then shifts
+the index by (r_t + s - r_{t+1}) / g, an integer (0 when g = 0).  The
+cell cap still counts the full box, not the coset.
+
 Counts stay exact in int64 arithmetic: a layer is a list of int64 limb
-arrays of the live-region shape, and a cell holds sum(limb[k] * 2^(B*k))
+arrays of the layer shape, and a cell holds sum(limb[k] * 2^(B*k))
 with B = 62 - bit_length(|steps|).  Every limb but the top one lies in
-[0, 2^B).  A step shifts each limb by every step vector (one numpy slice
-add per step vector), appends a zero top limb when |steps| times the
+[0, 2^B).  A step shifts each limb by every step's index shift (one numpy
+slice add per step), appends a zero top limb when |steps| times the
 largest top value could pass 2^B - 1, and runs one carry pass that moves
 each limb's bits above B into the next.  No limb enters a step at 2^(B+1)
 or more, so every sum stays below |steps| * 2^(B+1) < 2^63.  Python
@@ -32,6 +44,7 @@ package does not load it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Sequence
 
 from .exceptions import CapExceededError
@@ -76,11 +89,11 @@ def _limb_bits(steps) -> int:
     return 62 - len(steps).bit_length()
 
 
-def _moves(in_shape, out_shape, steps):
+def _moves(in_shape, out_shape, shifts):
     """(source, target) slice pairs that shift a layer of in_shape by each
-    step into a layer of out_shape, dropping what lands outside it."""
+    index shift into a layer of out_shape, dropping what lands outside it."""
     out = []
-    for s in steps:
+    for s in shifts:
         src = []
         dst = []
         for n_src, n_dst, dx in zip(in_shape, out_shape, s):
@@ -94,14 +107,26 @@ def _moves(in_shape, out_shape, steps):
     return out
 
 
-def _run_dp(d, steps, length, start, max_cells, end=None):
-    """Yield the limbs of the walk counts after 0..length steps from start.
+def _cell(point, coset, shape):
+    """The layer index of point, or None when the layer does not hold it."""
+    index = []
+    for x, (r, g), n in zip(point, coset, shape):
+        i, off = divmod(x - r, g) if g else (0, x - r)
+        if off or not 0 <= i < n:
+            return None
+        index.append(i)
+    return tuple(index)
 
-    Layer t is cut per axis to the cells a walk can reach in t steps and,
-    with end given, can still leave for end in the remaining length-t.  The
-    same list is updated in place by the next step, so read it first; each
-    old limb is dropped as soon as it is shifted, which keeps about one
-    layer and one limb alive.
+
+def _run_dp(d, steps, length, start, max_cells, end=None):
+    """Yield (coset, limbs) for the walk counts after 0..length steps from start.
+
+    coset holds (r_t, g) per axis, and index i of each limb stands for
+    coordinate r_t + g*i.  Layer t is cut per axis to the cells a walk can
+    reach in t steps and, with end given, can still leave for end in the
+    remaining length-t.  The same list is updated in place by the next
+    step, so read it first; each old limb is dropped as soon as it is
+    shifted, which keeps about one layer and one limb alive.
     """
     import numpy as np
 
@@ -119,24 +144,39 @@ def _run_dp(d, steps, length, start, max_cells, end=None):
         raise CapExceededError(
             f"DP lattice of {cells} cells exceeds cap {max_cells}"
         )
+    strides = [gcd(*(s[ax] - steps[0][ax] for s in steps)) for ax in range(d)]
 
-    def live_shape(t):
+    def coset_at(t):
+        lows = [start[ax] + t * steps[0][ax] for ax in range(d)]
+        return tuple((x % g if g else x, g) for x, g in zip(lows, strides))
+
+    def layer_shape(t, coset):
         hi = [start[ax] + t * max_up[ax] for ax in range(d)]
         if end is not None:
             hi = [min(h, end[ax] + (length - t) * max_down[ax]) for ax, h in enumerate(hi)]
-        return tuple(h + 1 for h in hi)
+        return tuple(
+            ((h - r) // g + 1 if g else 1) if 0 <= r <= h else 0
+            for h, (r, g) in zip(hi, coset)
+        )
 
     bits = _limb_bits(steps)
     mask = (1 << bits) - 1
-    shape = live_shape(0)
+    coset = coset_at(0)
+    shape = layer_shape(0, coset)
     limbs = [np.zeros(shape, dtype=np.int64)]
-    if all(x < n for x, n in zip(start, shape)):
-        limbs[0][tuple(start)] = 1
-    yield limbs
+    cell = _cell(start, coset, shape)
+    if cell is not None:
+        limbs[0][cell] = 1
+    yield coset, limbs
     for t in range(1, length + 1):
-        grow = int(limbs[-1].max()) * len(steps) > mask
-        new_shape = live_shape(t)
-        moves = _moves(shape, new_shape, steps)
+        grow = int(limbs[-1].max(initial=0)) * len(steps) > mask
+        new_coset = coset_at(t)
+        new_shape = layer_shape(t, new_coset)
+        shifts = [
+            tuple((r + x - r2) // g if g else 0 for x, (r, g), (r2, _) in zip(s, coset, new_coset))
+            for s in steps
+        ]
+        moves = _moves(shape, new_shape, shifts)
         for k in range(len(limbs)):
             out = np.zeros(new_shape, dtype=np.int64)
             for src, dst in moves:
@@ -147,13 +187,19 @@ def _run_dp(d, steps, length, start, max_cells, end=None):
         for k in range(len(limbs) - 1):
             limbs[k + 1] += limbs[k] >> bits
             limbs[k] &= mask
-        shape = new_shape
-        yield limbs
+        coset, shape = new_coset, new_shape
+        yield coset, limbs
 
 
 def _value(limbs, index, bits) -> int:
     """The exact count held by the limbs at one cell."""
     return sum(int(limb[index]) << (bits * k) for k, limb in enumerate(limbs))
+
+
+def _read(coset, limbs, point, bits) -> int:
+    """The exact count at point; 0 when the layer does not hold it."""
+    cell = _cell(point, coset, limbs[0].shape)
+    return 0 if cell is None else _value(limbs, cell, bits)
 
 
 def _normalize(d, steps, start):
@@ -188,11 +234,9 @@ def count_confined_walks(
         raise ValueError("end must have dimension d")
     if any(x < 0 for x in end):
         return 0
-    for limbs in _run_dp(d, steps, length, start, max_cells, end):
+    for coset, limbs in _run_dp(d, steps, length, start, max_cells, end):
         pass
-    if any(e >= s for e, s in zip(end, limbs[0].shape)):
-        return 0
-    return _value(limbs, end, _limb_bits(steps))
+    return _read(coset, limbs, end, _limb_bits(steps))
 
 
 def walk_count_table(
@@ -206,12 +250,13 @@ def walk_count_table(
     import numpy as np
 
     steps, start = _normalize(d, steps, start)
-    for limbs in _run_dp(d, steps, length, start, max_cells):
+    for coset, limbs in _run_dp(d, steps, length, start, max_cells):
         pass
     bits = _limb_bits(steps)
     nonzero = np.logical_or.reduce([limb != 0 for limb in limbs])
     counts = {
-        pt: _value(limbs, pt, bits) for pt in map(tuple, np.argwhere(nonzero).tolist())
+        tuple(r + g * i for (r, g), i in zip(coset, cell)): _value(limbs, cell, bits)
+        for cell in map(tuple, np.argwhere(nonzero).tolist())
     }
     return WalkCountTable(d, length, start, counts)
 
@@ -234,7 +279,8 @@ def g_sequence(
     origin = (0,) * d
     bits = _limb_bits(steps)
     out = []
-    for t, limbs in enumerate(_run_dp(d, steps, 2 * n_max, start, max_cells, origin)):
+    sweep = _run_dp(d, steps, 2 * n_max, start, max_cells, origin)
+    for t, (coset, limbs) in enumerate(sweep):
         if t % 2 == 0:
-            out.append(_value(limbs, origin, bits))
+            out.append(_read(coset, limbs, origin, bits))
     return out

@@ -31,9 +31,11 @@ def test_count_methods_agree(capsys):
 
 
 def test_count_sequence_csv(capsys):
-    code, out, _ = run_cli(capsys, "count", "--d", "2", "--n-max", "4", "--format", "csv")
-    assert code == 0
-    assert out.splitlines() == ["0,1", "1,2", "2,11", "3,85", "4,782"]
+    for method in ("dp", "closed"):
+        argv = ("count", "--d", "2", "--n-max", "4", "--format", "csv", "--method", method)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.splitlines() == ["0,1", "1,2", "2,11", "3,85", "4,782"]
 
 
 def test_count_walk_endpoint(capsys):
@@ -130,6 +132,10 @@ def test_count_cap_exit_code(capsys):
     code, _, err = run_cli(capsys, "count", "--d", "2", "--n", "9", "--method", "enum")
     assert code == 3
     assert "cap" in err.lower() or "length" in err.lower()
+    argv = ("count", "--d", "2", "--n", "7", "--method", "enum", "--cap", "12")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert "cap 12" in err
 
 
 @pytest.mark.parametrize("method", ["enum", "closed"])
@@ -140,6 +146,16 @@ def test_length_rejects_other_methods(capsys, method):
     out = capsys.readouterr()
     assert out.out == ""
     assert "--length" in out.err and f"--method {method}" in out.err
+
+
+@pytest.mark.parametrize("method", ["dp", "closed"])
+def test_cap_rejects_other_methods(capsys, method):
+    with pytest.raises(SystemExit) as e:
+        main(["count", "--d", "2", "--n", "5", "--cap", "4", "--method", method])
+    assert e.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "--cap" in out.err and f"--method {method}" in out.err
 
 
 @pytest.mark.parametrize(

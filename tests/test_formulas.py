@@ -32,6 +32,7 @@ from gesselwalks.formulas import (
     _as_integer,
     catalan_binomial_identity,
     catalan_convolution_identity,
+    gessel_closed_sequence,
     split_triangular_sum,
 )
 from gesselwalks.dyck import ballot_count, marker_floors
@@ -85,10 +86,11 @@ def test_gessel_closed_form_values():
 
 
 def test_gessel_recurrence_matches_pochhammer_quotient():
+    seq = gessel_closed_sequence(59)
     for n in range(60):
         num = 16**n * pochhammer(Fraction(5, 6), n) * pochhammer(Fraction(1, 2), n)
         den = pochhammer(2, n) * pochhammer(Fraction(5, 3), n)
-        assert gessel_closed_form(n) == num / den
+        assert gessel_closed_form(n) == seq[n] == num / den
 
 
 def test_one_pair_closed_values():

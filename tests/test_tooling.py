@@ -96,3 +96,27 @@ def test_suite_table_bounds_are_the_suite_parameters():
     for name, caps in verify.SUITES.items():
         params = inspect.signature(getattr(verify, f"suite_{name}")).parameters
         assert set(caps) == set(params), name
+
+
+# The counting routes; the walk DP and the enumeration oracle stay independent
+# of every other one, so their agreement with the closed forms is a check.
+ROUTES = {"formulas", "dyck", "words", "norton", "walks", "enumeration"}
+
+
+def _package_imports(path):
+    """Modules of this package that the source at path imports, at any depth."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["gesselwalks" if node.level else "", node.module]))
+            found += [f"{module}.{alias.name}" for alias in node.names]
+    return {name.split(".")[1] for name in found if name.startswith("gesselwalks.")}
+
+
+@pytest.mark.parametrize("module", ["walks", "enumeration"])
+def test_dp_and_oracle_import_no_other_route(module):
+    imported = _package_imports(SRC / f"{module}.py")
+    assert "exceptions" in imported
+    assert imported & ROUTES == set()

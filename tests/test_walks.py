@@ -75,6 +75,8 @@ def test_walk_table_total_and_lookup():
                 continue
             brute += 1
     assert tab.total == brute
+    # keys are points of the orthant, not indices into the stored coset
+    assert tab.counts == {(0, 0): 2, (0, 1): 1, (2, 0): 1, (2, 1): 2, (2, 2): 1}
     assert tab.count((0, 0)) == 2
     assert tab.count((50, 50)) == 0
 
@@ -102,21 +104,32 @@ def test_cell_cap_counts_the_full_box():
         count_confined_walks(2, 40, max_cells=41 * 41 - 1)
 
 
+def _layers(d, steps, length, start, end=None):
+    """(coset, limb shapes) of every layer of one sweep."""
+    sweep = walks._run_dp(d, steps, length, start, walks.DEFAULT_MAX_CELLS, end)
+    return [(coset, {limb.shape for limb in limbs}) for coset, limbs in sweep]
+
+
 def test_sweep_covers_only_the_live_region():
-    steps, origin, cap = gessel_steps(2), (0, 0), walks.DEFAULT_MAX_CELLS
-    sweep = walks._run_dp(2, steps, 10, origin, cap, origin)
-    to_origin = [{limb.shape for limb in limbs} for limbs in sweep]
-    assert to_origin == [{(min(t, 10 - t) + 1,) * 2} for t in range(11)]
-    sweep = walks._run_dp(2, steps, 10, (2, 0), cap)
-    open_end = [{limb.shape for limb in limbs} for limbs in sweep]
-    assert open_end == [{(t + 3, t + 1)} for t in range(11)]
+    # a Gessel step moves x by +-1, so layer t holds only x = t (mod 2):
+    # index (i, j) stands for the point (t % 2 + 2i, j)
+    gessel_coset = [((t % 2, 2), (0, 1)) for t in range(11)]
+    origin = (0, 0)
+    to_origin = _layers(2, gessel_steps(2), 10, origin, origin)
+    wedge = [min(t, 10 - t) for t in range(11)]
+    assert to_origin == [(c, {(m // 2 + 1, m + 1)}) for c, m in zip(gessel_coset, wedge)]
+    open_end = _layers(2, gessel_steps(2), 10, (2, 0))
+    assert open_end == [(c, {(t // 2 + 2, t + 1)}) for t, c in enumerate(gessel_coset)]
+    # every step moves alike: one cell while the coordinate is >= 0, then none
+    falling = _layers(1, {(-1,)}, 4, (2,))
+    assert falling == [(((2 - t, 0),), {(1,) if t <= 2 else (0,)}) for t in range(5)]
 
 
 def _origin_sweep_limbs(length):
     """(limb count, largest top-limb value) after each step of the d=2 origin sweep."""
     origin = (0, 0)
     sweep = walks._run_dp(2, gessel_steps(2), length, origin, walks.DEFAULT_MAX_CELLS, origin)
-    return [(len(limbs), int(limbs[-1].max())) for limbs in sweep]
+    return [(len(limbs), int(limbs[-1].max())) for _, limbs in sweep]
 
 
 def test_second_limb_follows_the_values():
@@ -173,6 +186,10 @@ _GESSEL2 = gessel_steps(2)
 @example((_GESSEL2, (5, 0), (0, 0), 2))  # start outside the live region at t=0
 @example((_GESSEL2, (0, 0), (6, 6), 6))  # far corner of the box
 @example((_GESSEL2, (1, 0), (5, 0), 3))  # end beyond start + L*max_up
+@example(({(-1,)}, (2,), (0,), 4))  # every step alike, and the walk falls below 0
+@example((_GESSEL2, (1, 0), (3, 1), 3))  # odd start on a stride-2 axis, end off the coset
+@example(({(2, 0), (-2, 0), (0, 1)}, (1, 0), (3, 1), 4))  # stride 2 on x with steps of 2
+@example(({(-2,), (1,)}, (0,), (2,), 5))  # stride 3: the residue's sign matters
 @settings(max_examples=60, deadline=None)
 def test_dp_matches_brute_force(case):
     steps, start, end, length = case
