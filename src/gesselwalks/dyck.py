@@ -178,6 +178,11 @@ def marker_lists(signs: Sequence[int], word_positions: Sequence[int]) -> MarkerL
             raise ValueError("positions must be strictly increasing")
     if pos and pos[0] < 1:
         raise ValueError("word positions are 1-based")
+    return _build_marker_lists(signs, pos)
+
+
+def _build_marker_lists(signs: tuple[int, ...], pos: tuple[int, ...]) -> MarkerLists:
+    """MarkerLists from signs and 1-based word positions already known valid."""
     path_pos = tuple(p - i for i, p in enumerate(pos, start=1))
     return MarkerLists(signs, pos, path_pos, marker_floors(signs))
 
@@ -194,7 +199,9 @@ def word_to_markers(word: GesselWord) -> MarkerLists:
         if let.index == 1:
             signs.append(-1 if let.barred else 1)
             positions.append(p)
-    return marker_lists(signs, positions)
+    # +-1 signs at increasing 1-based positions by construction, so the
+    # checks of marker_lists are skipped
+    return _build_marker_lists(tuple(signs), tuple(positions))
 
 
 def word_steps(word: GesselWord) -> tuple[int, ...]:

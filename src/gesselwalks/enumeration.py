@@ -5,11 +5,12 @@ letter by letter (with prefix pruning), never with closed forms or lattice
 DP, so its outputs can be compared against the independent counting routes.
 
 The words come from one chunked numpy frontier, :func:`_word_blocks`.  Each
-row of a block is one word prefix; a block is extended by all 2d letters at
-once, the infeasible rows are dropped, and the survivors go back on a stack
-in chunks of at most :data:`CHUNK` rows.  Rows are never merged, so every
-complete word is built and tallied on its own, and the stack holds at most
-about length * 2d * CHUNK rows.
+row of a block is one word prefix.  The feasibility tests run on the letter
+differences of all 2d one-letter extensions of a block at once; only the
+surviving children are then gathered from their parent rows, and they go
+back on a stack in chunks of at most :data:`CHUNK` rows.  Rows are never
+merged, so every complete word is built and tallied on its own, and the
+stack holds at most about length * 2d * CHUNK rows.
 
 Enumeration order is deterministic: words are produced in ascending
 lexicographic order of their code tuples, with codes ordered numerically
@@ -74,8 +75,9 @@ def _word_blocks(d: int, n: int, marker_cap: int | None) -> Iterator[np.ndarray]
         if pos == length:
             yield words
             continue
-        kids = np.repeat(words, k, axis=0)
-        kids[:, pos] = np.tile(codes, len(words))
+        # Child r * k + c is row r extended by letter c.  The tests below
+        # read only the children's diff and the parents' rows, so a child
+        # row is built only once it is known to survive.
         kid_diff = (diff[:, :, None] + delta[:, None, :]).reshape(d, -1)
         ok = np.ones(kid_diff.shape[1], dtype=bool)
         suffix = np.zeros_like(kid_diff[0])
@@ -90,7 +92,10 @@ def _word_blocks(d: int, n: int, marker_cap: int | None) -> Iterator[np.ndarray]
             placed = words[:, :pos]
             by_letter[:, plain] &= np.count_nonzero(placed == 1, axis=1) < marker_cap
             by_letter[:, barred] &= np.count_nonzero(placed == -1, axis=1) < marker_cap
-        kids, kid_diff = kids[ok], kid_diff[:, ok]
+        keep = np.flatnonzero(ok)  # ascending, so the children stay in order
+        kids = words[keep // k]
+        kids[:, pos] = codes[keep % k]
+        kid_diff = kid_diff[:, keep]
         # The first chunk is popped first, so the order stays lexicographic.
         # Chunks are copies: a popped chunk frees its rows, and its diff
         # rows are contiguous again.

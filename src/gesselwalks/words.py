@@ -104,9 +104,12 @@ def _coerce_codes(word, d=None):
     return w.codes(), w.d
 
 
-def is_gessel_word(word, d: int | None = None) -> bool:
-    """Check the prefix condition: all nested top-k balances stay >= 0."""
-    codes, d = _coerce_codes(word, d)
+def _final_diff(codes, d):
+    """Letter differences after the whole word, or None if a prefix fails.
+
+    diff[i] is (plain - barred) occurrences of index i+1; the prefix
+    condition asks every suffix sum diff[i] + ... + diff[d-1] to stay >= 0.
+    """
     diff = [0] * d
     for c in codes:
         idx = abs(c)
@@ -117,19 +120,19 @@ def is_gessel_word(word, d: int | None = None) -> bool:
             for i in range(d - 1, -1, -1):
                 s += diff[i]
                 if s < 0:
-                    return False
-    return True
+                    return None
+    return diff
+
+
+def is_gessel_word(word, d: int | None = None) -> bool:
+    """Check the prefix condition: all nested top-k balances stay >= 0."""
+    return _final_diff(*_coerce_codes(word, d)) is not None
 
 
 def is_complete(word, d: int | None = None) -> bool:
     """Valid word with every letter index exactly balanced."""
-    codes, d = _coerce_codes(word, d)
-    if not is_gessel_word(codes, d):
-        return False
-    diff = [0] * d
-    for c in codes:
-        diff[abs(c) - 1] += 1 if c > 0 else -1
-    return all(v == 0 for v in diff)
+    diff = _final_diff(*_coerce_codes(word, d))
+    return diff is not None and not any(diff)
 
 
 def letter_profile(word, d: int | None = None) -> LetterProfile:

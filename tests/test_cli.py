@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from gesselwalks import verify
+from gesselwalks import formulas, verify
 from gesselwalks.cli import _factorize, main
 
 
@@ -49,6 +49,28 @@ def test_count_json_string_counts(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["count"] == "8004"
+
+
+@pytest.fixture
+def default_int_digit_limit():
+    """Run a test under Python's default limit on int-to-str digits."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+def test_count_prints_counts_past_the_digit_limit(capsys, default_int_digit_limit, fmt):
+    # G(3579) is the first term with more than 4,300 digits
+    code, out, err = run_cli(capsys, "count", "--method", "closed", "--n", "3579", "--format", fmt)
+    assert code == 0, err
+    text = json.loads(out)["count"] if fmt == "json" else out.strip()
+    assert len(text) == 4301
+    assert int(text) == formulas.gessel_closed_sequence(3579)[-1]
 
 
 def test_count_factor(capsys):

@@ -183,6 +183,22 @@ def test_markers_to_word_rejects_unbalanced_path():
         markers_to_word((1, 1, -1, 1), (2, 4), (-1, 1))
 
 
+def test_word_to_markers_builds_its_lists_without_revalidating(monkeypatch):
+    from gesselwalks import dyck, iter_complete_words
+
+    words = [GesselWord.from_codes(codes, 2) for n in range(4) for codes in iter_complete_words(2, n)]
+    want = []
+    for w in words:
+        marks = [(p, c) for p, c in enumerate(w.codes(), start=1) if abs(c) == 1]
+        want.append(marker_lists([c for _, c in marks], [p for p, _ in marks]))
+
+    def fail(*args):
+        pytest.fail("word_to_markers re-ran marker_lists")
+
+    monkeypatch.setattr(dyck, "marker_lists", fail)
+    assert [word_to_markers(w) for w in words] == want
+
+
 def test_word_to_markers_needs_small_alphabet():
     with pytest.raises(MalformedWordError):
         word_to_markers(GesselWord.parse("3 2 1 -3 -2 -1"))

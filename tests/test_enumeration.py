@@ -99,6 +99,17 @@ def test_small_chunks_keep_results_and_order(monkeypatch):
         assert marker_position_triangle(n) == brute_force_positions(n)
 
 
+@pytest.mark.parametrize("d, n", [(1, 5), (2, 4), (3, 3)])
+@pytest.mark.parametrize("marker_cap", [None, 0, 1, 2])
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_tiny_chunks_match_brute_force(monkeypatch, chunk, marker_cap, d, n):
+    # blocks of 1-3 rows put survivors of every parent row and letter at
+    # block edges, where the row and letter indices of a child are split
+    monkeypatch.setattr(enumeration, "CHUNK", chunk)
+    got = list(iter_complete_words(d, n, marker_cap=marker_cap))
+    assert got == brute_force_words(d, n, marker_cap)
+
+
 def test_marker_cap_filters_letter_one_pairs():
     # words with at most one 1/1-bar pair
     capped = list(iter_complete_words(2, 3, marker_cap=1))

@@ -100,3 +100,19 @@ def test_d_inference_and_override():
     assert w2.d == 4
     with pytest.raises(MalformedWordError):
         GesselWord.parse("3 -3", d=2)
+
+
+def test_is_complete_builds_one_word_from_raw_codes(monkeypatch):
+    built = []
+    check = GesselWord.__post_init__
+
+    def counting(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(GesselWord, "__post_init__", counting)
+    assert is_complete((2, -1, 2, 1, -2, -2), d=2)
+    assert len(built) == 1
+    built.clear()
+    assert not is_complete([2, 1, -2])
+    assert len(built) == 1
