@@ -21,6 +21,8 @@ from typing import Sequence
 from .exceptions import CapExceededError, MalformedWordError, PathConstraintError
 from .words import GesselWord, is_complete
 
+DEFAULT_MAX_STEPS = 64
+
 
 def binom(n: int, r: int) -> int:
     """Binomial coefficient, 0 outside 0 <= r <= n."""
@@ -48,10 +50,10 @@ def ballot_count(i: int, j: int, k: int) -> int:
     return binom(k, (k + i - j) // 2) - binom(k, (k + i + j) // 2 + 1)
 
 
-def ballot_count_dp(i: int, j: int, k: int, *, max_steps: int = 64) -> int:
+def ballot_count_dp(i: int, j: int, k: int) -> int:
     """Same count as ballot_count, by direct height-by-height DP."""
-    if k > max_steps:
-        raise CapExceededError(f"{k} steps exceeds DP cap {max_steps}")
+    if k > DEFAULT_MAX_STEPS:
+        raise CapExceededError(f"{k} steps exceeds DP cap {DEFAULT_MAX_STEPS}")
     if i < 0 or j < 0 or k < 0:
         return 0
     top = i + k
@@ -166,9 +168,18 @@ def marker_floors(signs: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _integers(values, name):
+    """values as a tuple of ints; ValueError if int() would change any of them."""
+    values = tuple(values)
+    out = tuple(map(int, values))
+    if out != values:
+        raise ValueError(f"{name} must be integers, got {values!r}")
+    return out
+
+
 def marker_lists(signs: Sequence[int], word_positions: Sequence[int]) -> MarkerLists:
-    signs = tuple(int(s) for s in signs)
-    pos = tuple(int(p) for p in word_positions)
+    signs = _integers(signs, "signs")
+    pos = _integers(word_positions, "positions")
     if len(signs) != len(pos):
         raise ValueError("signs and positions must have equal length")
     if any(s not in (1, -1) for s in signs):
@@ -249,9 +260,14 @@ def markers_to_word(
 ) -> GesselWord:
     """Interleave a conforming path with marker letters to rebuild the word.
 
-    Raises PathConstraintError (naming the violated segment) when the path
+    Raises MalformedWordError (naming the step) when a path step is not +-1,
+    and PathConstraintError (naming the violated segment) when the path
     does not respect the floors induced by the markers.
     """
+    path = tuple(path)
+    for i, s in enumerate(path):
+        if s != 1 and s != -1:
+            raise MalformedWordError(f"path step {i} is {s!r}, not +1 or -1")
     ml = marker_lists(signs, word_positions)
     m = len(ml.signs)
     length = len(path) + m
@@ -259,7 +275,7 @@ def markers_to_word(
         raise ValueError("marker positions exceed the combined word length")
     if sum(ml.signs) != 0:
         raise ValueError("markers must balance to rebuild a complete word")
-    _check_conforms(tuple(path), ml.constraint(), len(path))
+    _check_conforms(path, ml.constraint(), len(path))
     codes = []
     it = iter(path)
     marker_at = dict(zip(ml.word_positions, ml.signs))
@@ -272,14 +288,14 @@ def markers_to_word(
     return word
 
 
-def count_ph_paths(constraint: PHConstraint, length: int, *, max_steps: int = 64) -> int:
+def count_ph_paths(constraint: PHConstraint, length: int) -> int:
     """Number of floor-conforming +-1 paths from (0,0) to (length,0).
 
     Straight DP over (abscissa, height) with the per-abscissa floor profile;
     this is the oracle the closed-form marker sums are tested against.
     """
-    if length > max_steps:
-        raise CapExceededError(f"{length} steps exceeds DP cap {max_steps}")
+    if length > DEFAULT_MAX_STEPS:
+        raise CapExceededError(f"{length} steps exceeds DP cap {DEFAULT_MAX_STEPS}")
     if length < 0 or length % 2:
         return 0
     prof = constraint.floor_profile(length)

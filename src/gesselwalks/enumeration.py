@@ -42,7 +42,7 @@ def _check_cap(d, n, max_length):
     if 2 * n > max_length:
         raise CapExceededError(
             f"word length {2 * n} exceeds enumeration cap {max_length}; "
-            f"pass max_length explicitly to override"
+            f"pass max_length (--cap on the command line) to override"
         )
 
 

@@ -147,8 +147,6 @@ def count_words_fixed_markers(
 
     # heights at each marker abscissa; contract left to right
     his = [min(pp, path_len - pp) for pp in ppos]
-    if any(h < 0 for h in his):
-        return 0
     vec = {k: ballot_count(0, k, ppos[0]) for k in range(0, his[0] + 1)}
     for a in range(1, m):
         seg = ppos[a] - ppos[a - 1]

@@ -23,7 +23,6 @@ from math import comb, lcm
 from .exceptions import CapExceededError, IntegralityError
 
 DEFAULT_MAX_N = 10
-DEFAULT_TABLE_MAX_N = 6
 
 
 def as_bits(w) -> tuple[int, ...]:
@@ -153,27 +152,25 @@ def achievable_odd_sums(w) -> frozenset[int]:
     return frozenset(out)
 
 
-def _check_n(n, max_n):
+def _check_n(n):
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > max_n:
-        raise CapExceededError(
-            f"2^{2 * n} sign words exceed cap n <= {max_n}; override max_n to force"
-        )
+    if n > DEFAULT_MAX_N:
+        raise CapExceededError(f"2^{2 * n} sign words exceed cap n <= {DEFAULT_MAX_N}")
 
 
-def norton_count(n: int, *, max_n: int = DEFAULT_MAX_N) -> int:
+def norton_count(n: int) -> int:
     """Total number of (word, attainable positive odd target) incidences."""
-    _check_n(n, max_n)
+    _check_n(n)
     total = 0
     for bits in product((0, 1), repeat=2 * n):
         total += max_suffix_balance(bits) // 2
     return total
 
 
-def table_counts(n: int, *, max_n: int = DEFAULT_TABLE_MAX_N) -> dict[tuple[int, int], int]:
+def table_counts(n: int) -> dict[tuple[int, int], int]:
     """Counts keyed by (number of 1s, odd target) over all sign words."""
-    _check_n(n, max_n)
+    _check_n(n)
     table: dict[tuple[int, int], int] = {}
     for bits in product((0, 1), repeat=2 * n):
         n1 = sum(bits)
@@ -201,16 +198,8 @@ class DiagonalReport:
     def partial_contribution_ok(self) -> bool:
         return self.partial_contribution_total == self.expected_partial_total
 
-    @property
-    def ok(self) -> bool:
-        return (
-            self.binomial_pattern_ok
-            and self.full_contribution_ok
-            and self.partial_contribution_ok
-        )
 
-
-def diagonal_columns(n: int, **kw) -> DiagonalReport:
+def diagonal_columns(n: int) -> DiagonalReport:
     """Read the profile table along 45-degree diagonals.
 
     The diagonal starting at row n1=r, target 1 walks up-right; its nonzero
@@ -221,7 +210,7 @@ def diagonal_columns(n: int, **kw) -> DiagonalReport:
     """
     from .formulas import bar_first_total, one_first_total
 
-    table = table_counts(n, **kw)
+    table = table_counts(n)
     columns = []
     pattern_ok = True
     for r in range(2 * n, 1, -1):

@@ -36,9 +36,6 @@ class BFile:
     offset: int
     terms: dict[int, int]
 
-    def value(self, index: int) -> int:
-        return self.terms[index]
-
 
 def _fixture_meta() -> dict:
     base = os.environ.get(FIXTURE_DIR_ENV)

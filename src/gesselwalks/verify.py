@@ -511,7 +511,7 @@ def suite_norton(n_max: int = 6, len_max: int = 12):
     def diagonals():
         bad = []
         for n in range(2, n_max + 1):
-            rep = norton.diagonal_columns(n, max_n=n_max)
+            rep = norton.diagonal_columns(n)
             if not (rep.binomial_pattern_ok and rep.full_contribution_ok and rep.partial_contribution_ok):
                 bad.append(
                     (

@@ -76,13 +76,6 @@ class WalkCountTable:
     start: tuple[int, ...]
     counts: dict[tuple[int, ...], int]
 
-    def count(self, point: Sequence[int]) -> int:
-        return self.counts.get(tuple(point), 0)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
 
 def _limb_bits(steps) -> int:
     """Bits B held by each limb below the top; |steps| * 2^(B+1) < 2^63."""
@@ -118,7 +111,7 @@ def _cell(point, coset, shape):
     return tuple(index)
 
 
-def _run_dp(d, steps, length, start, max_cells, end=None):
+def _run_dp(d, steps, length, start, end=None):
     """Yield (coset, limbs) for the walk counts after 0..length steps from start.
 
     coset holds (r_t, g) per axis, and index i of each limb stands for
@@ -140,9 +133,9 @@ def _run_dp(d, steps, length, start, max_cells, end=None):
     cells = 1
     for ax in range(d):
         cells *= start[ax] + length * max_up[ax] + 1
-    if cells > max_cells:
+    if cells > DEFAULT_MAX_CELLS:
         raise CapExceededError(
-            f"DP lattice of {cells} cells exceeds cap {max_cells}"
+            f"DP lattice of {cells} cells exceeds cap {DEFAULT_MAX_CELLS}"
         )
     strides = [gcd(*(s[ax] - steps[0][ax] for s in steps)) for ax in range(d)]
 
@@ -221,7 +214,6 @@ def count_confined_walks(
     steps: Iterable[Sequence[int]] | None = None,
     start: Sequence[int] | None = None,
     end: Sequence[int] | None = None,
-    max_cells: int = DEFAULT_MAX_CELLS,
 ) -> int:
     """Walks of the given length from start to end staying in the orthant."""
     if length < 0:
@@ -234,7 +226,7 @@ def count_confined_walks(
         raise ValueError("end must have dimension d")
     if any(x < 0 for x in end):
         return 0
-    for coset, limbs in _run_dp(d, steps, length, start, max_cells, end):
+    for coset, limbs in _run_dp(d, steps, length, start, end):
         pass
     return _read(coset, limbs, end, _limb_bits(steps))
 
@@ -245,12 +237,11 @@ def walk_count_table(
     *,
     steps: Iterable[Sequence[int]] | None = None,
     start: Sequence[int] | None = None,
-    max_cells: int = DEFAULT_MAX_CELLS,
 ) -> WalkCountTable:
     import numpy as np
 
     steps, start = _normalize(d, steps, start)
-    for coset, limbs in _run_dp(d, steps, length, start, max_cells):
+    for coset, limbs in _run_dp(d, steps, length, start):
         pass
     bits = _limb_bits(steps)
     nonzero = np.logical_or.reduce([limb != 0 for limb in limbs])
@@ -261,12 +252,7 @@ def walk_count_table(
     return WalkCountTable(d, length, start, counts)
 
 
-def g_sequence(
-    d: int,
-    n_max: int,
-    *,
-    max_cells: int = DEFAULT_MAX_CELLS,
-) -> list[int]:
+def g_sequence(d: int, n_max: int) -> list[int]:
     """Origin-to-origin Gessel walk counts [G(0), ..., G(n_max)] (2n steps each).
 
     One DP sweep of 2*n_max steps, reading the origin after each even step.
@@ -279,7 +265,7 @@ def g_sequence(
     origin = (0,) * d
     bits = _limb_bits(steps)
     out = []
-    sweep = _run_dp(d, steps, 2 * n_max, start, max_cells, origin)
+    sweep = _run_dp(d, steps, 2 * n_max, start, origin)
     for t, (coset, limbs) in enumerate(sweep):
         if t % 2 == 0:
             out.append(_read(coset, limbs, origin, bits))

@@ -40,19 +40,6 @@ class LetterProfile:
 
     pairs: tuple[tuple[int, int], ...]
 
-    @property
-    def total(self) -> int:
-        return sum(a + b for a, b in self.pairs)
-
-    @property
-    def imbalance(self) -> int:
-        """Total of |plain - barred| over all indices; 0 iff balanced."""
-        return sum(abs(a - b) for a, b in self.pairs)
-
-    def count(self, index: int, barred: bool = False) -> int:
-        a, b = self.pairs[index - 1]
-        return b if barred else a
-
 
 @dataclass(frozen=True)
 class GesselWord:

@@ -160,6 +160,12 @@ def test_count_cap_exit_code(capsys):
     assert "cap 12" in err
 
 
+def test_enum_cap_error_names_the_cap_flag(capsys):
+    code, out, err = run_cli(capsys, "count", "--d", "2", "--n", "2", "--method", "enum", "--cap", "3")
+    assert (code, out) == (3, "")
+    assert "--cap" in err and "max_length" in err
+
+
 @pytest.mark.parametrize("method", ["enum", "closed"])
 def test_length_rejects_other_methods(capsys, method):
     with pytest.raises(SystemExit) as e:

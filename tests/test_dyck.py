@@ -183,6 +183,30 @@ def test_markers_to_word_rejects_unbalanced_path():
         markers_to_word((1, 1, -1, 1), (2, 4), (-1, 1))
 
 
+@pytest.mark.parametrize(
+    "path, message",
+    [((2, -1, -1), "path step 0 is 2"), ((1, 0, 0, -1), "path step 1 is 0"), ((1, 1, -2), "path step 2 is -2")],
+)
+def test_markers_to_word_rejects_steps_other_than_plus_minus_one(path, message):
+    # each of these ends at 0 without dipping below it
+    with pytest.raises(MalformedWordError, match=message):
+        markers_to_word(path, (), ())
+
+
+def test_marker_data_must_be_integers():
+    with pytest.raises(ValueError, match="signs must be integers"):
+        marker_lists((1.5, -1), (1, 2))
+    with pytest.raises(ValueError, match="positions must be integers"):
+        markers_to_word((1, -1), (1.7, 2.9), (1, -1))
+    # integral values of other types behave as plain ints
+    import numpy as np
+
+    want = marker_lists((1, -1), (1, 4))
+    assert marker_lists(np.array([1, -1]), np.array([1, 4])) == want
+    assert marker_lists((1.0, -1), (1, 4.0)) == want
+    assert markers_to_word((1, -1), np.array([1, 4]), (np.int64(1), -1)).codes() == (1, 2, -2, -1)
+
+
 def test_word_to_markers_builds_its_lists_without_revalidating(monkeypatch):
     from gesselwalks import dyck, iter_complete_words
 
@@ -212,9 +236,31 @@ def test_word_to_markers_rejects_incomplete():
 def test_ballot_dp_cap():
     from gesselwalks import CapExceededError
 
+    assert ballot_count_dp(0, 0, 64) == catalan(32)
+    with pytest.raises(CapExceededError, match="cap 64"):
+        ballot_count_dp(0, 0, 65)
+
+
+def test_count_ph_paths_cap():
+    from gesselwalks import CapExceededError
+
+    empty = PHConstraint((), ())
+    assert count_ph_paths(empty, 64) == catalan(32)
+    with pytest.raises(CapExceededError, match="cap 64"):
+        count_ph_paths(empty, 66)
+
+
+def test_path_dp_caps_read_the_module_constant(monkeypatch):
+    from gesselwalks import CapExceededError, dyck
+
+    monkeypatch.setattr(dyck, "DEFAULT_MAX_STEPS", 128)
+    assert ballot_count_dp(0, 0, 100) == catalan(50)
+    assert count_ph_paths(PHConstraint((), ()), 100) == catalan(50)
+    monkeypatch.setattr(dyck, "DEFAULT_MAX_STEPS", 4)
     with pytest.raises(CapExceededError):
-        ballot_count_dp(0, 0, 100)
-    assert ballot_count_dp(0, 0, 100, max_steps=128) > 0
+        ballot_count_dp(0, 0, 6)
+    with pytest.raises(CapExceededError):
+        count_ph_paths(PHConstraint((), ()), 6)
 
 
 def test_count_ph_paths_against_iteration():

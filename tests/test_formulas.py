@@ -219,6 +219,13 @@ def test_fixed_markers_unbalanced_signs_count_zero():
     assert count_words_fixed_markers((1, 1), (1, 2), 3) == 0
 
 
+def test_fixed_markers_reject_non_integral_markers():
+    with pytest.raises(ValueError, match="signs must be integers"):
+        count_words_fixed_markers((1.5, -1), (1, 2), 1)
+    with pytest.raises(ValueError, match="positions must be integers"):
+        count_words_fixed_markers((1, -1), (1, 2.5), 1)
+
+
 def test_fixed_markers_against_floor_dp():
     for n in (2, 3, 4):
         for n1 in (1, 2):

@@ -163,15 +163,28 @@ def test_diagonal_report():
     assert rep.binomial_pattern_ok
     assert rep.full_contribution_total == 140
     assert rep.partial_contribution_total == 47
-    assert rep.ok
+    assert rep.full_contribution_ok and rep.partial_contribution_ok
 
 
 def test_caps():
     from gesselwalks import CapExceededError
 
-    with pytest.raises(CapExceededError):
-        norton_count(20)
-    with pytest.raises(CapExceededError):
-        table_counts(9)
+    # counts and tables share the cap n <= 10, checked before any word is built
+    assert norton.DEFAULT_MAX_N == 10
+    with pytest.raises(CapExceededError, match="cap n <= 10"):
+        norton_count(11)
+    with pytest.raises(CapExceededError, match="cap n <= 10"):
+        table_counts(11)
     with pytest.raises(ValueError):
         norton_count(0)
+
+
+def test_caps_read_the_module_constant(monkeypatch):
+    from gesselwalks import CapExceededError
+
+    monkeypatch.setattr(norton, "DEFAULT_MAX_N", 2)
+    assert norton_count(2) == one_pair_closed(2)
+    assert sum(table_counts(2).values()) == one_pair_closed(2)
+    for run in (norton_count, table_counts, diagonal_columns):
+        with pytest.raises(CapExceededError, match="cap n <= 2"):
+            run(3)

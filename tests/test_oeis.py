@@ -25,16 +25,16 @@ def test_sequence_ids():
 def test_load_fixtures_and_offsets():
     bf = load_fixture("A135404")
     assert bf.offset == 0
-    assert bf.value(0) == 1
-    assert bf.value(4) == 782
+    assert bf.terms[0] == 1
+    assert bf.terms[4] == 782
     bf2 = load_fixture("A000531")
     assert bf2.offset == 1
-    assert bf2.value(1) == 1
-    assert bf2.value(4) == 187
+    assert bf2.terms[1] == 1
+    assert bf2.terms[4] == 187
     bf3 = load_fixture("A045720")
     assert bf3.offset == 0
-    assert bf3.value(0) == 1
-    assert bf3.value(6) == 35401
+    assert bf3.terms[0] == 1
+    assert bf3.terms[6] == 35401
 
 
 def test_unknown_sequence():

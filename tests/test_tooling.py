@@ -120,3 +120,35 @@ def test_dp_and_oracle_import_no_other_route(module):
     imported = _package_imports(SRC / f"{module}.py")
     assert "exceptions" in imported
     assert imported & ROUTES == set()
+
+
+# Every defaulted or keyword-only parameter of a public function: a caller can
+# set each one, so a new knob has to be added here on purpose.
+PUBLIC_KNOBS = {
+    "is_gessel_word": ("d",),
+    "is_complete": ("d",),
+    "letter_profile": ("d",),
+    "iter_complete_words": ("max_length", "marker_cap"),
+    "count_complete_words": ("max_length",),
+    "profile_triangle_row": ("max_length",),
+    "marker_position_triangle": ("max_length",),
+    "count_confined_walks": ("steps", "start", "end"),
+    "walk_count_table": ("steps", "start"),
+}
+
+
+def test_public_functions_take_only_the_pinned_knobs():
+    found = {}
+    for name in gesselwalks.__all__:
+        obj = getattr(gesselwalks, name)
+        if not inspect.isfunction(obj):
+            continue
+        knobs = tuple(
+            p.name
+            for p in inspect.signature(obj).parameters.values()
+            if p.default is not p.empty
+            or p.kind in (p.KEYWORD_ONLY, p.VAR_POSITIONAL, p.VAR_KEYWORD)
+        )
+        if knobs:
+            found[name] = knobs
+    assert found == PUBLIC_KNOBS

@@ -74,11 +74,9 @@ def test_walk_table_total_and_lookup():
             if x2 < 0 or y2 < 0:
                 continue
             brute += 1
-    assert tab.total == brute
+    assert sum(tab.counts.values()) == brute
     # keys are points of the orthant, not indices into the stored coset
     assert tab.counts == {(0, 0): 2, (0, 1): 1, (2, 0): 1, (2, 1): 2, (2, 2): 1}
-    assert tab.count((0, 0)) == 2
-    assert tab.count((50, 50)) == 0
 
 
 def test_custom_start():
@@ -93,20 +91,30 @@ def test_custom_steps():
 
 
 def test_cell_cap():
-    with pytest.raises(CapExceededError):
-        count_confined_walks(2, 40, max_cells=1000)
+    # the full box of 4473 x 4473 cells is the first square one above the cap;
+    # the cap is checked before any layer is built
+    assert 4472**2 <= walks.DEFAULT_MAX_CELLS < 4473**2
+    for run in (
+        lambda: count_confined_walks(2, 4472),
+        lambda: walk_count_table(2, 4472),
+        lambda: g_sequence(2, 2236),
+    ):
+        with pytest.raises(CapExceededError, match=f"cap {walks.DEFAULT_MAX_CELLS}"):
+            run()
 
 
-def test_cell_cap_counts_the_full_box():
+def test_cell_cap_counts_the_full_box(monkeypatch):
     # the cap is on the worst-case box 41 x 41, not on the live wedge
-    assert count_confined_walks(2, 40, max_cells=41 * 41) == gessel_closed_form(20)
+    monkeypatch.setattr(walks, "DEFAULT_MAX_CELLS", 41 * 41)
+    assert count_confined_walks(2, 40) == gessel_closed_form(20)
+    monkeypatch.setattr(walks, "DEFAULT_MAX_CELLS", 41 * 41 - 1)
     with pytest.raises(CapExceededError):
-        count_confined_walks(2, 40, max_cells=41 * 41 - 1)
+        count_confined_walks(2, 40)
 
 
 def _layers(d, steps, length, start, end=None):
     """(coset, limb shapes) of every layer of one sweep."""
-    sweep = walks._run_dp(d, steps, length, start, walks.DEFAULT_MAX_CELLS, end)
+    sweep = walks._run_dp(d, steps, length, start, end)
     return [(coset, {limb.shape for limb in limbs}) for coset, limbs in sweep]
 
 
@@ -128,7 +136,7 @@ def test_sweep_covers_only_the_live_region():
 def _origin_sweep_limbs(length):
     """(limb count, largest top-limb value) after each step of the d=2 origin sweep."""
     origin = (0, 0)
-    sweep = walks._run_dp(2, gessel_steps(2), length, origin, walks.DEFAULT_MAX_CELLS, origin)
+    sweep = walks._run_dp(2, gessel_steps(2), length, origin, origin)
     return [(len(limbs), int(limbs[-1].max())) for _, limbs in sweep]
 
 
