@@ -1,15 +1,15 @@
 """Named verification suites emitting ReportEntry streams.
 
-Each suite drives the cross-checks of one theme and aggregates them into a
-few report lines; `actual` carries a short mismatch digest on failure so a
-red line is diagnosable on its own.  Conjecture-status entries never gate
-an exit code unless the caller promotes them.
+Each entry checks one cross-route equality over its cases, or pins a value;
+on failure `actual` lists the first mismatches.  Conjecture entries gate no
+exit code unless the caller promotes them.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from itertools import accumulate, combinations, product
 
@@ -51,297 +51,212 @@ def _run(name, params, expected, fn, *, conjecture=False):
     t0 = time.perf_counter()
     ok, actual = fn()
     ms = (time.perf_counter() - t0) * 1000.0
-    if conjecture:
-        status = "conjecture-pass" if ok else "conjecture-fail"
-    else:
-        status = "pass" if ok else "fail"
+    status = ("conjecture-" if conjecture else "") + ("pass" if ok else "fail")
     return ReportEntry(name, params, expected, actual, status, ms)
 
 
-def _tally(mismatches, total, unit="cases"):
-    if not mismatches:
-        return True, f"all {total} {unit} agree"
-    digest = "; ".join(str(m) for m in mismatches[:4])
-    more = "" if len(mismatches) <= 4 else f" (+{len(mismatches) - 4} more)"
-    return False, f"{len(mismatches)}/{total} {unit} disagree: {digest}{more}"
+def _agree(name, params, expected, cases, unit, *, conjecture=False):
+    """Entry checking got == want for each (case, got, want) of ``cases``, which
+    is read inside the timer: a lazy iterable times building each case too."""
+    def tally():
+        bad, total = [], 0
+        for total, (case, got, want) in enumerate(cases, start=1):
+            if got != want:
+                bad.append((case, got, want))
+        if not bad:
+            return True, f"all {total} {unit} agree"
+        digest = "; ".join(str(m) for m in bad[:4])
+        more = "" if len(bad) <= 4 else f" (+{len(bad) - 4} more)"
+        return False, f"{len(bad)}/{total} {unit} disagree: {digest}{more}"
+
+    return _run(name, params, expected, tally, conjecture=conjecture)
 
 
 def suite_theorem(n_max: int = 30):
-    entries = []
-
     def first_values():
         got = tuple(formulas.one_pair_closed(n) for n in range(1, 5))
         return got == (1, 7, 38, 187), str(got)
-
-    entries.append(
-        _run("theorem/one-pair-values", {"n": "1..4"}, "(1, 7, 38, 187)", first_values)
-    )
-
-    def assembly():
-        bad = []
-        for n in range(1, n_max + 1):
-            lhs = formulas.one_pair_closed(n)
-            rhs = formulas.bar_first_total(n) + formulas.one_first_total(n)
-            if lhs != rhs:
-                bad.append((n, lhs, rhs))
-        return _tally(bad, n_max, "n values")
-
-    entries.append(
-        _run(
-            "theorem/one-pair-assembly",
-            {"n_max": n_max},
-            "closed form == bar-first + one-first",
-            assembly,
-        )
-    )
 
     def gessel_values():
         got = tuple(formulas.gessel_closed_form(n) for n in range(0, 5))
         return got == (1, 2, 11, 85, 782), str(got)
 
-    entries.append(
-        _run("theorem/gessel-values", {"n": "0..4"}, "(1, 2, 11, 85, 782)", gessel_values)
-    )
-
     def engines():
-        bad = []
-        seq = walks.g_sequence(2, THEOREM_DP_N_MAX)
-        for n in range(0, THEOREM_DP_N_MAX + 1):
-            closed = formulas.gessel_closed_form(n)
-            if seq[n] != closed:
-                bad.append(("dp", n, seq[n], closed))
-        for n in range(0, THEOREM_ENUM_N_MAX + 1):
+        for n, dp in enumerate(walks.g_sequence(2, THEOREM_DP_N_MAX)):
+            yield ("dp", n), dp, formulas.gessel_closed_form(n)
+        for n in range(THEOREM_ENUM_N_MAX + 1):
             en = enumeration.count_complete_words(2, n)
-            if en != formulas.gessel_closed_form(n):
-                bad.append(("enum", n, en))
-        return _tally(bad, THEOREM_DP_N_MAX + THEOREM_ENUM_N_MAX + 2, "engine pairs")
+            yield ("enum", n), en, formulas.gessel_closed_form(n)
 
-    entries.append(
-        _run(
+    assembly = (
+        (n, formulas.one_pair_closed(n), formulas.bar_first_total(n) + formulas.one_first_total(n))
+        for n in range(1, n_max + 1)
+    )
+    return [
+        _run("theorem/one-pair-values", {"n": "1..4"}, "(1, 7, 38, 187)", first_values),
+        _agree(
+            "theorem/one-pair-assembly",
+            {"n_max": n_max},
+            "closed form == bar-first + one-first",
+            assembly,
+            "n values",
+        ),
+        _run("theorem/gessel-values", {"n": "0..4"}, "(1, 2, 11, 85, 782)", gessel_values),
+        _agree(
             "theorem/engine-agreement",
             {"dp_n_max": THEOREM_DP_N_MAX, "enum_n_max": THEOREM_ENUM_N_MAX},
             "closed == walk DP == enumeration",
-            engines,
-        )
-    )
-    return entries
+            engines(),
+            "engine pairs",
+        ),
+    ]
 
 
 def suite_identities(n_max: int = 30, bound: int = 15, seed: int = 20260826):
-    entries = []
+    def bar_first_parts():
+        for n in range(1, n_max + 1):
+            free = formulas.even_marker_sum_free_direct(n)
+            reflected = formulas.even_marker_sum_reflected_direct(n)
+            adjacent = formulas.adjacent_marker_sum_direct(n)
+            yield n, 4 * (free - reflected) + adjacent, formulas.bar_first_total(n)
 
-    def closed_vs_direct(direct, closed, lo):
-        def body():
-            bad = []
-            for n in range(lo, n_max + 1):
-                d_val = direct(n)
-                c_val = closed(n)
-                if d_val != c_val:
-                    bad.append((n, d_val, c_val))
-            return _tally(bad, len(range(lo, n_max + 1)), "n values")
+    def split_tables():
+        rng = random.Random(seed)
+        for t in range(25):
+            a = rng.randrange(0, 21)
+            table = {(u, s): rng.randrange(-50, 51) for u in range(a + 1) for s in range(a + 1)}
+            yield (t, a), *formulas.split_triangular_sum(lambda u, s: table[u, s], a)
 
-        return body
-
-    entries.append(
-        _run(
+    free = (
+        (n, formulas.even_marker_sum_free_direct(n), formulas.even_marker_sum_free_closed(n))
+        for n in range(2, n_max + 1)
+    )
+    return [
+        _agree(
             "identities/adjacent-sum",
             {"n": f"2..{n_max}"},
             "direct == (n-1) Catalan(n-1)",
-            closed_vs_direct(
-                formulas.adjacent_marker_sum_direct, formulas.adjacent_marker_sum_closed, 2
+            (
+                (n, formulas.adjacent_marker_sum_direct(n), formulas.adjacent_marker_sum_closed(n))
+                for n in range(2, n_max + 1)
             ),
-        )
-    )
-    entries.append(
-        _run(
+            "n values",
+        ),
+        _agree(
             "identities/even-pairs-free-sum",
             {"n": f"2..{n_max}"},
             "direct == closed",
-            closed_vs_direct(
-                formulas.even_marker_sum_free_direct, formulas.even_marker_sum_free_closed, 2
-            ),
-        )
-    )
-    entries.append(
-        _run(
+            free,
+            "n values",
+        ),
+        _agree(
             "identities/even-pairs-reflected-sum",
             {"n": f"3..{n_max}"},
             "direct == closed",
-            closed_vs_direct(
-                formulas.even_marker_sum_reflected_direct,
-                formulas.even_marker_sum_reflected_closed,
-                3,
+            (
+                (
+                    n,
+                    formulas.even_marker_sum_reflected_direct(n),
+                    formulas.even_marker_sum_reflected_closed(n),
+                )
+                for n in range(3, n_max + 1)
             ),
-        )
-    )
-
-    def bar_assembly():
-        bad = []
-        for n in range(1, n_max + 1):
-            assembled = 4 * (
-                formulas.even_marker_sum_free_direct(n)
-                - formulas.even_marker_sum_reflected_direct(n)
-            ) + formulas.adjacent_marker_sum_direct(n)
-            if assembled != formulas.bar_first_total(n):
-                bad.append((n, assembled, formulas.bar_first_total(n)))
-        return _tally(bad, n_max, "n values")
-
-    entries.append(
-        _run(
+            "n values",
+        ),
+        _agree(
             "identities/bar-first-assembly",
             {"n_max": n_max},
             "4*(free - reflected) + adjacent == closed total",
-            bar_assembly,
-        )
-    )
-
-    def catid():
-        bad = []
-        total = 0
-        for a in range(bound + 1):
-            for b in range(bound + 1):
-                for c in range(bound + 1):
-                    total += 1
-                    if not formulas.catalan_convolution_identity(a, b, c):
-                        bad.append((a, b, c))
-        return _tally(bad, total, "triples")
-
-    entries.append(
-        _run(
+            bar_first_parts(),
+            "n values",
+        ),
+        _agree(
             "identities/triangle-convolution",
             {"bound": bound},
             "LHS == RHS for all triples",
-            catid,
-        )
-    )
-
-    def catid2():
-        bad = []
-        total = 0
-        for a in range(bound + 1):
-            for b in range(bound + 1):
-                for c in range(b + 1):
-                    total += 1
-                    if not formulas.catalan_binomial_identity(a, b, c):
-                        bad.append((a, b, c))
-        return _tally(bad, total, "triples")
-
-    entries.append(
-        _run(
+            (
+                ((a, b, c), formulas.catalan_convolution_identity(a, b, c), True)
+                for a, b, c in product(range(bound + 1), repeat=3)
+            ),
+            "triples",
+        ),
+        _agree(
             "identities/triangle-binomial",
             {"bound": bound},
             "LHS == RHS for all triples",
-            catid2,
-        )
-    )
-
-    def splitsum():
-        rng = random.Random(seed)
-        bad = []
-        trials = 25
-        for t in range(trials):
-            a = rng.randrange(0, 21)
-            table = {
-                (u, s): rng.randrange(-50, 51)
-                for u in range(a + 1)
-                for s in range(a + 1)
-            }
-            direct, split = formulas.split_triangular_sum(
-                lambda u, s: table[(u, s)], a
-            )
-            if direct != split:
-                bad.append((t, a, direct, split))
-        return _tally(bad, trials, "random tables")
-
-    entries.append(
-        _run(
+            (
+                ((a, b, c), formulas.catalan_binomial_identity(a, b, c), True)
+                for a, b in product(range(bound + 1), repeat=2)
+                for c in range(b + 1)
+            ),
+            "triples",
+        ),
+        _agree(
             "identities/triangular-split",
             {"trials": 25, "seed": seed},
             "direct == band decomposition",
-            splitsum,
-        )
-    )
-    return entries
+            split_tables(),
+            "random tables",
+        ),
+    ]
 
 
 def _fiber_sizes(n):
     """Count the complete d=2 words of length 2n per (signs, positions) class."""
-    sizes = {}
+    sizes = Counter()
     for codes in enumeration.iter_complete_words(2, n):
-        signs = tuple(1 if c == 1 else -1 for c in codes if abs(c) == 1)
-        positions = tuple(p for p, c in enumerate(codes, start=1) if abs(c) == 1)
-        key = (signs, positions)
-        sizes[key] = sizes.get(key, 0) + 1
+        markers = [(p, c) for p, c in enumerate(codes, start=1) if abs(c) == 1]
+        sizes[tuple(c for _, c in markers), tuple(p for p, _ in markers)] += 1
     return sizes
 
 
 def suite_bijection(len_max: int = 12):
-    entries = []
-
-    def round_trip():
-        bad = []
-        total = 0
-        for n in range(0, len_max // 2 + 1):
+    def round_trips():
+        for n in range(len_max // 2 + 1):
             for codes in enumeration.iter_complete_words(2, n):
-                total += 1
                 word = dyck.GesselWord.from_codes(codes, 2)
                 ml = dyck.word_to_markers(word)
-                path = dyck.word_steps(word)
-                back = dyck.markers_to_word(path, ml.word_positions, ml.signs)
-                if back.codes() != codes:
-                    bad.append(codes)
-        return _tally(bad, total, "words")
+                back = dyck.markers_to_word(dyck.word_steps(word), ml.word_positions, ml.signs)
+                yield n, back.codes(), codes
 
-    entries.append(
-        _run(
+    def fibers():
+        for n in range(len_max // 2 + 1):
+            for (signs, positions), size in _fiber_sizes(n).items():
+                ml = dyck.marker_lists(signs, positions)
+                got = dyck.count_ph_paths(ml.constraint(), 2 * n - len(signs))
+                yield (n, signs, positions), got, size
+
+    return [
+        _agree(
             "bijection/round-trip",
             {"len_max": len_max},
             "markers_to_word(word_to_markers(w)) == w",
-            round_trip,
-        )
-    )
-
-    def fiber_counts():
-        bad = []
-        total = 0
-        for n in range(0, len_max // 2 + 1):
-            for (signs, positions), size in _fiber_sizes(n).items():
-                total += 1
-                ml = dyck.marker_lists(signs, positions)
-                got = dyck.count_ph_paths(ml.constraint(), 2 * n - len(signs))
-                if got != size:
-                    bad.append((n, signs, positions, got, size))
-        return _tally(bad, total, "marker classes")
-
-    entries.append(
-        _run(
+            round_trips(),
+            "words",
+        ),
+        _agree(
             "bijection/fiber-counts",
             {"len_max": len_max},
             "count_ph_paths == words per marker class",
-            fiber_counts,
-        )
-    )
-    return entries
+            fibers(),
+            "marker classes",
+        ),
+    ]
 
 
 def suite_diamond(n_max: int = 8):
-    def body():
-        bad = []
-        total = 0
-        for n in range(3, n_max + 1):
-            for i in range(1, n - 1):
-                for j in range(i + 1, n):
-                    total += 1
-                    if not formulas.diamond_equal(i, j, n):
-                        bad.append((i, j, n))
-        return _tally(bad, total, "blocks")
-
     return [
-        _run(
+        _agree(
             "diamond/equal-blocks",
             {"n_max": n_max},
             "four bar-first counts equal per block",
-            body,
+            (
+                ((i, j, n), formulas.diamond_equal(i, j, n), True)
+                for n in range(3, n_max + 1)
+                for i in range(1, n - 1)
+                for j in range(i + 1, n)
+            ),
+            "blocks",
         )
     ]
 
@@ -351,59 +266,42 @@ def _balanced_signs(pairs):
 
 
 def suite_cpt(n_max: int = 5):
-    entries = []
-
-    def against_brute_and_oracle():
-        bad = []
-        total = 0
+    def three_routes():
         for n in range(1, n_max + 1):
             fibers = _fiber_sizes(n)
             for n1 in range(1, min(CPT_N1_MAX, n) + 1):
                 for signs in _balanced_signs(n1):
                     for positions in combinations(range(1, 2 * n + 1), 2 * n1):
-                        total += 1
                         formula = formulas.count_words_fixed_markers(signs, positions, n)
-                        brute = fibers.get((tuple(signs), tuple(positions)), 0)
+                        brute = fibers.get((signs, positions), 0)
                         ml = dyck.marker_lists(signs, positions)
                         oracle = dyck.count_ph_paths(ml.constraint(), 2 * n - 2 * n1)
-                        if not (formula == brute == oracle):
-                            bad.append((n, signs, positions, formula, brute, oracle))
-        return _tally(bad, total, "marker configurations")
+                        yield (n, signs, positions), (formula, brute), (oracle, oracle)
 
-    entries.append(
-        _run(
+    def legal_descents():
+        for n in range(1, n_max + 1):
+            for n1 in range(n + 1):
+                legal = [s for s in _balanced_signs(n1) if min(accumulate(s), default=0) >= 0]
+                for signs, positions in product(legal, combinations(range(1, 2 * n + 1), 2 * n1)):
+                    got = formulas.count_words_fixed_markers(signs, positions, n)
+                    yield (n, signs, positions), got, dyck.catalan(n - n1)
+
+    return [
+        _agree(
             "cpt/ballot-product-vs-oracle",
             {"n_max": n_max, "n1_max": CPT_N1_MAX},
             "ballot-product sum == brute force == floor DP",
-            against_brute_and_oracle,
-        )
-    )
-
-    def catalan_independence():
-        bad = []
-        total = 0
-        for n in range(1, n_max + 1):
-            for n1 in range(0, n + 1):
-                for signs in _balanced_signs(n1):
-                    if min(accumulate(signs), default=0) < 0:
-                        continue
-                    want = dyck.catalan(n - n1)
-                    for positions in combinations(range(1, 2 * n + 1), 2 * n1):
-                        total += 1
-                        got = formulas.count_words_fixed_markers(signs, positions, n)
-                        if got != want:
-                            bad.append((n, signs, positions, got, want))
-        return _tally(bad, total, "legal-descent configurations")
-
-    entries.append(
-        _run(
+            three_routes(),
+            "marker configurations",
+        ),
+        _agree(
             "cpt/catalan-independence",
             {"n_max": n_max},
             "count == Catalan(n - pairs) whenever marker signs are a legal path",
-            catalan_independence,
-        )
-    )
-    return entries
+            legal_descents(),
+            "legal-descent configurations",
+        ),
+    ]
 
 
 TABLE1_EXPECTED = {
@@ -427,124 +325,77 @@ TABLE2_EXPECTED = {
 
 
 def suite_norton(n_max: int = 6, len_max: int = 12):
-    entries = []
-
     def count_n2():
         got = norton.norton_count(2)
         return got == 7, str(got)
 
-    entries.append(_run("norton/total-n2", {"n": 2}, "7", count_n2))
-
-    def table1():
-        bad = []
-        for bits in product((0, 1), repeat=4):
-            word = "".join(map(str, bits))
+    def table1_rows():
+        for word in map("".join, product("01", repeat=4)):
             ach = norton.achievable_odd_sums(word)
             st = norton.stats(word)
-            expected = TABLE1_EXPECTED.get(word)
-            if expected is None:
-                if ach:
-                    bad.append((word, sorted(ach)))
-            else:
-                want_set, (n1, n10, m) = expected
-                if ach != want_set or (st.n1, st.n10, st.multiplicity) != (n1, n10, m):
-                    bad.append((word, sorted(ach), st))
-        return _tally(bad, 16, "sign words")
+            if word in TABLE1_EXPECTED:
+                yield word, (ach, (st.n1, st.n10, st.multiplicity)), TABLE1_EXPECTED[word]
+            else:  # a row the table leaves out attains no odd sum
+                yield word, ach, frozenset()
 
-    entries.append(
-        _run("norton/table-n2", {"n": 2}, "rows and stats as published", table1)
-    )
-
-    def table2():
+    def table2_cells():
         got = norton.table_counts(4)
-        if got == TABLE2_EXPECTED:
-            return True, "all 16 cells agree"
-        diff = {k: (got.get(k), TABLE2_EXPECTED.get(k)) for k in set(got) ^ set(TABLE2_EXPECTED)}
-        diff.update(
-            {k: (got[k], TABLE2_EXPECTED[k]) for k in got if k in TABLE2_EXPECTED and got[k] != TABLE2_EXPECTED[k]}
-        )
-        return False, f"cell mismatches: {diff}"
+        for cell in {**TABLE2_EXPECTED, **got}:
+            yield cell, got.get(cell), TABLE2_EXPECTED.get(cell)
 
-    entries.append(_run("norton/table-n4", {"n": 4}, "16 nonzero cells", table2))
+    def diagonals():
+        for n in range(2, n_max + 1):
+            r = norton.diagonal_columns(n)
+            got = r.binomial_pattern_ok, r.full_contribution_total, r.partial_contribution_total
+            yield n, got, (True, r.expected_full_total, r.expected_partial_total)
 
-    def multiplicity():
-        bad = []
-        total = 0
-        for n in range(1, len_max // 2 + 1):
-            for bits in product((0, 1), repeat=2 * n):
-                total += 1
-                ach = norton.achievable_odd_sums(bits)
-                st = norton.stats(bits)
-                if len(ach) != max(st.multiplicity, 0):
-                    bad.append(("".join(map(str, bits)), len(ach), st.multiplicity))
-        return _tally(bad, total, "sign words")
-
-    entries.append(
-        _run(
+    multiplicity = (
+        (bits, len(norton.achievable_odd_sums(bits)), max(norton.stats(bits).multiplicity, 0))
+        for n in range(1, len_max // 2 + 1)
+        for bits in product((0, 1), repeat=2 * n)
+    )
+    totals = ((n, norton.norton_count(n), formulas.one_pair_closed(n)) for n in range(1, n_max + 1))
+    return [
+        _run("norton/total-n2", {"n": 2}, "7", count_n2),
+        _agree(
+            "norton/table-n2", {"n": 2}, "rows and stats as published", table1_rows(), "sign words"
+        ),
+        _agree("norton/table-n4", {"n": 4}, "16 nonzero cells", table2_cells(), "cells"),
+        _agree(
             "norton/multiplicity-conjecture",
             {"len_max": len_max},
             "|achievable| == max(m, 0)",
             multiplicity,
+            "sign words",
             conjecture=True,
-        )
-    )
-
-    def totals():
-        bad = []
-        for n in range(1, n_max + 1):
-            got = norton.norton_count(n)
-            want = formulas.one_pair_closed(n)
-            if got != want:
-                bad.append((n, got, want))
-        return _tally(bad, n_max, "n values")
-
-    entries.append(
-        _run(
+        ),
+        _agree(
             "norton/count-conjecture",
             {"n_max": n_max},
             "norton count == single-pair word count",
             totals,
+            "n values",
             conjecture=True,
-        )
-    )
-
-    def diagonals():
-        bad = []
-        for n in range(2, n_max + 1):
-            rep = norton.diagonal_columns(n)
-            if not (rep.binomial_pattern_ok and rep.full_contribution_ok and rep.partial_contribution_ok):
-                bad.append(
-                    (
-                        n,
-                        rep.binomial_pattern_ok,
-                        rep.full_contribution_total,
-                        rep.expected_full_total,
-                        rep.partial_contribution_total,
-                        rep.expected_partial_total,
-                    )
-                )
-        return _tally(bad, len(range(2, n_max + 1)), "n values")
-
-    entries.append(
-        _run(
+        ),
+        _agree(
             "norton/diagonal-binomials",
             {"n_max": n_max},
             "diagonals are consecutive binomials; contribution split matches",
-            diagonals,
+            diagonals(),
+            "n values",
             conjecture=True,
-        )
-    )
-    return entries
+        ),
+    ]
 
 
-# Each suite in report order, with the cap on each bound it takes; defaults
-# live in the suite_<name> signatures.  A cap is the engine's own where it has
-# one, else the largest round value at which the suite ran in under about 30 s
-# on 2 vCPUs (times in the README).  A bound capped by None takes any integer.
+# Each suite in report order, with the cap on each bound it takes (None: any
+# integer); defaults live in the suite_<name> signatures.  A cap is the engine's
+# own where it has one, else the largest round value at which the suite ran in
+# under about 30 s on 2 vCPUs (README; bijection: 10 s at 12, 2 min at 14).
 SUITES = {
     "theorem": {"n_max": 4000},
     "identities": {"n_max": 70, "bound": 40, "seed": None},
-    "bijection": {"len_max": enumeration.DEFAULT_MAX_LENGTH},
+    "bijection": {"len_max": 12},
     "diamond": {"n_max": 50},
     "cpt": {"n_max": enumeration.DEFAULT_MAX_LENGTH // 2},
     "norton": {"n_max": norton.DEFAULT_MAX_N, "len_max": 16},

@@ -10,6 +10,7 @@ A valid word is *complete* when every index is exactly balanced.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -26,9 +27,13 @@ class Letter(NamedTuple):
 
     @classmethod
     def from_code(cls, code: int) -> "Letter":
-        if not isinstance(code, int) or code == 0:
+        try:
+            value = operator.index(code)  # any integer type, numpy's too; stored as int
+        except TypeError:
+            value = 0
+        if value == 0:
             raise MalformedWordError(f"letter code must be a nonzero integer, got {code!r}")
-        return cls(abs(code), code < 0)
+        return cls(abs(value), value < 0)
 
     def __str__(self) -> str:
         return str(self.code)

@@ -14,11 +14,7 @@ from gesselwalks import verify
 from gesselwalks.cli import main
 from gesselwalks.dyck import ballot_count, ballot_count_dp
 from gesselwalks.oeis import compare
-from gesselwalks.verify import (
-    TABLE1_EXPECTED,
-    TABLE2_EXPECTED,
-    suite_norton,
-)
+from gesselwalks.verify import TABLE1_EXPECTED, TABLE2_EXPECTED
 from gesselwalks import norton
 
 RESULTS = []
@@ -47,6 +43,38 @@ def _suite_check(name, pinned):
     if bad or missing:
         return False, f"mismatches: {bad}, missing: {missing}"
     return True, "; ".join(pinned.values())
+
+
+# (name, status, actual) of every verify entry at the default bounds, in report order
+SPEC = (
+    ("theorem/one-pair-values", "pass", "(1, 7, 38, 187)"),
+    ("theorem/one-pair-assembly", "pass", "all 30 n values agree"),
+    ("theorem/gessel-values", "pass", "(1, 2, 11, 85, 782)"),
+    ("theorem/engine-agreement", "pass", "all 17 engine pairs agree"),
+    ("identities/adjacent-sum", "pass", "all 29 n values agree"),
+    ("identities/even-pairs-free-sum", "pass", "all 29 n values agree"),
+    ("identities/even-pairs-reflected-sum", "pass", "all 28 n values agree"),
+    ("identities/bar-first-assembly", "pass", "all 30 n values agree"),
+    ("identities/triangle-convolution", "pass", "all 4096 triples agree"),
+    ("identities/triangle-binomial", "pass", "all 2176 triples agree"),
+    ("identities/triangular-split", "pass", "all 25 random tables agree"),
+    ("bijection/round-trip", "pass", "all 96929 words agree"),
+    ("bijection/fiber-counts", "pass", "all 30945 marker classes agree"),
+    ("diamond/equal-blocks", "pass", "all 56 blocks agree"),
+    ("cpt/ballot-product-vs-oracle", "pass", "all 1966 marker configurations agree"),
+    ("cpt/catalan-independence", "pass", "all 2573 legal-descent configurations agree"),
+    ("norton/total-n2", "pass", "7"),
+    ("norton/table-n2", "pass", "all 16 sign words agree"),
+    ("norton/table-n4", "pass", "all 16 cells agree"),
+    ("norton/multiplicity-conjecture", "conjecture-pass", "all 5460 sign words agree"),
+    ("norton/count-conjecture", "conjecture-pass", "all 6 n values agree"),
+    ("norton/diagonal-binomials", "conjecture-pass", "all 5 n values agree"),
+)
+
+
+def test_verify_spec_at_default_bounds():
+    got = tuple((e.name, e.status, e.actual) for suite in verify.SUITES for e in _suite(suite))
+    assert got == SPEC
 
 
 def test_criterion_01_profile_triangle_rows(capsys):
@@ -146,7 +174,7 @@ def test_criterion_10_norton_tables_and_conjectures():
             st = norton.stats(word)
             ok = ok and ach == want[0] and (st.n1, st.n10, st.multiplicity) == want[1]
     ok = ok and norton.table_counts(4) == TABLE2_EXPECTED
-    conj = [e for e in suite_norton(n_max=6, len_max=12) if "conjecture" in e.status]
+    conj = [e for e in _suite("norton") if "conjecture" in e.status]
     conj_ok = all(e.status == "conjecture-pass" for e in conj)
     detail = "conjectures: " + ", ".join(
         f"{e.name.split('/')[1]}={'pass' if e.status == 'conjecture-pass' else 'FAIL'}"

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from gesselwalks import formulas, verify
+from gesselwalks import formulas, norton, verify
 from gesselwalks.cli import _factorize, main
 
 
@@ -256,7 +256,20 @@ def test_verify_json(capsys):
     assert statuses["norton/multiplicity-conjecture"] == "conjecture-pass"
 
 
-def test_verify_zero_bounds_run_as_given(capsys):
+def test_verify_zero_bounds_run_as_given(capsys, monkeypatch):
+    suite_of = []
+
+    def tagged(suite, run):
+        def tagged_run(**bounds):
+            entries = run(**bounds)
+            suite_of.extend(suite for _ in entries)
+            return entries
+
+        return tagged_run
+
+    for suite in verify.SUITES:
+        name = f"suite_{suite}"
+        monkeypatch.setattr(verify, name, tagged(suite, getattr(verify, name)))
     code, out, _ = run_cli(
         capsys,
         "verify", "--suite", "all", "--n-max", "0", "--len-max", "0",
@@ -270,6 +283,50 @@ def test_verify_zero_bounds_run_as_given(capsys):
     assert params["identities/triangular-split"]["seed"] == 0
     # no suite reports a negative case total for an empty range
     assert "all -" not in out
+    # perfbench matches replies by entry name: each names its suite, none repeats
+    names = [e["name"] for e in json.loads(out)]
+    assert [name.split("/")[0] for name in names] == suite_of
+    assert len(set(names)) == len(names) == 22
+
+
+def test_verify_failure_digest_and_exit(capsys, monkeypatch):
+    one_first_total = formulas.one_first_total
+    monkeypatch.setattr(formulas, "one_first_total", lambda n: one_first_total(n) + 1)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "theorem", "--format", "json")
+    entry = {e["name"]: e for e in json.loads(out)}["theorem/one-pair-assembly"]
+    assert code == 1
+    assert entry["status"] == "fail"
+    shown = "; ".join(
+        f"({n}, {formulas.one_pair_closed(n)}, {formulas.one_pair_closed(n) + 1})" for n in range(1, 5)
+    )
+    assert entry["actual"] == f"30/30 n values disagree: {shown} (+26 more)"
+
+
+def test_verify_conjecture_failure_gates_only_when_strict(capsys, monkeypatch):
+    norton_count = norton.norton_count
+    # n = 2 stays right: norton/total-n2 pins it as a theorem entry
+    monkeypatch.setattr(norton, "norton_count", lambda n: norton_count(n) + (n != 2))
+    argv = ("verify", "--suite", "norton", "--n-max", "3", "--len-max", "6", "--format", "json")
+    for extra, exit_code in (((), 0), (("--strict-conjectures",), 1)):
+        code, out, _ = run_cli(capsys, *argv, *extra)
+        statuses = {e["name"]: e["status"] for e in json.loads(out)}
+        assert code == exit_code
+        assert statuses["norton/count-conjecture"] == "conjecture-fail"
+        assert statuses["norton/total-n2"] == "pass"
+
+
+def test_verify_times_building_the_cases(monkeypatch):
+    diamond_equal = formulas.diamond_equal
+
+    def slow(i, j, n):
+        time.sleep(0.001)
+        return diamond_equal(i, j, n)
+
+    monkeypatch.setattr(formulas, "diamond_equal", slow)
+    (entry,) = verify.suite_diamond()
+    assert entry.status == "pass"
+    # 56 blocks at 1 ms each, all spent inside the entry's timer
+    assert entry.runtime_ms >= 50
 
 
 def test_verify_negative_bound_exit_usage(capsys):
@@ -302,6 +359,7 @@ def _spy_on_suites(monkeypatch):
         (("--suite", "bijection", "--len-max", "20"), "bijection", "len_max"),
         (("--suite", "norton", "--len-max", "40"), "norton", "len_max"),
         (("--suite", "identities", "--bound", "1000"), "identities", "bound"),
+        (("--suite", "bijection", "--len-max", "14"), "bijection", "len_max"),
     ],
 )
 def test_verify_cap_exits_before_any_suite_runs(capsys, monkeypatch, argv, suite, key):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from gesselwalks import (
@@ -17,6 +18,20 @@ def test_letter_codes_round_trip():
             assert Letter.from_code(l.code) == l
     assert Letter(2, False).code == 2
     assert Letter(2, True).code == -2
+
+
+def test_numpy_integer_codes_are_letters():
+    w = GesselWord.from_codes(np.array([1, -1]))
+    assert w.codes() == (1, -1)
+    assert [type(let.index) for let in w.letters] == [int, int]
+    assert is_complete(np.array([2, -2]), 2)
+    assert not is_gessel_word(np.array([-1, 1], dtype=np.int8))
+
+
+@pytest.mark.parametrize("code", [0, np.int64(0), 1.5, np.float64(1.0), "1", None])
+def test_letter_code_must_be_a_nonzero_integer(code):
+    with pytest.raises(MalformedWordError, match="nonzero integer"):
+        Letter.from_code(code)
 
 
 def test_letter_str():
