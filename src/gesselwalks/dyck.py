@@ -10,6 +10,12 @@ A complete d=2 word factors into its 1/1-bar letters (the markers) and a
 marker data; markers_to_word rebuilds the word from a conforming path.
 The marker floors turn the path side into a floor-constrained count,
 computed exactly by count_ph_paths.
+
+The bijection is a checked public boundary over a trusted core: the public
+word_to_markers and markers_to_word validate their input once, then call
+_split and _interleave, which work on code tuples and trust their input,
+except that _interleave checks the path against the marker floors in the
+pass that builds the word.
 """
 
 from __future__ import annotations
@@ -198,21 +204,84 @@ def _build_marker_lists(signs: tuple[int, ...], pos: tuple[int, ...]) -> MarkerL
     return MarkerLists(signs, pos, path_pos, marker_floors(signs))
 
 
+def _split(codes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """(signs, word_positions, path) of the codes of a complete word over
+    letters 1 and 2, which are not checked."""
+    signs, positions, path = [], [], []
+    for p, c in enumerate(codes, start=1):
+        if c == 1 or c == -1:
+            signs.append(c)
+            positions.append(p)
+        else:
+            path.append(c >> 1)
+    return tuple(signs), tuple(positions), tuple(path)
+
+
+def _interleave(
+    path: tuple[int, ...], word_positions: tuple[int, ...], signs: tuple[int, ...]
+) -> tuple[int, ...]:
+    """The codes of the word with these markers and this path.
+
+    Trusted: the path holds +-1 steps and the signs are balanced +-1 at
+    strictly increasing 1-based positions no later than len(path) + len(signs).
+    The floors are checked in the same pass: after each letter the height
+    must reach the floor of the marker segment then open, which covers every
+    (abscissa, segment) pair of PHConstraint.floor_profile.  PathConstraintError
+    at the first abscissa below its floor, or when the path ends above 0.
+    """
+    m = len(signs)
+    codes = []
+    steps = iter(path)
+    h = run = floor = k = 0
+    at = word_positions[0] if m else 0
+    for p in range(1, len(path) + m + 1):
+        if p == at:
+            s = signs[k]
+            codes.append(s)
+            run += s
+            floor = -run if run < 0 else 0  # marker_floors, one sign at a time
+            k += 1
+            at = word_positions[k] if k < m else 0
+        else:
+            step = next(steps)
+            h += step
+            codes.append(2 if step > 0 else -2)
+        if h < floor:
+            raise _floor_error(path, word_positions, signs, p - k, h)
+    if h:
+        raise PathConstraintError(f"path ends at height {h}, expected 0")
+    return tuple(codes)
+
+
+def _floor_error(path, word_positions, signs, t, h):
+    """The PathConstraintError for height h at abscissa t, the first one below
+    the floor profile: the floor is the profile's, the segment the first one
+    that attains it."""
+    if h < 0:
+        return PathConstraintError(
+            f"path drops below 0 at abscissa {t}",
+            segment=None, abscissa=t, floor=0, height=h,
+        )
+    constraint = _build_marker_lists(signs, word_positions).constraint()
+    floor = constraint.floor_profile(len(path))[t]
+    p = constraint.positions
+    seg = next(
+        i + 1 for i in range(len(p) - 1) if p[i] <= t <= p[i + 1] and constraint.floors[i] == floor
+    )
+    return PathConstraintError(
+        f"path at abscissa {t} has height {h} below floor {floor} (segment {seg})",
+        segment=seg, abscissa=t, floor=floor, height=h,
+    )
+
+
 def word_to_markers(word: GesselWord) -> MarkerLists:
     """Extract the marker lists of a complete word over letters 1 and 2."""
     if word.d > 2 or any(l.index > 2 for l in word.letters):
         raise MalformedWordError("marker extraction needs letters 1 and 2 only")
     if not is_complete(word):
         raise MalformedWordError("word must be a complete Gessel word")
-    signs = []
-    positions = []
-    for p, let in enumerate(word.letters, start=1):
-        if let.index == 1:
-            signs.append(-1 if let.barred else 1)
-            positions.append(p)
-    # +-1 signs at increasing 1-based positions by construction, so the
-    # checks of marker_lists are skipped
-    return _build_marker_lists(tuple(signs), tuple(positions))
+    signs, positions, _ = _split(word.codes())
+    return _build_marker_lists(signs, positions)
 
 
 def word_steps(word: GesselWord) -> tuple[int, ...]:
@@ -220,37 +289,6 @@ def word_steps(word: GesselWord) -> tuple[int, ...]:
     return tuple(
         1 if not l.barred else -1 for l in word.letters if l.index == 2
     )
-
-
-def _check_conforms(steps, constraint, length):
-    heights = path_heights(steps)
-    if len(steps) != length:
-        raise PathConstraintError(
-            f"path has {len(steps)} steps, expected {length}"
-        )
-    prof = constraint.floor_profile(length)
-    p = constraint.positions
-    for t, h in enumerate(heights):
-        if h < 0:
-            raise PathConstraintError(
-                f"path drops below 0 at abscissa {t}",
-                segment=None, abscissa=t, floor=0, height=h,
-            )
-        if h < prof[t]:
-            seg = None
-            for i in range(len(p) - 1):
-                if p[i] <= t <= p[i + 1] and constraint.floors[i] == prof[t]:
-                    seg = i + 1
-                    break
-            raise PathConstraintError(
-                f"path at abscissa {t} has height {h} below floor {prof[t]} "
-                f"(segment {seg})",
-                segment=seg, abscissa=t, floor=prof[t], height=h,
-            )
-    if heights[-1] != 0:
-        raise PathConstraintError(
-            f"path ends at height {heights[-1]}, expected 0"
-        )
 
 
 def markers_to_word(
@@ -269,23 +307,11 @@ def markers_to_word(
         if s != 1 and s != -1:
             raise MalformedWordError(f"path step {i} is {s!r}, not +1 or -1")
     ml = marker_lists(signs, word_positions)
-    m = len(ml.signs)
-    length = len(path) + m
-    if ml.word_positions and ml.word_positions[-1] > length:
+    if ml.word_positions and ml.word_positions[-1] > len(path) + len(ml.signs):
         raise ValueError("marker positions exceed the combined word length")
     if sum(ml.signs) != 0:
         raise ValueError("markers must balance to rebuild a complete word")
-    _check_conforms(path, ml.constraint(), len(path))
-    codes = []
-    it = iter(path)
-    marker_at = dict(zip(ml.word_positions, ml.signs))
-    for p in range(1, length + 1):
-        if p in marker_at:
-            codes.append(1 if marker_at[p] > 0 else -1)
-        else:
-            codes.append(2 if next(it) > 0 else -2)
-    word = GesselWord.from_codes(codes, 2)
-    return word
+    return GesselWord.from_codes(_interleave(path, ml.word_positions, ml.signs), 2)
 
 
 def count_ph_paths(constraint: PHConstraint, length: int) -> int:

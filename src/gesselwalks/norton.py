@@ -190,14 +190,6 @@ class DiagonalReport:
     partial_contribution_total: int
     expected_partial_total: int
 
-    @property
-    def full_contribution_ok(self) -> bool:
-        return self.full_contribution_total == self.expected_full_total
-
-    @property
-    def partial_contribution_ok(self) -> bool:
-        return self.partial_contribution_total == self.expected_partial_total
-
 
 def diagonal_columns(n: int) -> DiagonalReport:
     """Read the profile table along 45-degree diagonals.

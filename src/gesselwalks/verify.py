@@ -205,26 +205,28 @@ def _fiber_sizes(n):
     """Count the complete d=2 words of length 2n per (signs, positions) class."""
     sizes = Counter()
     for codes in enumeration.iter_complete_words(2, n):
-        markers = [(p, c) for p, c in enumerate(codes, start=1) if abs(c) == 1]
-        sizes[tuple(c for _, c in markers), tuple(p for p, _ in markers)] += 1
+        signs, positions, _ = dyck._split(codes)
+        sizes[signs, positions] += 1
     return sizes
 
 
 def suite_bijection(len_max: int = 12):
+    # the round trip runs the bijection's trusted cores on the enumerator's
+    # code tuples (the floor check stays inside _interleave), and tallies the
+    # words per marker class for fiber-counts as it goes
+    sizes = Counter()
+
     def round_trips():
         for n in range(len_max // 2 + 1):
             for codes in enumeration.iter_complete_words(2, n):
-                word = dyck.GesselWord.from_codes(codes, 2)
-                ml = dyck.word_to_markers(word)
-                back = dyck.markers_to_word(dyck.word_steps(word), ml.word_positions, ml.signs)
-                yield n, back.codes(), codes
+                signs, positions, path = dyck._split(codes)
+                sizes[n, signs, positions] += 1
+                yield n, dyck._interleave(path, positions, signs), codes
 
     def fibers():
-        for n in range(len_max // 2 + 1):
-            for (signs, positions), size in _fiber_sizes(n).items():
-                ml = dyck.marker_lists(signs, positions)
-                got = dyck.count_ph_paths(ml.constraint(), 2 * n - len(signs))
-                yield (n, signs, positions), got, size
+        for (n, signs, positions), size in sizes.items():
+            constraint = dyck._build_marker_lists(signs, positions).constraint()
+            yield (n, signs, positions), dyck.count_ph_paths(constraint, 2 * n - len(signs)), size
 
     return [
         _agree(
@@ -391,11 +393,11 @@ def suite_norton(n_max: int = 6, len_max: int = 12):
 # Each suite in report order, with the cap on each bound it takes (None: any
 # integer); defaults live in the suite_<name> signatures.  A cap is the engine's
 # own where it has one, else the largest round value at which the suite ran in
-# under about 30 s on 2 vCPUs (README; bijection: 10 s at 12, 2 min at 14).
+# under about 30 s on 2 vCPUs (README).
 SUITES = {
     "theorem": {"n_max": 4000},
     "identities": {"n_max": 70, "bound": 40, "seed": None},
-    "bijection": {"len_max": 12},
+    "bijection": {"len_max": enumeration.DEFAULT_MAX_LENGTH},
     "diamond": {"n_max": 50},
     "cpt": {"n_max": enumeration.DEFAULT_MAX_LENGTH // 2},
     "norton": {"n_max": norton.DEFAULT_MAX_N, "len_max": 16},

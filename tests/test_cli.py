@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from gesselwalks import formulas, norton, verify
+from gesselwalks import dyck, formulas, norton, verify
 from gesselwalks.cli import _factorize, main
 
 
@@ -302,6 +302,25 @@ def test_verify_failure_digest_and_exit(capsys, monkeypatch):
     assert entry["actual"] == f"30/30 n values disagree: {shown} (+26 more)"
 
 
+def test_verify_bijection_round_trip_runs_the_interleave_core(capsys, monkeypatch):
+    interleave = dyck._interleave
+
+    def flip_last_letter(path, positions, signs):
+        codes = interleave(path, positions, signs)
+        return codes[:-1] + tuple(-c for c in codes[-1:])
+
+    monkeypatch.setattr(dyck, "_interleave", flip_last_letter)
+    argv = ("verify", "--suite", "bijection", "--len-max", "4", "--format", "json")
+    code, out, _ = run_cli(capsys, *argv)
+    entries = {e["name"]: e for e in json.loads(out)}
+    assert code == 1
+    assert entries["bijection/round-trip"]["status"] == "fail"
+    # every word but the empty one: 2 of length 2 and 11 of length 4
+    first = "13/14 words disagree: (1, (1, 1), (1, -1))"
+    assert entries["bijection/round-trip"]["actual"].startswith(first)
+    assert entries["bijection/fiber-counts"]["status"] == "pass"
+
+
 def test_verify_conjecture_failure_gates_only_when_strict(capsys, monkeypatch):
     norton_count = norton.norton_count
     # n = 2 stays right: norton/total-n2 pins it as a theorem entry
@@ -359,7 +378,7 @@ def _spy_on_suites(monkeypatch):
         (("--suite", "bijection", "--len-max", "20"), "bijection", "len_max"),
         (("--suite", "norton", "--len-max", "40"), "norton", "len_max"),
         (("--suite", "identities", "--bound", "1000"), "identities", "bound"),
-        (("--suite", "bijection", "--len-max", "14"), "bijection", "len_max"),
+        (("--suite", "bijection", "--len-max", "16"), "bijection", "len_max"),
     ],
 )
 def test_verify_cap_exits_before_any_suite_runs(capsys, monkeypatch, argv, suite, key):

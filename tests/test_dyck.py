@@ -1,7 +1,7 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gesselwalks import (
@@ -169,6 +169,76 @@ def test_markers_to_word_round_trip_long_words(codes):
     ml = word_to_markers(w)
     rebuilt = markers_to_word(word_steps(w), ml.word_positions, ml.signs)
     assert rebuilt.codes() == codes
+
+
+def _rebuild_oracle(path, positions, signs):
+    """markers_to_word restated from PHConstraint.floor_profile: the rebuilt
+    codes, or (segment, abscissa, floor, height) of the PathConstraintError."""
+    abscissae = tuple(p - i for i, p in enumerate(positions, start=1))
+    floors = marker_floors(signs)
+    prof = PHConstraint(abscissae, floors).floor_profile(len(path))
+    for t, h in enumerate(path_heights(path)):
+        if h < 0:
+            return None, t, 0, h
+        if h < prof[t]:
+            seg = next(
+                i + 1
+                for i in range(len(signs) - 1)
+                if abscissae[i] <= t <= abscissae[i + 1] and floors[i] == prof[t]
+            )
+            return seg, t, prof[t], h
+    if sum(path):
+        return None, None, None, None  # ends above 0
+    steps = iter(path)
+    marker_at = dict(zip(positions, signs))
+    length = len(path) + len(signs)
+    return tuple(marker_at[p] if p in marker_at else 2 * next(steps) for p in range(1, length + 1))
+
+
+@st.composite
+def _markers_and_path(draw):
+    """Balanced marker signs at strictly increasing 1-based word positions, and
+    any +-1 path of the length they leave.
+
+    The markers' path abscissae are drawn with repeats from [0, steps], so
+    markers at position 1 (abscissa 0) and adjacent markers (one shared
+    abscissa) come up often.
+    """
+    pairs = draw(st.integers(0, 4))
+    signs = tuple(draw(st.permutations([1] * pairs + [-1] * pairs)))
+    steps = draw(st.integers(0, 12))
+    marks = st.lists(st.integers(0, steps), min_size=2 * pairs, max_size=2 * pairs)
+    abscissae = sorted(draw(marks))
+    positions = tuple(a + i for i, a in enumerate(abscissae, start=1))
+    path = tuple(draw(st.lists(st.sampled_from((1, -1)), min_size=steps, max_size=steps)))
+    return path, positions, signs
+
+
+@given(_markers_and_path())
+@example(((1, 1, -1, -1), (1, 2), (-1, 1)))  # leading marker: floor 1 at abscissa 0
+@example(((1, -1, 1, -1), (2, 3, 5, 6), (-1, -1, 1, 1)))  # floors 1, 2, 1 from adjacent markers
+@example(((1, 1, 1, -1, -1, -1), (3, 4, 6, 7), (-1, -1, 1, 1)))  # conforms
+@settings(max_examples=400, deadline=None)
+def test_markers_to_word_checks_the_floors_in_one_pass(case):
+    path, positions, signs = case
+    try:
+        got = markers_to_word(path, positions, signs).codes()
+    except PathConstraintError as err:
+        got = err.segment, err.abscissa, err.floor, err.height
+    assert got == _rebuild_oracle(path, positions, signs)
+
+
+def test_markers_to_word_checks_a_conforming_path_without_the_floor_profile(monkeypatch):
+    from gesselwalks import iter_complete_words
+
+    words = [GesselWord.from_codes(c, 2) for n in range(5) for c in iter_complete_words(2, n)]
+    cases = [(word_steps(w), word_to_markers(w)) for w in words]
+
+    def fail(self, length):
+        pytest.fail("markers_to_word built a floor profile")
+
+    monkeypatch.setattr(PHConstraint, "floor_profile", fail)
+    assert [markers_to_word(path, ml.word_positions, ml.signs) for path, ml in cases] == words
 
 
 def test_markers_to_word_rejects_nonconforming_path():

@@ -163,7 +163,8 @@ def test_diagonal_report():
     assert rep.binomial_pattern_ok
     assert rep.full_contribution_total == 140
     assert rep.partial_contribution_total == 47
-    assert rep.full_contribution_ok and rep.partial_contribution_ok
+    assert rep.expected_full_total == rep.full_contribution_total
+    assert rep.expected_partial_total == rep.partial_contribution_total
 
 
 def test_caps():
