@@ -22,7 +22,12 @@ from math import comb, factorial
 from typing import Callable, Sequence
 
 from .dyck import ballot_count, binom, catalan, marker_lists
-from .exceptions import IntegralityError
+from .exceptions import CapExceededError, IntegralityError
+
+# gessel_closed_sequence, and so gessel_closed_form and `count --method closed`,
+# stops at this n: printing G(0..n_max) grows as n_max^3, and `count --method
+# closed --n-max 15000` ran in about 18 s on 2 vCPUs (20000: 43 s)
+CLOSED_MAX_N = 15_000
 
 
 def _as_integer(x: Fraction, what: str) -> int:
@@ -47,6 +52,8 @@ def gessel_closed_sequence(n_max: int) -> list[int]:
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    if n_max > CLOSED_MAX_N:
+        raise CapExceededError(f"closed form up to n={n_max} exceeds cap n <= {CLOSED_MAX_N}")
     out = [1]
     for k in range(n_max):
         g, r = divmod(out[-1] * 4 * (6 * k + 5) * (2 * k + 1), (k + 2) * (3 * k + 5))
@@ -196,14 +203,14 @@ def _spread_sum(n: int, reflected: bool) -> int:
     total = 0
     for i in range(1, n - 1):
         for j in range(i + 1, n):
+            # the binomial's top depends only on (i, j): one row per pair
+            m = 2 * j - 2 * i - 1
+            row = [comb(m, k) for k in range(m + 1)]
             for r in range(0, i):
                 for s in range(0, n - j):
-                    if reflected:
-                        b = binom(2 * j - 2 * i - 1, n - s - r - 1)
-                    else:
-                        b = binom(2 * j - 2 * i - 1, 2 * j + s - n - r - 1)
-                    if b:
-                        total += left[i][r] * right[j][s] * b
+                    k = n - s - r - 1 if reflected else 2 * j + s - n - r - 1
+                    if 0 <= k <= m:
+                        total += left[i][r] * right[j][s] * row[k]
     return total
 
 
@@ -257,10 +264,9 @@ def _gbinom(r: int, k: int) -> int:
     """Generalized binomial: r can be any integer, 0 for k < 0."""
     if k < 0:
         return 0
-    num = 1
-    for t in range(k):
-        num *= r - t
-    return num // factorial(k)
+    if r >= 0:
+        return comb(r, k)
+    return (-1) ** k * comb(k - r - 1, k)  # upper negation
 
 
 def triangle_ext(m: int, n: int) -> int:

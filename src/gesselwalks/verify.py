@@ -11,6 +11,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from functools import cache
 from itertools import accumulate, combinations, product
 
 from . import dyck, enumeration, formulas, norton, walks
@@ -113,11 +114,17 @@ def suite_theorem(n_max: int = 30):
 
 
 def suite_identities(n_max: int = 30, bound: int = 15, seed: int = 20260826):
+    # each direct nested sum runs once per n: the per-sum entries and
+    # bar-first-assembly read the same values
+    @cache
+    def direct(sum_direct, n):
+        return sum_direct(n)
+
     def bar_first_parts():
         for n in range(1, n_max + 1):
-            free = formulas.even_marker_sum_free_direct(n)
-            reflected = formulas.even_marker_sum_reflected_direct(n)
-            adjacent = formulas.adjacent_marker_sum_direct(n)
+            free = direct(formulas.even_marker_sum_free_direct, n)
+            reflected = direct(formulas.even_marker_sum_reflected_direct, n)
+            adjacent = direct(formulas.adjacent_marker_sum_direct, n)
             yield n, 4 * (free - reflected) + adjacent, formulas.bar_first_total(n)
 
     def split_tables():
@@ -127,17 +134,17 @@ def suite_identities(n_max: int = 30, bound: int = 15, seed: int = 20260826):
             table = {(u, s): rng.randrange(-50, 51) for u in range(a + 1) for s in range(a + 1)}
             yield (t, a), *formulas.split_triangular_sum(lambda u, s: table[u, s], a)
 
-    free = (
-        (n, formulas.even_marker_sum_free_direct(n), formulas.even_marker_sum_free_closed(n))
-        for n in range(2, n_max + 1)
-    )
     return [
         _agree(
             "identities/adjacent-sum",
             {"n": f"2..{n_max}"},
             "direct == (n-1) Catalan(n-1)",
             (
-                (n, formulas.adjacent_marker_sum_direct(n), formulas.adjacent_marker_sum_closed(n))
+                (
+                    n,
+                    direct(formulas.adjacent_marker_sum_direct, n),
+                    formulas.adjacent_marker_sum_closed(n),
+                )
                 for n in range(2, n_max + 1)
             ),
             "n values",
@@ -146,7 +153,14 @@ def suite_identities(n_max: int = 30, bound: int = 15, seed: int = 20260826):
             "identities/even-pairs-free-sum",
             {"n": f"2..{n_max}"},
             "direct == closed",
-            free,
+            (
+                (
+                    n,
+                    direct(formulas.even_marker_sum_free_direct, n),
+                    formulas.even_marker_sum_free_closed(n),
+                )
+                for n in range(2, n_max + 1)
+            ),
             "n values",
         ),
         _agree(
@@ -156,7 +170,7 @@ def suite_identities(n_max: int = 30, bound: int = 15, seed: int = 20260826):
             (
                 (
                     n,
-                    formulas.even_marker_sum_reflected_direct(n),
+                    direct(formulas.even_marker_sum_reflected_direct, n),
                     formulas.even_marker_sum_reflected_closed(n),
                 )
                 for n in range(3, n_max + 1)
@@ -224,9 +238,22 @@ def suite_bijection(len_max: int = 12):
                 yield n, dyck._interleave(path, positions, signs), codes
 
     def fibers():
+        # the floor DP runs once per constraint, which classes whose signs
+        # give the same floors share; (n, positions, floors) names the same
+        # constraint as (path_positions, floors, length), but from tuples
+        # that sizes already holds
+        floors_of, paths = {}, {}
         for (n, signs, positions), size in sizes.items():
-            constraint = dyck._build_marker_lists(signs, positions).constraint()
-            yield (n, signs, positions), dyck.count_ph_paths(constraint, 2 * n - len(signs)), size
+            floors = floors_of.get(signs)
+            if floors is None:
+                floors = floors_of[signs] = dyck.marker_floors(signs)
+            count = paths.get((n, positions, floors))
+            if count is None:
+                path_positions = tuple(p - i for i, p in enumerate(positions, start=1))
+                constraint = dyck.PHConstraint(path_positions, floors)
+                count = dyck.count_ph_paths(constraint, 2 * n - len(signs))
+                paths[n, positions, floors] = count
+            yield (n, signs, positions), count, size
 
     return [
         _agree(

@@ -2,10 +2,11 @@ import json
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
-from gesselwalks import dyck, formulas, norton, verify
+from gesselwalks import dyck, enumeration, formulas, norton, verify
 from gesselwalks.cli import _factorize, main
 
 
@@ -158,6 +159,20 @@ def test_count_cap_exit_code(capsys):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (3, "")
     assert "cap 12" in err
+
+
+def test_closed_route_cap_exits_before_any_work(capsys, monkeypatch):
+    above = formulas.CLOSED_MAX_N + 1
+    for flag in ("--n", "--n-max"):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "count", "--method", "closed", flag, str(above))
+        assert (code, out) == (3, "")
+        assert f"cap n <= {formulas.CLOSED_MAX_N}" in err
+        assert time.perf_counter() - t0 < 0.5
+    # the cap itself still runs: checked at a small cap
+    monkeypatch.setattr(formulas, "CLOSED_MAX_N", 4)
+    assert run_cli(capsys, "count", "--method", "closed", "--n-max", "4")[0] == 0
+    assert run_cli(capsys, "count", "--method", "closed", "--n", "5")[0] == 3
 
 
 def test_enum_cap_error_names_the_cap_flag(capsys):
@@ -319,6 +334,96 @@ def test_verify_bijection_round_trip_runs_the_interleave_core(capsys, monkeypatc
     first = "13/14 words disagree: (1, (1, 1), (1, -1))"
     assert entries["bijection/round-trip"]["actual"].startswith(first)
     assert entries["bijection/fiber-counts"]["status"] == "pass"
+
+
+def _classes_per_constraint(len_max):
+    """Marker classes of the complete d=2 words up to len_max, counted per
+    (path_positions, floors, length) floor constraint."""
+    classes = set()
+    for n in range(len_max // 2 + 1):
+        for codes in enumeration.iter_complete_words(2, n):
+            signs, positions, _ = dyck._split(codes)
+            classes.add((n, signs, positions))
+    per_key = Counter()
+    for n, signs, positions in classes:
+        ml = dyck.marker_lists(signs, positions)
+        per_key[ml.path_positions, ml.floors, 2 * n - len(signs)] += 1
+    return per_key
+
+
+def test_fiber_counts_run_the_floor_dp_once_per_constraint(monkeypatch):
+    count_ph_paths = dyck.count_ph_paths
+    keys = []
+
+    def counted(constraint, length):
+        keys.append((constraint.positions, constraint.floors, length))
+        return count_ph_paths(constraint, length)
+
+    monkeypatch.setattr(dyck, "count_ph_paths", counted)
+    entries = {e.name: e for e in verify.suite_bijection(8)}
+    per_key = _classes_per_constraint(8)
+    classes = sum(per_key.values())
+    assert Counter(keys) == Counter(dict.fromkeys(per_key, 1))
+    # fewer DP runs than classes: classes share constraints
+    assert len(keys) < classes
+    fibers = entries["bijection/fiber-counts"]
+    assert (fibers.status, fibers.actual) == ("pass", f"all {classes} marker classes agree")
+
+
+def test_fiber_counts_report_every_class_of_a_wrong_constraint(capsys, monkeypatch):
+    per_key = _classes_per_constraint(8)
+    wrong, shared = per_key.most_common(1)[0]
+    assert shared > 1
+    count_ph_paths = dyck.count_ph_paths
+
+    def off_by_one(constraint, length):
+        right = count_ph_paths(constraint, length)
+        return right + ((constraint.positions, constraint.floors, length) == wrong)
+
+    monkeypatch.setattr(dyck, "count_ph_paths", off_by_one)
+    argv = ("verify", "--suite", "bijection", "--len-max", "8", "--format", "json")
+    code, out, _ = run_cli(capsys, *argv)
+    entries = {e["name"]: e for e in json.loads(out)}
+    assert code == 1
+    assert entries["bijection/round-trip"]["status"] == "pass"
+    fibers = entries["bijection/fiber-counts"]
+    assert fibers["status"] == "fail"
+    classes = sum(per_key.values())
+    assert fibers["actual"].startswith(f"{shared}/{classes} marker classes disagree: ")
+
+
+DIRECT_SUMS = (
+    "adjacent_marker_sum_direct",
+    "even_marker_sum_free_direct",
+    "even_marker_sum_reflected_direct",
+)
+
+
+def test_identities_run_each_direct_sum_once_per_n(monkeypatch):
+    calls = Counter()
+
+    def counted(name, direct):
+        def run(n):
+            calls[name, n] += 1
+            return direct(n)
+
+        return run
+
+    for name in DIRECT_SUMS:
+        monkeypatch.setattr(formulas, name, counted(name, getattr(formulas, name)))
+    entries = verify.suite_identities(n_max=12, bound=2)
+    assert all(e.status == "pass" for e in entries)
+    assert calls == Counter({(name, n): 1 for name in DIRECT_SUMS for n in range(1, 13)})
+
+
+def test_a_wrong_direct_sum_fails_its_entry_and_the_assembly(monkeypatch):
+    free = formulas.even_marker_sum_free_direct
+    monkeypatch.setattr(formulas, "even_marker_sum_free_direct", lambda n: free(n) + 1)
+    entries = {e.name: e for e in verify.suite_identities(n_max=8, bound=2)}
+    failed = {name for name, e in entries.items() if e.failed}
+    assert failed == {"identities/even-pairs-free-sum", "identities/bar-first-assembly"}
+    assert entries["identities/even-pairs-free-sum"].actual.startswith("7/7 n values disagree")
+    assert entries["identities/bar-first-assembly"].actual.startswith("8/8 n values disagree")
 
 
 def test_verify_conjecture_failure_gates_only_when_strict(capsys, monkeypatch):

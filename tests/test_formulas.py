@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 from itertools import combinations, product
 
 import pytest
@@ -30,12 +31,14 @@ from gesselwalks import (
 )
 from gesselwalks.formulas import (
     _as_integer,
+    _gbinom,
+    _spread_sum,
     catalan_binomial_identity,
     catalan_convolution_identity,
     gessel_closed_sequence,
     split_triangular_sum,
 )
-from gesselwalks.dyck import ballot_count, marker_floors
+from gesselwalks.dyck import ballot_count, binom, marker_floors
 
 
 def pochhammer(a, n: int) -> Fraction:
@@ -126,6 +129,34 @@ def test_triangle_ext_extends_the_clamped_triangle():
     # off the wedge the extension is generally nonzero
     assert triangle_ext(-1, 0) == 1
     assert triangle_ext(0, 2) == -1
+
+
+@given(st.integers(-40, 40), st.integers(-3, 40))
+@settings(max_examples=400, deadline=None)
+def test_gbinom_is_the_falling_factorial_quotient(r, k):
+    # r (r-1) ... (r-k+1) / k!, for any integer r; 0 for k < 0
+    falling = 1
+    for t in range(max(k, 0)):
+        falling *= r - t
+    want = falling // factorial(k) if k >= 0 else 0
+    assert _gbinom(r, k) == want
+
+
+@pytest.mark.parametrize("reflected", [False, True])
+def test_spread_sum_is_the_literal_quadruple_sum(reflected):
+    for n in range(15):
+        want = 0
+        for i in range(1, n - 1):
+            for j in range(i + 1, n):
+                for r in range(i):
+                    for s in range(n - j):
+                        low = n - s - r - 1 if reflected else 2 * j + s - n - r - 1
+                        want += (
+                            catalan_triangle(2 * i - r - 1, r)
+                            * catalan_triangle(2 * n - 2 * j - s, s)
+                            * binom(2 * j - 2 * i - 1, low)
+                        )
+        assert _spread_sum(n, reflected) == want, n
 
 
 def test_bar_first_pair_spot_values():
