@@ -237,23 +237,19 @@ def suite_bijection(len_max: int = 12):
                 sizes[n, signs, positions] += 1
                 yield n, dyck._interleave(path, positions, signs), codes
 
+    # the floor DP runs once per constraint, which classes whose signs give
+    # the same floors share; (n, positions, floors) names the same constraint
+    # as (path_positions, floors, length), but from tuples that sizes holds
+    @cache
+    def floor_paths(n, positions, floors):
+        path_positions = tuple(p - i for i, p in enumerate(positions, start=1))
+        constraint = dyck.PHConstraint(path_positions, floors)
+        return dyck.count_ph_paths(constraint, 2 * n - len(positions))
+
     def fibers():
-        # the floor DP runs once per constraint, which classes whose signs
-        # give the same floors share; (n, positions, floors) names the same
-        # constraint as (path_positions, floors, length), but from tuples
-        # that sizes already holds
-        floors_of, paths = {}, {}
+        floors_of = cache(dyck.marker_floors)
         for (n, signs, positions), size in sizes.items():
-            floors = floors_of.get(signs)
-            if floors is None:
-                floors = floors_of[signs] = dyck.marker_floors(signs)
-            count = paths.get((n, positions, floors))
-            if count is None:
-                path_positions = tuple(p - i for i, p in enumerate(positions, start=1))
-                constraint = dyck.PHConstraint(path_positions, floors)
-                count = dyck.count_ph_paths(constraint, 2 * n - len(signs))
-                paths[n, positions, floors] = count
-            yield (n, signs, positions), count, size
+            yield (n, signs, positions), floor_paths(n, positions, floors_of(signs)), size
 
     return [
         _agree(
