@@ -94,32 +94,9 @@ def cmd_count(args, parser) -> int:
         parser.error("--endpoint requires --length")
     if args.length is not None and args.method != "dp":
         parser.error(f"--length counts walks with --method dp only, not --method {args.method}")
-    if args.cap is not None and args.method != "enum":
-        parser.error(
-            f"--cap bounds word length for --method enum only, not --method {args.method}"
-        )
-    for flag, value in (
-        ("--n", args.n), ("--length", args.length), ("--n-max", args.n_max), ("--cap", args.cap)
-    ):
+    for flag, value in (("--n", args.n), ("--length", args.length), ("--n-max", args.n_max)):
         if value is not None and value < 0:
             raise ValueError(f"{flag} must be >= 0, got {value}")
-    cap = enumeration.DEFAULT_MAX_LENGTH if args.cap is None else args.cap
-
-    if args.n_max is not None:
-        if args.method == "enum":
-            counts = [
-                enumeration.count_complete_words(args.d, n, max_length=cap)
-                for n in range(args.n_max + 1)
-            ]
-        elif args.method == "closed":
-            if args.d != 2:
-                parser.error("--method closed is only available for --d 2")
-            counts = formulas.gessel_closed_sequence(args.n_max)
-        else:
-            counts = walks.g_sequence(args.d, args.n_max)
-        rows = [{"d": args.d, "n": n, "count": c} for n, c in enumerate(counts)]
-        _emit_count(args, rows)
-        return EXIT_OK
 
     if args.length is not None:
         end = None
@@ -137,26 +114,29 @@ def cmd_count(args, parser) -> int:
         _emit_count(args, [row])
         return EXIT_OK
 
-    n = args.n
+    # --n is the sequence at a single index: rows n = first..top
+    top = args.n_max if args.n is None else args.n
+    first = 0 if args.n is None else top
     if args.method == "enum":
-        count = enumeration.count_complete_words(args.d, n, max_length=cap)
+        # largest n first, so the length cap fires before any word is built
+        ns = range(first, top + 1)
+        counts = [enumeration.count_complete_words(args.d, n) for n in reversed(ns)][::-1]
     elif args.method == "closed":
         if args.d != 2:
             parser.error("--method closed is only available for --d 2")
-        count = formulas.gessel_closed_form(n)
+        counts = formulas.gessel_closed_sequence(top)[first:]
     else:
-        count = walks.count_confined_walks(args.d, 2 * n)
-    _emit_count(args, [{"d": args.d, "n": n, "count": count}])
+        counts = walks.g_sequence(args.d, top)[first:]
+    rows = [{"d": args.d, "n": n, "count": c} for n, c in enumerate(counts, start=first)]
+    _emit_count(args, rows)
     return EXIT_OK
 
 
 def cmd_triangle(args, parser) -> int:
-    if args.cap < 0:
-        raise ValueError(f"--cap must be >= 0, got {args.cap}")
     if args.kind == "profile":
-        rows = [list(enumeration.profile_triangle_row(args.n, max_length=args.cap))]
+        rows = [list(enumeration.profile_triangle_row(args.n))]
     else:
-        tri = enumeration.marker_position_triangle(args.n, max_length=args.cap)
+        tri = enumeration.marker_position_triangle(args.n)
         rows = enumeration.triangle_rows(tri, args.n)
     if args.format == "json":
         print(json.dumps({"kind": args.kind, "n": args.n, "rows": rows}, indent=2))
@@ -256,23 +236,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="counting engine (default dp)",
     )
     p_count.add_argument(
-        "--cap",
-        type=int,
-        help=f"word length cap for --method enum (default {enumeration.DEFAULT_MAX_LENGTH})",
-    )
-    p_count.add_argument(
         "--factor", action="store_true", help="show factorization (trial division up to 10^6)"
     )
 
     p_tri = sub.add_parser("triangle", help="print a distribution triangle")
     p_tri.add_argument("--kind", choices=("profile", "positions"), default="profile")
     p_tri.add_argument("--n", type=int, required=True)
-    p_tri.add_argument(
-        "--cap",
-        type=int,
-        default=enumeration.DEFAULT_MAX_LENGTH,
-        help="word length cap for the enumeration backing the triangle",
-    )
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", choices=(*verify.SUITES, "all"), default="all")

@@ -34,15 +34,14 @@ DEFAULT_MAX_LENGTH = 14
 CHUNK = 4096
 
 
-def _check_cap(d, n, max_length):
+def _check_cap(d, n):
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    if 2 * n > max_length:
+    if 2 * n > DEFAULT_MAX_LENGTH:
         raise CapExceededError(
-            f"word length {2 * n} exceeds enumeration cap {max_length}; "
-            f"pass max_length (--cap on the command line) to override"
+            f"word length {2 * n} exceeds enumeration cap {DEFAULT_MAX_LENGTH}"
         )
 
 
@@ -104,30 +103,20 @@ def _word_blocks(d: int, n: int, marker_cap: int | None) -> Iterator[np.ndarray]
             stack.append((pos + 1, kids[start:stop].copy(), kid_diff[:, start:stop].copy()))
 
 
-def iter_complete_words(
-    d: int,
-    n: int,
-    *,
-    max_length: int = DEFAULT_MAX_LENGTH,
-    marker_cap: int | None = None,
-) -> Iterator[tuple[int, ...]]:
-    """Yield the code tuples of all complete words of length 2n, in order.
-
-    marker_cap, when given, bounds the occurrences of letter 1 and of its
-    barred twin separately (marker_cap=1 restricts to single-pair words).
-    """
-    _check_cap(d, n, max_length)
-    for block in _word_blocks(d, n, marker_cap):
+def iter_complete_words(d: int, n: int) -> Iterator[tuple[int, ...]]:
+    """Yield the code tuples of all complete words of length 2n, in order."""
+    _check_cap(d, n)
+    for block in _word_blocks(d, n, None):
         yield from map(tuple, block.tolist())
 
 
-def count_complete_words(d: int, n: int, *, max_length: int = DEFAULT_MAX_LENGTH) -> int:
+def count_complete_words(d: int, n: int) -> int:
     """Number of complete Gessel words of length 2n over d letter pairs."""
-    _check_cap(d, n, max_length)
+    _check_cap(d, n)
     return sum(len(block) for block in _word_blocks(d, n, None))
 
 
-def profile_triangle_row(n: int, *, max_length: int = DEFAULT_MAX_LENGTH) -> tuple[int, ...]:
+def profile_triangle_row(n: int) -> tuple[int, ...]:
     """Row n of the d=2 profile triangle.
 
     Entry j counts complete words of length 2n containing exactly j plain 2s
@@ -136,16 +125,14 @@ def profile_triangle_row(n: int, *, max_length: int = DEFAULT_MAX_LENGTH) -> tup
     """
     import numpy as np
 
-    _check_cap(2, n, max_length)  # before sizing hist from n
+    _check_cap(2, n)  # before sizing hist from n
     hist = np.zeros(n + 1, dtype=np.int64)
     for block in _word_blocks(2, n, None):
         hist += np.bincount(np.count_nonzero(block == 2, axis=1), minlength=n + 1)
     return tuple(hist.tolist())
 
 
-def marker_position_triangle(
-    n: int, *, max_length: int = DEFAULT_MAX_LENGTH
-) -> dict[tuple[int, int], int]:
+def marker_position_triangle(n: int) -> dict[tuple[int, int], int]:
     """Position counts for single-pair words of length 2n (d=2).
 
     Maps (i, j) with 1 <= i < j <= 2n to the number of complete words whose
@@ -153,7 +140,7 @@ def marker_position_triangle(
     """
     import numpy as np
 
-    _check_cap(2, n, max_length)
+    _check_cap(2, n)
     length = 2 * n
     tally = np.zeros(length * length, dtype=np.int64)  # flat (i-1, j-1)
     for block in _word_blocks(2, n, 1):

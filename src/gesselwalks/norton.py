@@ -52,11 +52,10 @@ class SignWordStats:
     multiplicity: int
 
 
-def disjoint_ten_pairs(w) -> int:
-    """Maximal number of disjoint (1 at i, 0 at j>i) index pairs."""
+def _ten_pairs(bits) -> int:
     open_ones = 0
     pairs = 0
-    for b in as_bits(w):
+    for b in bits:
         if b:
             open_ones += 1
         elif open_ones:
@@ -65,16 +64,7 @@ def disjoint_ten_pairs(w) -> int:
     return pairs
 
 
-def stats(w) -> SignWordStats:
-    bits = as_bits(w)
-    n1 = sum(bits)
-    n10 = disjoint_ten_pairs(bits)
-    return SignWordStats(n1, n10, (n1 - n10) // 2)
-
-
-def max_suffix_balance(w) -> int:
-    """max over k of (#1s - #0s) among the last k bits (k = 0 included)."""
-    bits = as_bits(w)
+def _max_suffix(bits) -> int:
     best = 0
     run = 0
     for b in reversed(bits):
@@ -82,6 +72,23 @@ def max_suffix_balance(w) -> int:
         if run > best:
             best = run
     return best
+
+
+def disjoint_ten_pairs(w) -> int:
+    """Maximal number of disjoint (1 at i, 0 at j>i) index pairs."""
+    return _ten_pairs(as_bits(w))
+
+
+def stats(w) -> SignWordStats:
+    bits = as_bits(w)
+    n1 = sum(bits)
+    n10 = _ten_pairs(bits)
+    return SignWordStats(n1, n10, (n1 - n10) // 2)
+
+
+def max_suffix_balance(w) -> int:
+    """max over k of (#1s - #0s) among the last k bits (k = 0 included)."""
+    return _max_suffix(as_bits(w))
 
 
 def _check_witness(bits, nums, scale, target):
@@ -104,9 +111,12 @@ def sum_witness(w, target: int) -> tuple[Fraction, ...]:
     integer numerators over the common denominator denom * best.  Raises
     ValueError when the target is not attainable.
     """
-    bits = as_bits(w)
+    return _witness(as_bits(w), target)
+
+
+def _witness(bits, target):
     L = len(bits)
-    best = max_suffix_balance(bits)
+    best = _max_suffix(bits)
     if not (0 < target < best):
         raise ValueError(f"target {target} not attainable for {''.join(map(str, bits))}")
     # first cut attaining the max suffix balance
@@ -140,12 +150,12 @@ def sum_witness(w, target: int) -> tuple[Fraction, ...]:
 def achievable_odd_sums(w) -> frozenset[int]:
     """Positive odd targets attainable for the sign word, each witnessed."""
     bits = as_bits(w)
-    best = max_suffix_balance(bits)
+    best = _max_suffix(bits)
     out = set()
     for t in range(1, best, 2):
         # re-check the exact certificate for membership, in integers over
         # the lcm of its denominators
-        a = sum_witness(bits, t)
+        a = _witness(bits, t)
         scale = lcm(*(x.denominator for x in a))
         _check_witness(bits, [x.numerator * (scale // x.denominator) for x in a], scale, t)
         out.add(t)
@@ -164,7 +174,7 @@ def norton_count(n: int) -> int:
     _check_n(n)
     total = 0
     for bits in product((0, 1), repeat=2 * n):
-        total += max_suffix_balance(bits) // 2
+        total += _max_suffix(bits) // 2
     return total
 
 
@@ -174,7 +184,7 @@ def table_counts(n: int) -> dict[tuple[int, int], int]:
     table: dict[tuple[int, int], int] = {}
     for bits in product((0, 1), repeat=2 * n):
         n1 = sum(bits)
-        best = max_suffix_balance(bits)
+        best = _max_suffix(bits)
         for t in range(1, best, 2):
             key = (n1, t)
             table[key] = table.get(key, 0) + 1

@@ -25,7 +25,8 @@ holds half the cells of the region.  On an axis where every step moves
 alike (g = 0) the coordinate is start + t*steps[0] exactly, and the layer
 holds that one cell, or none once it is negative.  A step s then shifts
 the index by (r_t + s - r_{t+1}) / g, an integer (0 when g = 0).  The
-cell cap still counts the full box, not the coset.
+cell cap still counts the full box, not the coset; a second cap bounds the
+sweep's predicted work, and both are checked before the first step.
 
 Counts stay exact in int64 arithmetic: a layer is a list of int64 limb
 arrays of the layer shape, and a cell holds sum(limb[k] * 2^(B*k))
@@ -44,12 +45,15 @@ package does not load it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import ceil, gcd, log2, prod
 from typing import Iterable, Sequence
 
 from .exceptions import CapExceededError
 
 DEFAULT_MAX_CELLS = 20_000_000
+# Predicted work of one sweep, in cell updates (see _run_dp).  The largest
+# d=2 origin sweep under it, n = 678, ran 26 s on a 2-vCPU host.
+DEFAULT_MAX_WORK = 20_000_000_000
 
 
 def gessel_steps(d: int) -> frozenset[tuple[int, ...]]:
@@ -152,7 +156,22 @@ def _run_dp(d, steps, length, start, end=None):
             for h, (r, g) in zip(hi, coset)
         )
 
+    # Each step makes |steps| + 4 numpy calls per limb (a zeroed layer, one
+    # slice add per step, three for the carry), each touching at most the
+    # layer's cells; a call costs about as much as 1,000 cell updates.  A
+    # count after t steps is below |steps|^t, which needs at most
+    # ceil((t*log2|steps| + 1) / B) limbs.
     bits = _limb_bits(steps)
+    work = 0
+    for t in range(1, length + 1):
+        limbs = ceil((t * log2(len(steps)) + 1) / bits)
+        work += limbs * (len(steps) + 4) * (prod(layer_shape(t, coset_at(t))) + 1000)
+        if work > DEFAULT_MAX_WORK:
+            raise CapExceededError(
+                f"DP sweep of {length} steps exceeds the work cap of "
+                f"{DEFAULT_MAX_WORK} cell updates"
+            )
+
     mask = (1 << bits) - 1
     coset = coset_at(0)
     shape = layer_shape(0, coset)

@@ -140,6 +140,8 @@ def test_count_flag_conflicts(capsys):
         ("triangle", "--n", "3", "--no-timing"),
         ("oeis", "--sequence", "A135404", "--no-timing"),
         ("verify", "--suite", "diamond", "--format", "csv"),
+        ("count", "--n", "3", "--method", "enum", "--cap", "14"),
+        ("triangle", "--n", "3", "--cap", "14"),
     ],
 )
 def test_flags_only_on_the_subcommands_that_read_them(capsys, argv):
@@ -155,10 +157,34 @@ def test_count_cap_exit_code(capsys):
     code, _, err = run_cli(capsys, "count", "--d", "2", "--n", "9", "--method", "enum")
     assert code == 3
     assert "cap" in err.lower() or "length" in err.lower()
-    argv = ("count", "--d", "2", "--n", "7", "--method", "enum", "--cap", "12")
+
+
+ENUM_ABOVE = str(enumeration.DEFAULT_MAX_LENGTH // 2 + 1)
+CLOSED_ABOVE = str(formulas.CLOSED_MAX_N + 1)
+
+
+@pytest.mark.parametrize(
+    "argv, cap",
+    [
+        (("count", "--method", "enum", "--n", ENUM_ABOVE), "enumeration cap"),
+        # d=3 used to count n = 0..7 for 24 s before the cap fired at n = 8
+        (("count", "--method", "enum", "--d", "3", "--n-max", ENUM_ABOVE), "enumeration cap"),
+        (("triangle", "--kind", "profile", "--n", ENUM_ABOVE), "enumeration cap"),
+        (("triangle", "--kind", "positions", "--n", ENUM_ABOVE), "enumeration cap"),
+        (("count", "--method", "closed", "--n", CLOSED_ABOVE), "cap n <="),
+        (("count", "--method", "closed", "--n-max", CLOSED_ABOVE), "cap n <="),
+        # the first n and length past the DP work cap, pinned in test_walks
+        (("count", "--d", "2", "--n", "679"), "work cap"),
+        (("count", "--d", "2", "--n-max", "679"), "work cap"),
+        (("count", "--d", "1", "--length", "12472"), "work cap"),
+    ],
+)
+def test_each_route_exits_at_its_cap_before_any_work(capsys, argv, cap):
+    t0 = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - t0 < 0.5
     assert (code, out) == (3, "")
-    assert "cap 12" in err
+    assert err.startswith("error: ") and cap in err
 
 
 def test_closed_route_cap_exits_before_any_work(capsys, monkeypatch):
@@ -175,12 +201,6 @@ def test_closed_route_cap_exits_before_any_work(capsys, monkeypatch):
     assert run_cli(capsys, "count", "--method", "closed", "--n", "5")[0] == 3
 
 
-def test_enum_cap_error_names_the_cap_flag(capsys):
-    code, out, err = run_cli(capsys, "count", "--d", "2", "--n", "2", "--method", "enum", "--cap", "3")
-    assert (code, out) == (3, "")
-    assert "--cap" in err and "max_length" in err
-
-
 @pytest.mark.parametrize("method", ["enum", "closed"])
 def test_length_rejects_other_methods(capsys, method):
     with pytest.raises(SystemExit) as e:
@@ -189,29 +209,6 @@ def test_length_rejects_other_methods(capsys, method):
     out = capsys.readouterr()
     assert out.out == ""
     assert "--length" in out.err and f"--method {method}" in out.err
-
-
-@pytest.mark.parametrize("method", ["dp", "closed"])
-def test_cap_rejects_other_methods(capsys, method):
-    with pytest.raises(SystemExit) as e:
-        main(["count", "--d", "2", "--n", "5", "--cap", "4", "--method", method])
-    assert e.value.code == 2
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert "--cap" in out.err and f"--method {method}" in out.err
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("count", "--n", "3", "--method", "enum", "--cap", "-1"),
-        ("triangle", "--n", "3", "--cap", "-1"),
-        ("triangle", "--kind", "positions", "--n", "3", "--cap", "-1"),
-    ],
-)
-def test_negative_cap_exit_usage(capsys, argv):
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out, err) == (2, "", "error: --cap must be >= 0, got -1\n")
 
 
 @pytest.mark.parametrize(

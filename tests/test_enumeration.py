@@ -63,12 +63,20 @@ def brute_force_words(d, n, marker_cap=None):
     return [w for w in product(codes, repeat=2 * n) if not sum(w) and is_complete(w, d=d)]
 
 
+def block_words(d, n, marker_cap):
+    """The code tuples of the frontier's blocks, in the order they come out."""
+    return [tuple(row) for block in enumeration._word_blocks(d, n, marker_cap)
+            for row in block.tolist()]
+
+
 @pytest.mark.parametrize("d, n_max", [(1, 6), (2, 4), (3, 3)])
 @pytest.mark.parametrize("marker_cap", [None, 1])
 def test_iteration_matches_brute_force(d, n_max, marker_cap):
     for n in range(n_max + 1):
-        got = list(iter_complete_words(d, n, marker_cap=marker_cap))
+        got = block_words(d, n, marker_cap)
         assert got == brute_force_words(d, n, marker_cap), (d, n)
+        if marker_cap is None:
+            assert list(iter_complete_words(d, n)) == got, (d, n)
 
 
 def brute_force_profile(n):
@@ -93,7 +101,7 @@ def test_triangles_match_brute_force():
 def test_small_chunks_keep_results_and_order(monkeypatch):
     monkeypatch.setattr(enumeration, "CHUNK", 3)
     assert count_complete_words(2, 4) == GESSEL_D2[4]
-    assert list(iter_complete_words(2, 3, marker_cap=1)) == brute_force_words(2, 3, 1)
+    assert block_words(2, 3, 1) == brute_force_words(2, 3, 1)
     for n in range(5):
         assert profile_triangle_row(n) == brute_force_profile(n)
         assert marker_position_triangle(n) == brute_force_positions(n)
@@ -106,13 +114,12 @@ def test_tiny_chunks_match_brute_force(monkeypatch, chunk, marker_cap, d, n):
     # blocks of 1-3 rows put survivors of every parent row and letter at
     # block edges, where the row and letter indices of a child are split
     monkeypatch.setattr(enumeration, "CHUNK", chunk)
-    got = list(iter_complete_words(d, n, marker_cap=marker_cap))
-    assert got == brute_force_words(d, n, marker_cap)
+    assert block_words(d, n, marker_cap) == brute_force_words(d, n, marker_cap)
 
 
 def test_marker_cap_filters_letter_one_pairs():
     # words with at most one 1/1-bar pair
-    capped = list(iter_complete_words(2, 3, marker_cap=1))
+    capped = block_words(2, 3, 1)
     full = [w for w in iter_complete_words(2, 3)
             if sum(1 for c in w if c == 1) <= 1]
     assert capped == full
@@ -120,9 +127,22 @@ def test_marker_cap_filters_letter_one_pairs():
 
 def test_cap_raises():
     with pytest.raises(CapExceededError):
-        count_complete_words(2, 9, max_length=14)
+        count_complete_words(2, 9)
     with pytest.raises(CapExceededError):
         next(iter_complete_words(2, 8))
+
+
+def test_cap_reads_the_module_constant(monkeypatch):
+    monkeypatch.setattr(enumeration, "DEFAULT_MAX_LENGTH", 4)
+    assert count_complete_words(2, 2) == GESSEL_D2[2]
+    for call in (
+        lambda: count_complete_words(2, 3),
+        lambda: next(iter_complete_words(2, 3)),
+        lambda: profile_triangle_row(3),
+        lambda: marker_position_triangle(3),
+    ):
+        with pytest.raises(CapExceededError, match="word length 6 exceeds enumeration cap 4"):
+            call()
 
 
 def test_profile_triangle_rows():

@@ -27,6 +27,27 @@ def test_as_bits_forms():
         as_bits("12")
 
 
+def test_each_public_call_reads_the_sign_word_once(monkeypatch):
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return as_bits(w)
+
+    monkeypatch.setattr(norton, "as_bits", counted)
+    word = "0111111"  # max suffix balance 5: targets 1 and 3, each witnessed
+    for call in (achievable_odd_sums, stats, max_suffix_balance, disjoint_ten_pairs):
+        calls.clear()
+        call(word)
+        assert calls == [word], call.__name__
+    calls.clear()
+    sum_witness(word, 3)
+    assert calls == [word]
+    norton_count(2)
+    table_counts(2)
+    assert calls == [word]
+
+
 def test_max_suffix_balance():
     assert max_suffix_balance("1111") == 4
     assert max_suffix_balance("1100") == 0
@@ -123,13 +144,13 @@ def test_witness_handles_any_interior_target():
 
 def test_bad_witness_raises_even_under_optimize(monkeypatch):
     # the certificate check is a raise, not an assert, so python -O keeps it
-    real = norton.sum_witness
+    real = norton._witness
 
-    def perturbed(w, target):
-        a = real(w, target)
+    def perturbed(bits, target):
+        a = real(bits, target)
         return (a[0] / 2,) + a[1:]
 
-    monkeypatch.setattr(norton, "sum_witness", perturbed)
+    monkeypatch.setattr(norton, "_witness", perturbed)
     with pytest.raises(IntegralityError):
         achievable_odd_sums("1111")
 

@@ -1,5 +1,6 @@
 """Guards on the package itself: its source and its cold start."""
 
+import argparse
 import ast
 import inspect
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import gesselwalks
-from gesselwalks import verify
+from gesselwalks import cli, verify
 
 SRC = Path(gesselwalks.__file__).resolve().parent
 
@@ -128,10 +129,6 @@ PUBLIC_KNOBS = {
     "is_gessel_word": ("d",),
     "is_complete": ("d",),
     "letter_profile": ("d",),
-    "iter_complete_words": ("max_length", "marker_cap"),
-    "count_complete_words": ("max_length",),
-    "profile_triangle_row": ("max_length",),
-    "marker_position_triangle": ("max_length",),
     "count_confined_walks": ("steps", "start", "end"),
     "walk_count_table": ("steps", "start"),
 }
@@ -152,3 +149,34 @@ def test_public_functions_take_only_the_pinned_knobs():
         if knobs:
             found[name] = knobs
     assert found == PUBLIC_KNOBS
+
+
+# Every flag of every subcommand, in parser order: a new flag has to be
+# added here on purpose.
+CLI_FLAGS = {
+    "count": ("--d", "--n", "--length", "--endpoint", "--n-max", "--method", "--factor", "--format"),
+    "triangle": ("--kind", "--n", "--format"),
+    "verify": (
+        "--suite", "--n-max", "--bound", "--seed", "--len-max", "--strict-conjectures",
+        "--format", "--no-timing",
+    ),
+    "oeis": ("--sequence", "--n-max", "--fetch", "--format"),
+}
+
+
+def test_cli_takes_only_the_pinned_flags():
+    (commands,) = [
+        action.choices
+        for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    found = {
+        name: tuple(
+            flag
+            for action in sub._actions
+            for flag in action.option_strings
+            if flag not in ("-h", "--help")
+        )
+        for name, sub in commands.items()
+    }
+    assert found == CLI_FLAGS

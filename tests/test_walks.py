@@ -1,5 +1,6 @@
 from collections import Counter, defaultdict
 from itertools import product
+from math import ceil, log2
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -110,6 +111,49 @@ def test_cell_cap_counts_the_full_box(monkeypatch):
     monkeypatch.setattr(walks, "DEFAULT_MAX_CELLS", 41 * 41 - 1)
     with pytest.raises(CapExceededError):
         count_confined_walks(2, 40)
+
+
+def _admitted(d, length, end):
+    """Whether a Gessel sweep from the origin passes both caps.
+
+    The caps are checked before layer 0 is yielded, so no step runs."""
+    try:
+        next(walks._run_dp(d, gessel_steps(d), length, (0,) * d, end))
+    except CapExceededError:
+        return False
+    return True
+
+
+def test_work_cap():
+    # the largest origin sweeps under the cap: d=2 at n = 678 (26 s in one
+    # run on a 2-vCPU host) and d=1 at 12,471 steps
+    assert _admitted(2, 1356, (0, 0)) and not _admitted(2, 1358, (0, 0))
+    assert _admitted(1, 12471, (0,)) and not _admitted(1, 12472, (0,))
+    for run in (
+        lambda: count_confined_walks(2, 1358),
+        lambda: walk_count_table(2, 1358),
+        lambda: g_sequence(2, 679),
+    ):
+        with pytest.raises(CapExceededError, match=f"work cap of {walks.DEFAULT_MAX_WORK} "):
+            run()
+
+
+def test_work_cap_reads_the_module_constant(monkeypatch):
+    monkeypatch.setattr(walks, "DEFAULT_MAX_WORK", 0)
+    assert count_confined_walks(2, 0) == 1
+    with pytest.raises(CapExceededError, match="work cap of 0 "):
+        count_confined_walks(2, 2)
+
+
+@pytest.mark.parametrize("d, length", [(1, 300), (2, 120), (3, 40)])
+def test_work_cap_bounds_the_limb_count(d, length):
+    # the work cap predicts at most ceil((t*log2|steps| + 1) / B) limbs
+    # after t steps; the open-ended sweep holds the largest counts
+    steps = gessel_steps(d)
+    bits = walks._limb_bits(steps)
+    sweep = walks._run_dp(d, steps, length, (0,) * d)
+    for t, (_, limbs) in enumerate(sweep):
+        assert len(limbs) <= ceil((t * log2(len(steps)) + 1) / bits), t
 
 
 def _layers(d, steps, length, start, end=None):
