@@ -187,11 +187,7 @@ def cmd_verify(args, parser) -> int:
 def cmd_oeis(args, parser) -> int:
     rows = oeis.compare(args.sequence, args.n_max, fetch=args.fetch)
     if args.format == "json":
-        printable = [
-            {**row, "computed": str(row["computed"]), "reference": str(row["reference"])}
-            for row in rows
-        ]
-        print(json.dumps(printable, indent=2))
+        print(json.dumps(rows, indent=2))
     elif args.format == "csv":
         print("sequence,index,computed,reference,match")
         for row in rows:

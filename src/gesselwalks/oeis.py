@@ -6,10 +6,9 @@ of binom(2k+1, k+1) that the free even-position sum reproduces (A045720).
 Each b-file is "index value" lines; fixtures.json records the index offset.
 
 Lookups never touch the network unless fetch=True, in which case the
-b-file is downloaded from oeis.org and cached under the directory named by
-GESSELWALKS_OEIS_CACHE (default ~/.cache/gesselwalks/oeis).  A fixture
-directory override (GESSELWALKS_OEIS_FIXTURES) exists so relocated vendor
-trees keep working.
+b-file is read from the directory named by GESSELWALKS_OEIS_CACHE (default
+~/.cache/gesselwalks/oeis), and downloaded from oeis.org into it only when
+it is not there.  So a b-file placed in that directory is checked offline.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from typing import Iterable
 from .exceptions import FixtureError
 
 CACHE_ENV = "GESSELWALKS_OEIS_CACHE"
-FIXTURE_DIR_ENV = "GESSELWALKS_OEIS_FIXTURES"
 
 SEQUENCE_IDS = ("A135404", "A000531", "A045720")
 
@@ -37,15 +35,16 @@ class BFile:
     terms: dict[int, int]
 
 
+def _read_data(name: str) -> str:
+    """The text of a file vendored under gesselwalks/data."""
+    try:
+        return resources.files("gesselwalks.data").joinpath(name).read_text()
+    except FileNotFoundError:
+        raise FixtureError(f"fixture file {name} missing") from None
+
+
 def _fixture_meta() -> dict:
-    base = os.environ.get(FIXTURE_DIR_ENV)
-    if base:
-        path = Path(base) / "fixtures.json"
-        if not path.exists():
-            raise FixtureError(f"fixtures.json not found under {base}")
-        return json.loads(path.read_text())
-    ref = resources.files("gesselwalks.data").joinpath("fixtures.json")
-    return json.loads(ref.read_text())
+    return json.loads(_read_data("fixtures.json"))
 
 
 def _read_bfile_text(text: str, seq_id: str, offset: int) -> BFile:
@@ -71,19 +70,7 @@ def load_fixture(seq_id: str) -> BFile:
     entry = meta.get(seq_id)
     if entry is None:
         raise FixtureError(f"no fixture metadata for {seq_id}")
-    base = os.environ.get(FIXTURE_DIR_ENV)
-    if base:
-        path = Path(base) / entry["file"]
-        if not path.exists():
-            raise FixtureError(f"fixture file {path} missing")
-        text = path.read_text()
-    else:
-        ref = resources.files("gesselwalks.data").joinpath(entry["file"])
-        try:
-            text = ref.read_text()
-        except FileNotFoundError:
-            raise FixtureError(f"fixture file {entry['file']} missing") from None
-    return _read_bfile_text(text, seq_id, int(entry["offset"]))
+    return _read_bfile_text(_read_data(entry["file"]), seq_id, int(entry["offset"]))
 
 
 def fetch_bfile(seq_id: str) -> BFile:
@@ -118,18 +105,22 @@ def computed_terms(seq_id: str, indices: Iterable[int]) -> dict[int, int]:
     """Library-side values at the given indices of the sequence."""
     from .formulas import (
         even_marker_sum_free_closed,
-        gessel_closed_form,
+        gessel_closed_sequence,
         one_pair_closed,
     )
 
-    term = {
-        "A135404": gessel_closed_form,
-        "A000531": one_pair_closed,
-        "A045720": lambda k: even_marker_sum_free_closed(k + 3),
-    }.get(seq_id)
-    if term is None:
+    if seq_id not in SEQUENCE_IDS:
         raise FixtureError(f"unsupported sequence id {seq_id}")
-    return {i: term(i) for i in indices}
+    indices = list(indices)
+    if seq_id == "A135404":
+        # one pass of the closed form's ratio recurrence, up to the largest index
+        if any(i < 0 for i in indices):
+            raise ValueError("n must be >= 0")
+        closed = gessel_closed_sequence(max(indices, default=0))
+        return {i: closed[i] for i in indices}
+    if seq_id == "A000531":
+        return {i: one_pair_closed(i) for i in indices}
+    return {k: even_marker_sum_free_closed(k + 3) for k in indices}
 
 
 def compare(seq_id: str, n_max: int, *, fetch: bool = False) -> list[dict]:

@@ -83,11 +83,12 @@ def suite_theorem(n_max: int = 30):
         return got == (1, 2, 11, 85, 782), str(got)
 
     def engines():
+        closed = formulas.gessel_closed_sequence(max(THEOREM_DP_N_MAX, THEOREM_ENUM_N_MAX))
         for n, dp in enumerate(walks.g_sequence(2, THEOREM_DP_N_MAX)):
-            yield ("dp", n), dp, formulas.gessel_closed_form(n)
+            yield ("dp", n), dp, closed[n]
         for n in range(THEOREM_ENUM_N_MAX + 1):
             en = enumeration.count_complete_words(2, n)
-            yield ("enum", n), en, formulas.gessel_closed_form(n)
+            yield ("enum", n), en, closed[n]
 
     assembly = (
         (n, formulas.one_pair_closed(n), formulas.bar_first_total(n) + formulas.one_first_total(n))

@@ -88,11 +88,14 @@ class GesselWord:
 
 
 def _coerce_codes(word, d=None):
-    """Accept a GesselWord or a raw code sequence; return (codes, d)."""
+    """Accept a GesselWord or a raw code sequence; return (codes, d).
+
+    A word checked under another alphabet size is checked again under d."""
     if isinstance(word, GesselWord):
-        return word.codes(), word.d
-    codes = tuple(word)
-    w = GesselWord.from_codes(codes, d)  # validates
+        if d is None or d == word.d:
+            return word.codes(), word.d
+        word = word.codes()
+    w = GesselWord.from_codes(tuple(word), d)  # validates
     return w.codes(), w.d
 
 

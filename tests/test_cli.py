@@ -554,12 +554,28 @@ def test_oeis_n_max_below_offset_exit_usage(capsys):
 
 
 def test_oeis_missing_fixture_exit_code(capsys, monkeypatch, tmp_path):
-    from gesselwalks.oeis import FIXTURE_DIR_ENV
+    from types import SimpleNamespace
 
-    monkeypatch.setenv(FIXTURE_DIR_ENV, str(tmp_path))
+    from gesselwalks import oeis
+
+    monkeypatch.setattr(oeis, "resources", SimpleNamespace(files=lambda package: tmp_path))
     code, _, err = run_cli(capsys, "oeis", "--sequence", "A135404", "--n-max", "3")
     assert code == 4
     assert "fixtures.json" in err
+
+
+@pytest.mark.parametrize(
+    "bfile, exit_code, message",
+    [
+        ("0 1\n1 3\n", 1, ""),
+        ("0 1 extra\n", 4, "error: bad b-file line for A135404: '0 1 extra'\n"),
+        ("50 12345\n", 4, "error: no index of the A135404 fixture lies in [0, 3]\n"),
+    ],
+)
+def test_oeis_fetch_reads_a_cached_bfile_offline(capsys, bfile_cache, bfile, exit_code, message):
+    (bfile_cache / "b135404.txt").write_text(bfile)
+    code, _, err = run_cli(capsys, "oeis", "--sequence", "A135404", "--n-max", "3", "--fetch")
+    assert (code, err) == (exit_code, message)
 
 
 def test_console_script_smoke():

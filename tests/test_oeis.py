@@ -1,15 +1,14 @@
 import io
-import json
 import os
 import urllib.request
+from types import SimpleNamespace
 
 import pytest
 
-from gesselwalks import FixtureError, gessel_closed_form, one_pair_closed
+from gesselwalks import FixtureError, gessel_closed_form, oeis, one_pair_closed
 from gesselwalks.formulas import even_marker_sum_free_closed
 from gesselwalks.oeis import (
     CACHE_ENV,
-    FIXTURE_DIR_ENV,
     SEQUENCE_IDS,
     compare,
     computed_terms,
@@ -55,15 +54,24 @@ def test_computed_terms_route():
 
 
 def test_compare_computes_only_fixture_indices(monkeypatch):
-    # the fixture holds n = 0..13, so a large n_max costs 14 closed forms
+    # the fixture holds n = 0..13, so a large n_max costs one closed
+    # sequence up to 13
     from gesselwalks import formulas
 
     seen = []
-    closed = formulas.gessel_closed_form
-    monkeypatch.setattr(formulas, "gessel_closed_form", lambda n: seen.append(n) or closed(n))
+    closed = formulas.gessel_closed_sequence
+    monkeypatch.setattr(
+        formulas, "gessel_closed_sequence", lambda n_max: seen.append(n_max) or closed(n_max)
+    )
     rows = compare("A135404", 3000)
-    assert [row["index"] for row in rows] == seen == list(range(14))
+    assert [row["index"] for row in rows] == list(range(14))
+    assert seen == [13]
     assert all(row["match"] for row in rows)
+
+
+def test_computed_terms_rejects_a_negative_index():
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        computed_terms("A135404", [-1, 2])
 
 
 @pytest.mark.parametrize("seq_id", SEQUENCE_IDS)
@@ -74,47 +82,38 @@ def test_compare_matches(seq_id):
     assert all(row["computed"] == row["reference"] for row in rows)
 
 
-def test_fixture_dir_override(tmp_path, monkeypatch):
-    meta = {"A135404": {"file": "alt.txt", "offset": 0}}
-    (tmp_path / "fixtures.json").write_text(json.dumps(meta))
-    (tmp_path / "alt.txt").write_text("# comment line\n0 1\n1 2\n2 11\n")
-    monkeypatch.setenv(FIXTURE_DIR_ENV, str(tmp_path))
-    bf = load_fixture("A135404")
+def test_cached_bfile_is_read_offline(bfile_cache):
+    (bfile_cache / "b135404.txt").write_text("# comment line\n0 1\n1 2\n2 11\n")
+    bf = fetch_bfile("A135404")
     assert bf.terms == {0: 1, 1: 2, 2: 11}
-    rows = compare("A135404", 2)
+    rows = compare("A135404", 2, fetch=True)
     assert len(rows) == 3 and all(r["match"] for r in rows)
 
 
-def test_fixture_dir_missing_file(tmp_path, monkeypatch):
-    monkeypatch.setenv(FIXTURE_DIR_ENV, str(tmp_path))
-    with pytest.raises(FixtureError):
+def test_missing_package_data(tmp_path, monkeypatch):
+    monkeypatch.setattr(oeis, "resources", SimpleNamespace(files=lambda package: tmp_path))
+    with pytest.raises(FixtureError, match="fixtures.json missing"):
+        load_fixture("A135404")
+    (tmp_path / "fixtures.json").write_text('{"A135404": {"file": "b135404.txt", "offset": 0}}')
+    with pytest.raises(FixtureError, match="b135404.txt missing"):
         load_fixture("A135404")
 
 
-def test_malformed_bfile(tmp_path, monkeypatch):
-    meta = {"A135404": {"file": "bad.txt", "offset": 0}}
-    (tmp_path / "fixtures.json").write_text(json.dumps(meta))
-    (tmp_path / "bad.txt").write_text("0 1 extra\n")
-    monkeypatch.setenv(FIXTURE_DIR_ENV, str(tmp_path))
+def test_malformed_bfile(bfile_cache):
+    (bfile_cache / "b135404.txt").write_text("0 1 extra\n")
     with pytest.raises(FixtureError):
-        load_fixture("A135404")
+        fetch_bfile("A135404")
 
 
-def test_compare_no_overlap(tmp_path, monkeypatch):
-    meta = {"A135404": {"file": "far.txt", "offset": 0}}
-    (tmp_path / "fixtures.json").write_text(json.dumps(meta))
-    (tmp_path / "far.txt").write_text("50 12345\n")
-    monkeypatch.setenv(FIXTURE_DIR_ENV, str(tmp_path))
+def test_compare_no_overlap(bfile_cache):
+    (bfile_cache / "b135404.txt").write_text("50 12345\n")
     with pytest.raises(FixtureError):
-        compare("A135404", 3)
+        compare("A135404", 3, fetch=True)
 
 
-def test_compare_detects_mismatch(tmp_path, monkeypatch):
-    meta = {"A135404": {"file": "wrong.txt", "offset": 0}}
-    (tmp_path / "fixtures.json").write_text(json.dumps(meta))
-    (tmp_path / "wrong.txt").write_text("0 1\n1 3\n")
-    monkeypatch.setenv(FIXTURE_DIR_ENV, str(tmp_path))
-    rows = compare("A135404", 1)
+def test_compare_detects_mismatch(bfile_cache):
+    (bfile_cache / "b135404.txt").write_text("0 1\n1 3\n")
+    rows = compare("A135404", 1, fetch=True)
     assert [r["match"] for r in rows] == [True, False]
 
 

@@ -129,8 +129,7 @@ PUBLIC_KNOBS = {
     "is_gessel_word": ("d",),
     "is_complete": ("d",),
     "letter_profile": ("d",),
-    "count_confined_walks": ("steps", "start", "end"),
-    "walk_count_table": ("steps", "start"),
+    "count_confined_walks": ("end",),
 }
 
 
@@ -180,3 +179,30 @@ def test_cli_takes_only_the_pinned_flags():
         for name, sub in commands.items()
     }
     assert found == CLI_FLAGS
+
+
+def _environ_reads(path):
+    """Names of the variables the source at path reads with os.environ.get,
+    whether spelled out or held in a module-level string constant."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    constants = {
+        target.id: node.value.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "os.environ.get":
+            arg = node.args[0]
+            names.add(arg.value if isinstance(arg, ast.Constant) else constants[arg.id])
+    return names
+
+
+def test_readme_lists_every_environment_variable():
+    read = set().union(*(_environ_reads(path) for path in SRC.glob("*.py")))
+    readme = (SRC.parent.parent / "README.md").read_text()
+    section = readme.split("\n## Environment variables\n")[1].split("\n## ")[0]
+    listed = [line.split("`")[1] for line in section.splitlines() if line.startswith("- `")]
+    assert sorted(read) == listed

@@ -125,3 +125,19 @@ def test_is_complete_builds_one_word_from_raw_codes(monkeypatch):
     built.clear()
     assert not is_complete([2, 1, -2])
     assert len(built) == 1
+
+
+def _outcome(predicate, word, d):
+    try:
+        return predicate(word, d)
+    except MalformedWordError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("predicate", [is_gessel_word, is_complete, letter_profile])
+@pytest.mark.parametrize("text", ["2 -2", "1 -1", "2 -1 2 1 -2 -2", "-1 1", ""])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_a_word_and_its_codes_agree_under_any_d(predicate, text, d):
+    # an explicit d re-checks a word built under another alphabet size
+    word = GesselWord.parse(text, 2)
+    assert _outcome(predicate, word, d) == _outcome(predicate, word.codes(), d)
