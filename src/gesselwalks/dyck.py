@@ -1,15 +1,16 @@
 """Nonnegative lattice paths, floor constraints, and the marker bijection.
 
 Paths live on the integer line, one +1/-1 step per unit of abscissa, and
-never dip below zero.  ballot_count gives the reflection closed form for
-the number of such paths between prescribed heights; ballot_count_dp is the
-independent dynamic-programming route used to check it.
+never dip below zero.  One height-by-height DP counts them: ballot_count_dp
+runs it between prescribed heights, to check the reflection closed form
+ballot_count, and count_ph_paths runs it from 0 to 0 above a floor profile,
+as the oracle for the closed-form marker sums.  Paths are tuples of +-1
+steps throughout.
 
 A complete d=2 word factors into its 1/1-bar letters (the markers) and a
 +-1 path formed by the 2/2-bar letters.  word_to_markers extracts the
 marker data; markers_to_word rebuilds the word from a conforming path.
-The marker floors turn the path side into a floor-constrained count,
-computed exactly by count_ph_paths.
+The marker floors turn the path side into a floor-constrained count.
 
 The bijection is a checked public boundary over a trusted core: the public
 word_to_markers and markers_to_word validate their input once, then call
@@ -57,53 +58,8 @@ def ballot_count(i: int, j: int, k: int) -> int:
 
 
 def ballot_count_dp(i: int, j: int, k: int) -> int:
-    """Same count as ballot_count, by direct height-by-height DP."""
-    if k > DEFAULT_MAX_STEPS:
-        raise CapExceededError(f"{k} steps exceeds DP cap {DEFAULT_MAX_STEPS}")
-    if i < 0 or j < 0 or k < 0:
-        return 0
-    top = i + k
-    cur = [0] * (top + 2)
-    cur[i] = 1
-    for _ in range(k):
-        nxt = [0] * (top + 2)
-        for h in range(top + 1):
-            v = cur[h]
-            if not v:
-                continue
-            if h + 1 <= top + 1:
-                nxt[h + 1] += v
-            if h - 1 >= 0:
-                nxt[h - 1] += v
-        cur = nxt
-    return cur[j] if j <= top else 0
-
-
-def parse_path(text: str) -> tuple[int, ...]:
-    """Parse a path over {U, D} into +-1 steps."""
-    steps = []
-    for ch in text.strip():
-        if ch in "Uu":
-            steps.append(1)
-        elif ch in "Dd":
-            steps.append(-1)
-        elif ch.isspace():
-            continue
-        else:
-            raise MalformedWordError(f"bad path character {ch!r}")
-    return tuple(steps)
-
-
-def format_path(steps: Sequence[int]) -> str:
-    return "".join("U" if s > 0 else "D" for s in steps)
-
-
-def path_heights(steps: Sequence[int]) -> tuple[int, ...]:
-    """Ordinates at abscissae 0..len(steps)."""
-    h = [0]
-    for s in steps:
-        h.append(h[-1] + s)
-    return tuple(h)
+    """Same count as ballot_count, by the height-by-height DP."""
+    return _count_paths(i, j, k)
 
 
 @dataclass(frozen=True)
@@ -200,8 +156,13 @@ def marker_lists(signs: Sequence[int], word_positions: Sequence[int]) -> MarkerL
 
 def _build_marker_lists(signs: tuple[int, ...], pos: tuple[int, ...]) -> MarkerLists:
     """MarkerLists from signs and 1-based word positions already known valid."""
-    path_pos = tuple(p - i for i, p in enumerate(pos, start=1))
-    return MarkerLists(signs, pos, path_pos, marker_floors(signs))
+    return MarkerLists(signs, pos, _path_positions(pos), marker_floors(signs))
+
+
+def _path_positions(word_positions: tuple[int, ...]) -> tuple[int, ...]:
+    """The path abscissae of markers at these 1-based word positions: each
+    word position minus the marker's ordinal, the markers up to it."""
+    return tuple(p - i for i, p in enumerate(word_positions, start=1))
 
 
 def _split(codes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -317,34 +278,30 @@ def markers_to_word(
 def count_ph_paths(constraint: PHConstraint, length: int) -> int:
     """Number of floor-conforming +-1 paths from (0,0) to (length,0).
 
-    Straight DP over (abscissa, height) with the per-abscissa floor profile;
-    this is the oracle the closed-form marker sums are tested against.
+    This is the oracle the closed-form marker sums are tested against.
     """
-    if length > DEFAULT_MAX_STEPS:
-        raise CapExceededError(f"{length} steps exceeds DP cap {DEFAULT_MAX_STEPS}")
-    if length < 0 or length % 2:
-        return 0
-    prof = constraint.floor_profile(length)
-    if prof[0] > 0:
-        return 0
-    cur = [0] * (length + 2)
-    cur[0] = 1
-    for t in range(1, length + 1):
-        # a path at step t sits at height <= t and must still fall back to
-        # 0 in length - t steps, so higher cells can never be counted
-        top = min(t, length - t)
-        nxt = [0] * (length + 2)
-        for h in range(min(t - 1, length - t + 1) + 1):
-            v = cur[h]
-            if not v:
-                continue
-            if h + 1 <= top:
-                nxt[h + 1] += v
-            if h - 1 >= 0:
-                nxt[h - 1] += v
-        f = prof[t]
-        for h in range(min(f, top + 1)):
-            nxt[h] = 0
-        cur = nxt
-    return cur[0]
+    return _count_paths(0, 0, length, constraint)
 
+
+def _count_paths(i: int, j: int, k: int, constraint: PHConstraint | None = None) -> int:
+    """Paths of k +-1 steps from height i to height j that stay >= 0, and on
+    or above the floor profile of constraint when one is given.
+
+    Direct DP over (abscissa, height).  A path at abscissa t sits at height
+    <= i + t and must still reach j in k - t steps, so each layer is cut to
+    heights <= min(i + t, j + k - t): no higher cell can be counted.
+    """
+    if k > DEFAULT_MAX_STEPS:
+        raise CapExceededError(f"{k} steps exceeds DP cap {DEFAULT_MAX_STEPS}")
+    if min(i, j, k) < 0 or (i + j + k) % 2 or j > i + k:
+        return 0
+    floors = [0] * (k + 1) if constraint is None else constraint.floor_profile(k)
+    # heights 0..i+k, then one cell that stays 0: height -1 reads it as cur[-1]
+    cur = [0] * (i + k + 2)
+    cur[i] = int(i >= floors[0])
+    for t in range(1, k + 1):
+        nxt = [0] * (i + k + 2)
+        for h in range(floors[t], min(i + t, j + k - t) + 1):
+            nxt[h] = cur[h - 1] + cur[h + 1]
+        cur = nxt
+    return cur[j]

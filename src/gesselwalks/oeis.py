@@ -53,10 +53,13 @@ def _read_bfile_text(text: str, seq_id: str, offset: int) -> BFile:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise FixtureError(f"bad b-file line for {seq_id}: {line!r}")
-        terms[int(parts[0])] = int(parts[1])
+        try:
+            index, value = map(int, line.split())
+        except ValueError:
+            raise FixtureError(f"bad b-file line for {seq_id}: {line!r}") from None
+        if index < offset:
+            raise FixtureError(f"b-file index below the offset {offset} of {seq_id}: {line!r}")
+        terms[index] = value
     if not terms:
         raise FixtureError(f"empty b-file for {seq_id}")
     return BFile(seq_id, offset, terms)

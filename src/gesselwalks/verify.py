@@ -121,6 +121,9 @@ def suite_identities(n_max: int = 30, bound: int = 15, seed: int = 20260826):
     def direct(sum_direct, n):
         return sum_direct(n)
 
+    def against_closed(sum_direct, sum_closed, n_min):
+        return ((n, direct(sum_direct, n), sum_closed(n)) for n in range(n_min, n_max + 1))
+
     def bar_first_parts():
         for n in range(1, n_max + 1):
             free = direct(formulas.even_marker_sum_free_direct, n)
@@ -140,13 +143,8 @@ def suite_identities(n_max: int = 30, bound: int = 15, seed: int = 20260826):
             "identities/adjacent-sum",
             {"n": f"2..{n_max}"},
             "direct == (n-1) Catalan(n-1)",
-            (
-                (
-                    n,
-                    direct(formulas.adjacent_marker_sum_direct, n),
-                    formulas.adjacent_marker_sum_closed(n),
-                )
-                for n in range(2, n_max + 1)
+            against_closed(
+                formulas.adjacent_marker_sum_direct, formulas.adjacent_marker_sum_closed, 2
             ),
             "n values",
         ),
@@ -154,13 +152,8 @@ def suite_identities(n_max: int = 30, bound: int = 15, seed: int = 20260826):
             "identities/even-pairs-free-sum",
             {"n": f"2..{n_max}"},
             "direct == closed",
-            (
-                (
-                    n,
-                    direct(formulas.even_marker_sum_free_direct, n),
-                    formulas.even_marker_sum_free_closed(n),
-                )
-                for n in range(2, n_max + 1)
+            against_closed(
+                formulas.even_marker_sum_free_direct, formulas.even_marker_sum_free_closed, 2
             ),
             "n values",
         ),
@@ -168,13 +161,10 @@ def suite_identities(n_max: int = 30, bound: int = 15, seed: int = 20260826):
             "identities/even-pairs-reflected-sum",
             {"n": f"3..{n_max}"},
             "direct == closed",
-            (
-                (
-                    n,
-                    direct(formulas.even_marker_sum_reflected_direct, n),
-                    formulas.even_marker_sum_reflected_closed(n),
-                )
-                for n in range(3, n_max + 1)
+            against_closed(
+                formulas.even_marker_sum_reflected_direct,
+                formulas.even_marker_sum_reflected_closed,
+                3,
             ),
             "n values",
         ),
@@ -225,6 +215,19 @@ def _fiber_sizes(n):
     return sizes
 
 
+def _floor_paths():
+    """A fresh memo of the floor DP, keyed by (n, word positions, floors) of a
+    marker class of length-2n words: classes whose signs give the same floors
+    share one run."""
+
+    @cache
+    def count(n, positions, floors):
+        constraint = dyck.PHConstraint(dyck._path_positions(positions), floors)
+        return dyck.count_ph_paths(constraint, 2 * n - len(positions))
+
+    return count
+
+
 def suite_bijection(len_max: int = 12):
     # the round trip runs the bijection's trusted cores on the enumerator's
     # code tuples (the floor check stays inside _interleave), and tallies the
@@ -238,17 +241,8 @@ def suite_bijection(len_max: int = 12):
                 sizes[n, signs, positions] += 1
                 yield n, dyck._interleave(path, positions, signs), codes
 
-    # the floor DP runs once per constraint, which classes whose signs give
-    # the same floors share; (n, positions, floors) names the same constraint
-    # as (path_positions, floors, length), but from tuples that sizes holds
-    @cache
-    def floor_paths(n, positions, floors):
-        path_positions = tuple(p - i for i, p in enumerate(positions, start=1))
-        constraint = dyck.PHConstraint(path_positions, floors)
-        return dyck.count_ph_paths(constraint, 2 * n - len(positions))
-
     def fibers():
-        floors_of = cache(dyck.marker_floors)
+        floor_paths, floors_of = _floor_paths(), cache(dyck.marker_floors)
         for (n, signs, positions), size in sizes.items():
             yield (n, signs, positions), floor_paths(n, positions, floors_of(signs)), size
 
@@ -293,6 +287,7 @@ def _balanced_signs(pairs):
 
 def suite_cpt(n_max: int = 5):
     def three_routes():
+        floor_paths = _floor_paths()
         for n in range(1, n_max + 1):
             fibers = _fiber_sizes(n)
             for n1 in range(1, min(CPT_N1_MAX, n) + 1):
@@ -300,8 +295,7 @@ def suite_cpt(n_max: int = 5):
                     for positions in combinations(range(1, 2 * n + 1), 2 * n1):
                         formula = formulas.count_words_fixed_markers(signs, positions, n)
                         brute = fibers.get((signs, positions), 0)
-                        ml = dyck.marker_lists(signs, positions)
-                        oracle = dyck.count_ph_paths(ml.constraint(), 2 * n - 2 * n1)
+                        oracle = floor_paths(n, positions, dyck.marker_floors(signs))
                         yield (n, signs, positions), (formula, brute), (oracle, oracle)
 
     def legal_descents():
@@ -373,7 +367,7 @@ def suite_norton(n_max: int = 6, len_max: int = 12):
         for n in range(2, n_max + 1):
             r = norton.diagonal_columns(n)
             got = r.binomial_pattern_ok, r.full_contribution_total, r.partial_contribution_total
-            yield n, got, (True, r.expected_full_total, r.expected_partial_total)
+            yield n, got, (True, formulas.one_first_total(n), formulas.bar_first_total(n))
 
     multiplicity = (
         (bits, len(norton.achievable_odd_sums(bits)), max(norton.stats(bits).multiplicity, 0))

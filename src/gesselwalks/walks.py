@@ -197,7 +197,10 @@ def count_confined_walks(d: int, length: int, *, end: Sequence[int] | None = Non
         raise ValueError("length must be >= 0")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    end = (0,) * d if end is None else tuple(int(x) for x in end)
+    coords = (0,) * d if end is None else tuple(end)
+    end = tuple(map(int, coords))
+    if end != coords:
+        raise ValueError(f"end must be integers, got {coords!r}")
     if len(end) != d:
         raise ValueError("end must have dimension d")
     if any(x < 0 for x in end):
@@ -212,6 +215,8 @@ def walk_count_table(d: int, length: int) -> WalkCountTable:
     origin, per endpoint reached."""
     import numpy as np
 
+    if length < 0:
+        raise ValueError("length must be >= 0")
     for coset, limbs in _run_dp(d, length):
         pass
     bits = _limb_bits(d)

@@ -578,6 +578,19 @@ def test_oeis_fetch_reads_a_cached_bfile_offline(capsys, bfile_cache, bfile, exi
     assert (code, err) == (exit_code, message)
 
 
+@pytest.mark.parametrize(
+    "seq_id, line, message",
+    [
+        ("A000531", "0 1", "error: b-file index below the offset 1 of A000531: '0 1'\n"),
+        ("A135404", "x y", "error: bad b-file line for A135404: 'x y'\n"),
+    ],
+)
+def test_oeis_fetch_rejects_a_bad_cached_bfile_line(capsys, bfile_cache, seq_id, line, message):
+    (bfile_cache / f"b{seq_id[1:]}.txt").write_text(f"{line}\n2 11\n")
+    code, _, err = run_cli(capsys, "oeis", "--sequence", seq_id, "--n-max", "3", "--fetch")
+    assert (code, err) == (4, message)
+
+
 def test_console_script_smoke():
     out = subprocess.run(
         [sys.executable, "-m", "gesselwalks.cli", "count", "--d", "1", "--n", "5"],

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,13 +12,10 @@ from gesselwalks import (
     ballot_count,
     catalan,
     count_ph_paths,
-    format_path,
     is_complete,
     marker_floors,
     marker_lists,
     markers_to_word,
-    parse_path,
-    path_heights,
     word_steps,
     word_to_markers,
 )
@@ -33,7 +30,7 @@ def iter_ph_paths(constraint, length):
     """
     prof = constraint.floor_profile(length)
     for steps in product((1, -1), repeat=length):
-        heights = path_heights(steps)
+        heights = tuple(accumulate(steps, initial=0))
         if heights[-1] == 0 and all(h >= f for h, f in zip(heights, prof)):
             yield steps
 
@@ -77,15 +74,6 @@ def test_catalan():
     assert catalan(-1) == 0
 
 
-def test_path_parsing():
-    assert parse_path("UUDD") == (1, 1, -1, -1)
-    assert parse_path("udud") == (1, -1, 1, -1)
-    assert format_path((1, 1, -1, -1)) == "UUDD"
-    assert path_heights((1, 1, -1, -1)) == (0, 1, 2, 1, 0)
-    with pytest.raises(ValueError):
-        parse_path("UXD")
-
-
 def test_constraint_validation():
     PHConstraint((1, 2), (1, 0))
     PHConstraint((1, 1), (1, 0))      # equal abscissae from adjacent markers
@@ -122,7 +110,7 @@ def test_worked_example():
     assert ml.path_positions == (1, 2)
     assert ml.floors == (1, 0)
     c = ml.constraint()
-    assert [format_path(p) for p in iter_ph_paths(c, 4)] == ["UUDD"]
+    assert list(iter_ph_paths(c, 4)) == [(1, 1, -1, -1)]
     assert count_ph_paths(c, 4) == 1
 
 
@@ -177,7 +165,7 @@ def _rebuild_oracle(path, positions, signs):
     abscissae = tuple(p - i for i, p in enumerate(positions, start=1))
     floors = marker_floors(signs)
     prof = PHConstraint(abscissae, floors).floor_profile(len(path))
-    for t, h in enumerate(path_heights(path)):
+    for t, h in enumerate(accumulate(path, initial=0)):
         if h < 0:
             return None, t, 0, h
         if h < prof[t]:
@@ -333,21 +321,30 @@ def test_path_dp_caps_read_the_module_constant(monkeypatch):
         count_ph_paths(PHConstraint((), ()), 6)
 
 
-def test_count_ph_paths_against_iteration():
-    cases = [
-        PHConstraint((), ()),
-        PHConstraint((1, 2), (1, 0)),
-        PHConstraint((0, 1), (0, 0)),
-        PHConstraint((2, 2), (1, 0)),
-        PHConstraint((1, 4), (2, 0)),
-        PHConstraint((1, 3, 5), (1, 2, 0)),
-    ]
-    for c in cases:
-        for length in range(0, 11):
-            assert count_ph_paths(c, length) == len(list(iter_ph_paths(c, length))), (
-                c,
-                length,
-            )
+@st.composite
+def _constraints(draw):
+    """A PHConstraint and a path length <= 12: non-decreasing positions drawn
+    from [0, length + 2], so some reach past the path's end, and floors in
+    [0, 4], often above every path that fits."""
+    length = draw(st.integers(0, 12))
+    m = draw(st.integers(0, 5))
+    positions = sorted(draw(st.lists(st.integers(0, length + 2), min_size=m, max_size=m)))
+    floors = draw(st.lists(st.integers(0, 4), min_size=m, max_size=m))
+    return PHConstraint(tuple(positions), tuple(floors)), length
+
+
+@given(_constraints())
+@example((PHConstraint((), ()), 10))
+@example((PHConstraint((1, 2), (1, 0)), 4))
+@example((PHConstraint((0, 1), (0, 0)), 7))
+@example((PHConstraint((0, 1), (1, 0)), 4))  # floor above 0 at abscissa 0
+@example((PHConstraint((2, 2), (1, 0)), 6))
+@example((PHConstraint((1, 4), (2, 0)), 8))
+@example((PHConstraint((1, 3, 5), (1, 2, 0)), 10))
+@settings(max_examples=300, deadline=None)
+def test_count_ph_paths_against_iteration(case):
+    constraint, length = case
+    assert count_ph_paths(constraint, length) == len(list(iter_ph_paths(constraint, length)))
 
 
 def test_count_ph_paths_unconstrained_is_catalan():

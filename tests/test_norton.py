@@ -6,10 +6,12 @@ import pytest
 from gesselwalks import (
     IntegralityError,
     achievable_odd_sums,
+    bar_first_total,
     diagonal_columns,
     disjoint_ten_pairs,
     max_suffix_balance,
     norton_count,
+    one_first_total,
     one_pair_closed,
     stats,
     sum_witness,
@@ -25,6 +27,20 @@ def test_as_bits_forms():
     assert as_bits([1, 0, 1]) == (1, 0, 1)
     with pytest.raises(ValueError):
         as_bits("12")
+
+
+def test_as_bits_rejects_bits_that_are_not_integers():
+    import numpy as np
+
+    # int() would truncate 0.5 and 0.9 to 0
+    for w in ([0.5, 1], (1, 0.9, 0), [1.5, 0]):
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            as_bits(w)
+    with pytest.raises(ValueError):
+        stats([0.9, 1, 0])
+    # integral values of other types behave as plain ints
+    assert as_bits([1.0, 0, True]) == (1, 0, 1)
+    assert as_bits(np.array([1, 0, 1])) == (1, 0, 1)
 
 
 def test_each_public_call_reads_the_sign_word_once(monkeypatch):
@@ -182,10 +198,8 @@ def test_diagonal_report():
     rep = diagonal_columns(4)
     assert rep.columns == ((1,), (1, 8), (1, 8, 28), (1, 8, 28, 56), (1, 8, 28), (1, 8), (1,))
     assert rep.binomial_pattern_ok
-    assert rep.full_contribution_total == 140
-    assert rep.partial_contribution_total == 47
-    assert rep.expected_full_total == rep.full_contribution_total
-    assert rep.expected_partial_total == rep.partial_contribution_total
+    assert rep.full_contribution_total == 140 == one_first_total(4)
+    assert rep.partial_contribution_total == 47 == bar_first_total(4)
 
 
 def test_caps():

@@ -105,6 +105,21 @@ def test_malformed_bfile(bfile_cache):
         fetch_bfile("A135404")
 
 
+@pytest.mark.parametrize(
+    "seq_id, line",
+    [
+        ("A000531", "0 1"),  # below the offset 1 of A000531
+        ("A135404", "-1 1"),
+        ("A135404", "x y"),
+        ("A135404", "1 2.5"),
+    ],
+)
+def test_bad_bfile_line_names_the_sequence_and_the_line(bfile_cache, seq_id, line):
+    (bfile_cache / f"b{seq_id[1:]}.txt").write_text(f"{line}\n2 11\n")
+    with pytest.raises(FixtureError, match=f"{seq_id}: {line!r}"):
+        compare(seq_id, 3, fetch=True)
+
+
 def test_compare_no_overlap(bfile_cache):
     (bfile_cache / "b135404.txt").write_text("50 12345\n")
     with pytest.raises(FixtureError):

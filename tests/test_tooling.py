@@ -116,7 +116,7 @@ def _package_imports(path):
     return {name.split(".")[1] for name in found if name.startswith("gesselwalks.")}
 
 
-@pytest.mark.parametrize("module", ["walks", "enumeration"])
+@pytest.mark.parametrize("module", ["walks", "enumeration", "norton"])
 def test_dp_and_oracle_import_no_other_route(module):
     imported = _package_imports(SRC / f"{module}.py")
     assert "exceptions" in imported

@@ -284,3 +284,23 @@ def test_bad_inputs():
             count_confined_walks(2, 2, **knob)
         with pytest.raises(TypeError):
             walk_count_table(2, 2, **knob)
+
+
+def test_walk_count_table_rejects_a_negative_length():
+    for length in (-1, -3):
+        with pytest.raises(ValueError, match="length must be >= 0"):
+            walk_count_table(2, length)
+
+
+def test_endpoint_coordinates_must_be_integers():
+    import numpy as np
+
+    # int() would truncate 0.5 to the origin and count its 11 walks
+    for end in ((0.5, 0), (0, 1.5), (-0.5, 0)):
+        with pytest.raises(ValueError, match="end must be integers"):
+            count_confined_walks(2, 4, end=end)
+    # integral values of other types behave as plain ints
+    want = count_confined_walks(2, 4, end=(2, 0))
+    assert count_confined_walks(2, 4, end=(2.0, 0)) == want
+    assert count_confined_walks(2, 4, end=np.array([2, 0])) == want
+    assert count_confined_walks(2, 4, end=(np.int64(2), np.int32(0))) == want
