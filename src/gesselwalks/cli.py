@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import urllib.error
+from functools import cache
 
 from . import enumeration, formulas, oeis, verify, walks
 from .exceptions import CapExceededError, FixtureError
@@ -274,11 +275,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main builds the parser on its first call and reuses it after
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         # counts are printed in full: G(3579) already has 4,301 digits
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     handlers = {
         "count": cmd_count,

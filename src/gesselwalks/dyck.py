@@ -69,15 +69,19 @@ class PHConstraint:
 
     The final floor entry never constrains anything on its own; before the
     first position and after the last only the global floor 0 applies.
-    Positions are nonnegative and non-decreasing: position 0 arises when a
-    word opens with a marker letter, and equal positions arise from markers
-    adjacent in the word (the floor then pins a single abscissa).
+    Positions and floors are integers, stored as int; ValueError if int()
+    would change one.  Positions are nonnegative and non-decreasing:
+    position 0 arises when a word opens with a marker letter, and equal
+    positions arise from markers adjacent in the word (the floor then pins
+    a single abscissa).
     """
 
     positions: tuple[int, ...]
     floors: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "positions", _integers(self.positions, "positions"))
+        object.__setattr__(self, "floors", _integers(self.floors, "floors"))
         if len(self.positions) != len(self.floors):
             raise ValueError("positions and floors must have equal length")
         if any(p < 0 for p in self.positions):

@@ -8,9 +8,13 @@ The words come from one chunked numpy frontier, :func:`_word_blocks`.  Each
 row of a block is one word prefix.  The feasibility tests run on the letter
 differences of all 2d one-letter extensions of a block at once; only the
 surviving children are then gathered from their parent rows, and they go
-back on a stack in chunks of at most :data:`CHUNK` rows.  Rows are never
-merged, so every complete word is built and tallied on its own, and the
-stack holds at most about length * 2d * CHUNK rows.
+back on a stack in chunks of at most :data:`CHUNK` rows.  Every letter but
+the last is tested this way; the last is forced.  Each letter moves the
+imbalance sum(|diff|) by +-1, so a prefix of odd length 2n-1 that passed
+has imbalance exactly 1, and the one letter cancelling it is written in
+without a test.  Rows are never merged, so every complete word is built
+and tallied on its own, and the stack holds at most about
+length * 2d * CHUNK rows.
 
 Enumeration order is deterministic: words are produced in ascending
 lexicographic order of their code tuples, with codes ordered numerically
@@ -34,7 +38,13 @@ DEFAULT_MAX_LENGTH = 14
 CHUNK = 4096
 
 
-def _check_cap(d, n):
+def _check_cap(d, n) -> tuple[int, int]:
+    """d and n as ints, once they are known to fit the frontier and its cap;
+    ValueError if int() would change either of them."""
+    given = (d, n)
+    d, n = map(int, given)
+    if (d, n) != given:
+        raise ValueError(f"d and n must be integers, got d={given[0]!r}, n={given[1]!r}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if d < 1:
@@ -43,6 +53,7 @@ def _check_cap(d, n):
         raise CapExceededError(
             f"word length {2 * n} exceeds enumeration cap {DEFAULT_MAX_LENGTH}"
         )
+    return d, n
 
 
 def _word_blocks(d: int, n: int, marker_cap: int | None) -> Iterator[np.ndarray]:
@@ -53,6 +64,9 @@ def _word_blocks(d: int, n: int, marker_cap: int | None) -> Iterator[np.ndarray]
     (diff[i] + ... + diff[d-1]) is >= 0 and the total imbalance sum(|diff|)
     can still be closed by the letters left.  marker_cap, when given,
     bounds the occurrences of letter 1 and of its barred twin separately.
+    The last letter is not tested: every letter moves the imbalance by +-1,
+    so a prefix of odd length 2n-1 that passed has imbalance exactly 1, and
+    only the letter cancelling that one unit completes the word.
     Callers check n, d and the length cap first.
     """
     import numpy as np
@@ -65,13 +79,25 @@ def _word_blocks(d: int, n: int, marker_cap: int | None) -> Iterator[np.ndarray]
     delta = np.zeros((d, k), dtype=np.min_scalar_type(-(length + 2)))
     delta[np.abs(codes) - 1, np.arange(k)] = np.sign(codes)
     plain, barred = d, d - 1  # letter indices of codes 1 and -1
+    # closing @ diff is the code of the letter that zeroes a diff with one
+    # entry +-1: -(i + 1) for diff[i] = 1, i + 1 for diff[i] = -1
+    closing = -np.arange(1, d + 1, dtype=codes.dtype)
 
     # diff holds one row per axis, so the tests below run on contiguous
     # arrays instead of reducing along a short axis
     stack = [(0, np.zeros((1, length), codes.dtype), np.zeros((d, 1), delta.dtype))]
     while stack:
         pos, words, diff = stack.pop()
-        if pos == length:
+        if pos == length:  # n = 0: the empty word
+            yield words
+            continue
+        if pos == length - 1:
+            # Each row has imbalance 1 and exactly one closing letter, which
+            # is written in place (the chunk is a copy the stack owns), so
+            # nothing is built or tested.  It needs no marker_cap test
+            # either: a closing 1 or -1 brings its count up to its twin's,
+            # which the cap already bounds.
+            words[:, pos] = closing @ diff
             yield words
             continue
         # Child r * k + c is row r extended by letter c.  The tests below
@@ -105,14 +131,14 @@ def _word_blocks(d: int, n: int, marker_cap: int | None) -> Iterator[np.ndarray]
 
 def iter_complete_words(d: int, n: int) -> Iterator[tuple[int, ...]]:
     """Yield the code tuples of all complete words of length 2n, in order."""
-    _check_cap(d, n)
+    d, n = _check_cap(d, n)
     for block in _word_blocks(d, n, None):
         yield from map(tuple, block.tolist())
 
 
 def count_complete_words(d: int, n: int) -> int:
     """Number of complete Gessel words of length 2n over d letter pairs."""
-    _check_cap(d, n)
+    d, n = _check_cap(d, n)
     return sum(len(block) for block in _word_blocks(d, n, None))
 
 
@@ -125,10 +151,13 @@ def profile_triangle_row(n: int) -> tuple[int, ...]:
     """
     import numpy as np
 
-    _check_cap(2, n)  # before sizing hist from n
+    _, n = _check_cap(2, n)  # before sizing hist from n
     hist = np.zeros(n + 1, dtype=np.int64)
+    # a uint8 matrix-vector product counts the 2s per row; the sum is exact
+    # because rows are at most DEFAULT_MAX_LENGTH < 256 letters long
+    ones = np.ones(2 * n, dtype=np.uint8)
     for block in _word_blocks(2, n, None):
-        hist += np.bincount(np.count_nonzero(block == 2, axis=1), minlength=n + 1)
+        hist += np.bincount((block == 2).view(np.uint8) @ ones, minlength=n + 1)
     return tuple(hist.tolist())
 
 
@@ -140,7 +169,7 @@ def marker_position_triangle(n: int) -> dict[tuple[int, int], int]:
     """
     import numpy as np
 
-    _check_cap(2, n)
+    _, n = _check_cap(2, n)
     length = 2 * n
     tally = np.zeros(length * length, dtype=np.int64)  # flat (i-1, j-1)
     for block in _word_blocks(2, n, 1):

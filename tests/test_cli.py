@@ -134,6 +134,24 @@ def test_count_flag_conflicts(capsys):
 
 
 @pytest.mark.parametrize(
+    "bad",
+    [
+        ("count", "--d", "2", "--n", "3", "--n-max", "5", "--format", "csv"),
+        ("count", "--d", "2", "--n", "3", "--format", "xml"),
+    ],
+)
+def test_a_usage_error_leaves_the_next_call_unchanged(capsys, bad):
+    # main reuses one parser, so a failed parse must not leak into the next
+    valid = ("count", "--d", "2", "--n-max", "4", "--format", "json")
+    alone = run_cli(capsys, *valid)
+    with pytest.raises(SystemExit) as e:
+        main(list(bad))
+    assert e.value.code == 2
+    capsys.readouterr()
+    assert run_cli(capsys, *valid) == alone
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("count", "--n", "3", "--no-timing"),

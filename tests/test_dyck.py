@@ -88,6 +88,20 @@ def test_constraint_validation():
         PHConstraint((-1, 2), (0, 0))
 
 
+def test_constraint_entries_must_be_integers():
+    with pytest.raises(ValueError, match="floors must be integers"):
+        PHConstraint((1, 2), (1.5, 0))
+    with pytest.raises(ValueError, match="positions must be integers"):
+        PHConstraint((0.5, 2), (1, 0))
+    # integral values of other types are stored as plain ints
+    import numpy as np
+
+    c = PHConstraint((np.int64(1), 2.0), [1.0, 0])
+    assert c == PHConstraint((1, 2), (1, 0))
+    assert all(type(v) is int for v in c.positions + c.floors)
+    assert count_ph_paths(c, 4) == 1
+
+
 def test_constraint_floor_profile():
     c = PHConstraint((1, 2), (1, 0))
     assert c.floor_profile(4) == [0, 1, 1, 0, 0]

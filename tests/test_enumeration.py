@@ -1,8 +1,11 @@
 from collections import Counter
 from functools import cache
 from itertools import product
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gesselwalks import (
     CapExceededError,
@@ -77,6 +80,47 @@ def test_iteration_matches_brute_force(d, n_max, marker_cap):
         assert got == brute_force_words(d, n, marker_cap), (d, n)
         if marker_cap is None:
             assert list(iter_complete_words(d, n)) == got, (d, n)
+
+
+@pytest.mark.parametrize("d, n_max", [(4, 2), (5, 2), (130, 1)])
+@pytest.mark.parametrize("marker_cap", [None, 0, 1])
+def test_wide_alphabets_match_brute_force(d, n_max, marker_cap):
+    for n in range(n_max + 1):
+        assert block_words(d, n, marker_cap) == brute_force_words(d, n, marker_cap), (d, n)
+
+
+@pytest.mark.parametrize("d, n_max", [(1, 6), (2, 4), (3, 3)])
+def test_the_last_letter_of_a_complete_word_is_forced(d, n_max):
+    # the frontier appends the last letter untested: every prefix of length
+    # 2n-1 of a complete word must have exactly one completing letter, and
+    # that letter must not raise the count of 1s or of -1s past marker_cap
+    codes = [*range(-d, 0), *range(1, d + 1)]
+    for n in range(1, n_max + 1):
+        for prefix in {w[:-1] for w in brute_force_words(d, n)}:
+            (closing,) = [c for c in codes if is_complete(prefix + (c,), d=d)]
+            marks = max(prefix.count(1), prefix.count(-1))
+            assert max((prefix + (closing,)).count(c) for c in (1, -1)) == marks, prefix
+
+
+# (2d)^(2n) candidate tuples at most, so the brute force stays small
+BRUTE_FORCE_BUDGET = 4096
+
+
+@st.composite
+def frontier_cases(draw):
+    d = draw(st.integers(1, 32))
+    n = draw(st.integers(0, 6).filter(lambda n: (2 * d) ** (2 * n) <= BRUTE_FORCE_BUDGET))
+    marker_cap = draw(st.sampled_from([None, 0, 1, 2, 3]))
+    chunk = draw(st.one_of(st.integers(1, 5), st.just(4096)))
+    return d, n, marker_cap, chunk
+
+
+@given(frontier_cases())
+@settings(max_examples=150, deadline=None)
+def test_frontier_matches_brute_force_property(case):
+    d, n, marker_cap, chunk = case
+    with mock.patch.object(enumeration, "CHUNK", chunk):
+        assert block_words(d, n, marker_cap) == brute_force_words(d, n, marker_cap)
 
 
 def brute_force_profile(n):
@@ -173,6 +217,28 @@ def test_marker_position_triangle_total_is_single_pair_count():
     for n in range(1, 5):
         tri = marker_position_triangle(n)
         assert sum(tri.values()) == profile_triangle_row(n)[n - 1]
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (count_complete_words, (2, 2)),
+        (lambda d, n: next(iter_complete_words(d, n)), (2, 2)),
+        (profile_triangle_row, (2,)),
+        (marker_position_triangle, (2,)),
+    ],
+    ids=["count", "iter", "profile", "positions"],
+)
+def test_entry_points_take_only_integral_arguments(call, args):
+    for i in range(len(args)):
+        bad = list(args)
+        bad[i] += 0.5
+        with pytest.raises(ValueError, match="must be integers"):
+            call(*bad)
+    # integral values of other types behave as plain ints
+    import numpy as np
+
+    assert call(*map(float, args)) == call(*map(np.int64, args)) == call(*args)
 
 
 def test_invalid_dimension():
