@@ -92,11 +92,9 @@ def _word_blocks(d: int, n: int, marker_cap: int | None) -> Iterator[np.ndarray]
             yield words
             continue
         if pos == length - 1:
-            # Each row has imbalance 1 and exactly one closing letter, which
-            # is written in place (the chunk is a copy the stack owns), so
-            # nothing is built or tested.  It needs no marker_cap test
-            # either: a closing 1 or -1 brings its count up to its twin's,
-            # which the cap already bounds.
+            # The forced letter goes into the chunk in place: the chunk is a
+            # copy the stack owns.  It needs no marker_cap test: a closing 1
+            # or -1 brings its count up to its twin's, which the cap bounds.
             words[:, pos] = closing @ diff
             yield words
             continue
