@@ -115,9 +115,10 @@ def cmd_count(args, parser) -> int:
         _emit_count(args, [row])
         return EXIT_OK
 
-    # --n is the sequence at a single index: rows n = first..top
-    top = args.n_max if args.n is None else args.n
-    first = 0 if args.n is None else top
+    # --n asks for the one term n, --n-max for the rows n = 0..n_max
+    single = args.n is not None
+    top = args.n if single else args.n_max
+    first = top if single else 0
     if args.method == "enum":
         # largest n first, so the length cap fires before any word is built
         ns = range(first, top + 1)
@@ -125,9 +126,11 @@ def cmd_count(args, parser) -> int:
     elif args.method == "closed":
         if args.d != 2:
             parser.error("--method closed is only available for --d 2")
-        counts = formulas.gessel_closed_sequence(top)[first:]
+        counts = [formulas.gessel_closed_form(top)] if single else formulas.gessel_closed_sequence(top)
+    elif single:
+        counts = [walks.count_confined_walks(args.d, 2 * top)]
     else:
-        counts = walks.g_sequence(args.d, top)[first:]
+        counts = walks.g_sequence(args.d, top)
     rows = [{"d": args.d, "n": n, "count": c} for n, c in enumerate(counts, start=first)]
     _emit_count(args, rows)
     return EXIT_OK

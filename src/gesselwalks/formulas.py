@@ -24,9 +24,9 @@ from typing import Callable, Sequence
 from .dyck import ballot_count, binom, catalan, marker_lists
 from .exceptions import CapExceededError, IntegralityError
 
-# gessel_closed_sequence, and so gessel_closed_form and `count --method closed`,
-# stops at this n: printing G(0..n_max) grows as n_max^3, and `count --method
-# closed --n-max 15000` ran in about 18 s on 2 vCPUs (20000: 43 s)
+# gessel_closed_sequence, gessel_closed_form and so `count --method closed` stop
+# at this n: printing G(0..n_max) grows as n_max^3, and `count --method closed
+# --n-max 15000` ran in about 18 s on 2 vCPUs (20000: 43 s)
 CLOSED_MAX_N = 15_000
 
 
@@ -37,10 +37,15 @@ def _as_integer(x: Fraction, what: str) -> int:
 
 
 def gessel_closed_form(n: int) -> int:
-    """Origin-to-origin d=2 Gessel walk count for 2n steps."""
+    """Origin-to-origin d=2 Gessel walk count for 2n steps.
+
+    Runs the recurrence of gessel_closed_sequence keeping only the last term.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return gessel_closed_sequence(n)[-1]
+    for g in _gessel_terms(n):
+        pass
+    return g
 
 
 def gessel_closed_sequence(n_max: int) -> list[int]:
@@ -52,15 +57,20 @@ def gessel_closed_sequence(n_max: int) -> list[int]:
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    return list(_gessel_terms(n_max))
+
+
+def _gessel_terms(n_max: int):
+    """Yield G(0), ..., G(n_max) by the term ratio, checking each division."""
     if n_max > CLOSED_MAX_N:
         raise CapExceededError(f"closed form up to n={n_max} exceeds cap n <= {CLOSED_MAX_N}")
-    out = [1]
+    g = 1
+    yield g
     for k in range(n_max):
-        g, r = divmod(out[-1] * 4 * (6 * k + 5) * (2 * k + 1), (k + 2) * (3 * k + 5))
+        g, r = divmod(g * 4 * (6 * k + 5) * (2 * k + 1), (k + 2) * (3 * k + 5))
         if r:
             raise IntegralityError(f"Gessel count recurrence not integral at n={k + 1}")
-        out.append(g)
-    return out
+        yield g
 
 
 def one_pair_closed(n: int) -> int:

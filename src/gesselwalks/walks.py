@@ -11,8 +11,9 @@ each coordinate by at most 1, so hi_t = t; when the endpoint is known a
 coordinate can still fall by at most 1 per remaining step, so hi_t is
 further capped at end + (length-t).  Every cell that can carry a walk to
 that endpoint lies inside the region, so the counts read there are exact;
-for a walk returning to the origin the region is the wedge min(t, length-t)
-per axis.  The cell cap still applies to the full box, (length+1)^d cells.
+g_sequence, which reads the origin after every even step, sweeps the wedge
+min(t, length-t) per axis.  The cell cap still applies to the full box,
+(length+1)^d cells.
 
 Within that region a layer holds only the coset a walk can occupy.  Every
 step moves the first coordinate by +-1, so x_1 = t (mod 2): on that axis
@@ -35,6 +36,16 @@ enters a step at 2^(B+1) or more, so every sum stays below
 2d * 2^(B+1) < 2^63.  Python integers are rebuilt only for the cells that
 are read.
 
+A single count back to the origin sweeps only half its length.  The steps
+are closed under negation, so a walk from x back to the origin in n steps,
+read backwards, is a walk from the origin to x in n steps through the same
+cells.  Splitting a walk of 2n steps after step n then gives
+G(n) = sum over x of W_n(x)^2, where W_n is layer n of one open sweep.
+The squares are summed without a Python integer per cell: each limb is
+cut into w-bit pieces whose products are summed as float64 over chunks of
+cells and then as int64 over the layer, with w derived so that neither sum
+can reach 2^53 or 2^63 respectively (see _sum_of_squares).
+
 numpy is imported inside the functions that use it, so importing the
 package does not load it.
 """
@@ -51,6 +62,14 @@ DEFAULT_MAX_CELLS = 20_000_000
 # Predicted work of one sweep, in cell updates (see _run_dp).  The largest
 # d=2 origin sweep under it, n = 678, ran 26 s on a 2-vCPU host.
 DEFAULT_MAX_WORK = 20_000_000_000
+# Cells of one int64 limb that fill 2 MiB, a core's L2 cache on that host.
+# The open sweep of n = 805 ran its layers of up to 0.2 MiB per limb at about
+# 1.0 ns per predicted cell update and those past 1 MiB at about 2.0 ns, so
+# a layer with more cells counts them twice.  The d=2 origin wedges that
+# g_sequence sweeps under the cap stay below it.
+_CACHED_CELLS = 2**18
+# Cells per float64 Gram product in _sum_of_squares.
+_GRAM_CHUNK = 1024
 
 
 def gessel_steps(d: int) -> frozenset[tuple[int, ...]]:
@@ -136,14 +155,18 @@ def _run_dp(d, length, end=None):
 
     # Each step makes 2d + 4 numpy calls per limb (a zeroed layer, one
     # slice add per step, three for the carry), each touching at most the
-    # layer's cells; a call costs about as much as 1,000 cell updates.  A
-    # count after t steps is below (2d)^t, which needs at most
-    # ceil((t*log2(2d) + 1) / B) limbs.
+    # layer's cells; a call costs about as much as 1,000 cell updates, and
+    # a cell update twice as much once one limb of the layer outgrows
+    # _CACHED_CELLS.  A count after t steps is below (2d)^t, which needs at
+    # most ceil((t*log2(2d) + 1) / B) limbs.
     bits = _limb_bits(d)
     work = 0
     for t in range(1, length + 1):
         limbs = ceil((t * log2(len(steps)) + 1) / bits)
-        work += limbs * (len(steps) + 4) * (prod(layer_shape(t, coset_at(t))) + 1000)
+        cells = prod(layer_shape(t, coset_at(t)))
+        if cells > _CACHED_CELLS:
+            cells *= 2
+        work += limbs * (len(steps) + 4) * (cells + 1000)
         if work > DEFAULT_MAX_WORK:
             raise CapExceededError(
                 f"DP sweep of {length} steps exceeds the work cap of "
@@ -190,9 +213,47 @@ def _read(coset, limbs, point, bits) -> int:
     return 0 if cell is None else _value(limbs, cell, bits)
 
 
+def _sum_of_squares(limbs, bits) -> int:
+    """The exact sum over the cells of the squared counts the limbs hold.
+
+    Each limb is cut into w-bit pieces, and the Gram matrix of the pieces is
+    summed over the cells as float64 products, _GRAM_CHUNK cells at a time,
+    into an int64 matrix that is then shifted and added into one integer.
+    A piece is below 2^w, so a chunk's Gram entries stay below
+    2^(2w + bit_length(chunk)) and the total's below
+    2^(2w + bit_length(cells)); w is the largest width that keeps both
+    within the exact ranges of float64 (2^53) and int64 (2^63).  Pieces
+    cover B + 1 bits per limb, the width of a top limb.
+    """
+    import numpy as np
+
+    cells = limbs[0].size
+    chunk = min(_GRAM_CHUNK, cells)
+    w = min(53 - chunk.bit_length(), 63 - cells.bit_length()) // 2
+    per_limb = -(-(bits + 1) // w)
+    offsets = [bits * k + w * m for k in range(len(limbs)) for m in range(per_limb)]
+    shifts = np.arange(0, per_limb * w, w, dtype=np.int64)[:, None]
+    flat = [limb.reshape(-1) for limb in limbs]
+    gram = np.zeros((len(offsets), len(offsets)), dtype=np.int64)
+    for lo in range(0, cells, chunk):
+        block = np.stack([f[lo : lo + chunk] for f in flat])[:, None, :]
+        pieces = ((block >> shifts) & ((1 << w) - 1)).reshape(len(offsets), -1)
+        pieces = pieces.astype(np.float64)
+        gram += (pieces @ pieces.T).astype(np.int64)
+    total = 0
+    for i, row in zip(offsets, gram.tolist()):
+        total += sum(v << j for j, v in zip(offsets, row)) << i
+    return total
+
+
 def count_confined_walks(d: int, length: int, *, end: Sequence[int] | None = None) -> int:
     """Gessel walks of the given length from the origin to end (default the
-    origin) that stay in the orthant."""
+    origin) that stay in the orthant.
+
+    A count back to the origin runs one open sweep of length/2 steps and
+    returns the sum of its squared counts; an odd length returns 0 without
+    a sweep.  Any other end runs one sweep of length steps toward end.
+    """
     if length < 0:
         raise ValueError("length must be >= 0")
     if d < 1:
@@ -205,9 +266,15 @@ def count_confined_walks(d: int, length: int, *, end: Sequence[int] | None = Non
         raise ValueError("end must have dimension d")
     if any(x < 0 for x in end):
         return 0
-    for coset, limbs in _run_dp(d, length, end):
+    if any(end):
+        for coset, limbs in _run_dp(d, length, end):
+            pass
+        return _read(coset, limbs, end, _limb_bits(d))
+    if length % 2:
+        return 0
+    for _, limbs in _run_dp(d, length // 2):
         pass
-    return _read(coset, limbs, end, _limb_bits(d))
+    return _sum_of_squares(limbs, _limb_bits(d))
 
 
 def walk_count_table(d: int, length: int) -> WalkCountTable:

@@ -191,10 +191,11 @@ CLOSED_ABOVE = str(formulas.CLOSED_MAX_N + 1)
         (("triangle", "--kind", "positions", "--n", ENUM_ABOVE), "enumeration cap"),
         (("count", "--method", "closed", "--n", CLOSED_ABOVE), "cap n <="),
         (("count", "--method", "closed", "--n-max", CLOSED_ABOVE), "cap n <="),
-        # the first n and length past the DP work cap, pinned in test_walks
-        (("count", "--d", "2", "--n", "679"), "work cap"),
+        # the first n and length past the DP work cap, pinned in test_walks;
+        # --n and an origin --length sweep half the length that --n-max does
+        (("count", "--d", "2", "--n", "806"), "work cap"),
         (("count", "--d", "2", "--n-max", "679"), "work cap"),
-        (("count", "--d", "1", "--length", "12472"), "work cap"),
+        (("count", "--d", "1", "--length", "19392"), "work cap"),
     ],
 )
 def test_each_route_exits_at_its_cap_before_any_work(capsys, argv, cap):
@@ -203,6 +204,25 @@ def test_each_route_exits_at_its_cap_before_any_work(capsys, argv, cap):
     assert time.perf_counter() - t0 < 0.5
     assert (code, out) == (3, "")
     assert err.startswith("error: ") and cap in err
+
+
+def test_closed_single_term_keeps_one_term_in_memory():
+    # G(15000) alone takes 7.5 kB; keeping G(0..15000) peaked at 74 MB
+    probe = (
+        "import resource, subprocess, sys\n"
+        "argv = ['count', '--method', 'closed', '--n', sys.argv[1]]\n"
+        "subprocess.run([sys.executable, '-m', 'gesselwalks', *argv],"
+        " stdout=subprocess.DEVNULL, check=True)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe, str(formulas.CLOSED_MAX_N)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) < 40 * 1024  # ru_maxrss is in KiB
 
 
 def test_closed_route_cap_exits_before_any_work(capsys, monkeypatch):

@@ -20,6 +20,14 @@ from gesselwalks import (
 )
 
 
+def test_steps_are_closed_under_negation():
+    # a walk back to the origin, read backwards, takes the negated steps; the
+    # half-sweep origin count rests on this
+    for d in range(1, 9):
+        steps = gessel_steps(d)
+        assert {tuple(-x for x in s) for s in steps} == steps, d
+
+
 def test_step_sets():
     assert gessel_steps(1) == frozenset({(1,), (-1,)})
     assert gessel_steps(2) == frozenset({(1, 1), (1, 0), (-1, 0), (-1, -1)})
@@ -59,7 +67,59 @@ def test_endpoints():
 
 
 def test_odd_length_origin_return_is_zero():
-    assert count_confined_walks(2, 5) == 0
+    # x_1 = length (mod 2), so no sweep runs, not even one past both caps
+    for d in range(1, 5):
+        for length in (1, 5, 10**9 + 1):
+            assert count_confined_walks(d, length) == 0
+            assert count_confined_walks(d, length, end=(0,) * d) == 0
+
+
+def _origin_by_full_sweep(d, n):
+    """G_d(n) read at the origin after all 2n steps of the sweep toward it."""
+    origin = (0,) * d
+    for coset, limbs in walks._run_dp(d, 2 * n, origin):
+        pass
+    return walks._read(coset, limbs, origin, walks._limb_bits(d))
+
+
+@pytest.mark.parametrize("d, n_max", [(1, 40), (2, 40), (3, 20), (4, 10)])
+def test_half_sweep_matches_the_full_sweep_origin(d, n_max):
+    # at d=2 the full sweep's origin count needs a second limb from n = 17 on
+    for n in range(n_max + 1):
+        assert count_confined_walks(d, 2 * n) == _origin_by_full_sweep(d, n), n
+        assert count_confined_walks(d, 2 * n, end=(0,) * d) == _origin_by_full_sweep(d, n), n
+
+
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(st.just(d), st.integers(0, (150, 60, 24, 12)[d - 1]))))
+@settings(max_examples=30, deadline=None)
+def test_half_sweep_origin_count_property(case):
+    d, n = case
+    assert count_confined_walks(d, 2 * n) == _origin_by_full_sweep(d, n)
+
+
+@pytest.mark.parametrize("shape", [(1,), (1023,), (32, 32), (1025,), (3, 1025)])
+@pytest.mark.parametrize("bits", [42, 58, 59, 60])
+def test_sum_of_squares_is_exact(shape, bits):
+    # limbs below the top at 2^B - 1 and a top limb at 2^(B+1) - 1 fill every
+    # piece but those of one cell, whose 1 keeps a low bit set in every sum;
+    # w = 21 divides B = 42, so the top limb's extra bit needs a piece of its
+    # own; the shapes straddle the 1024-cell chunks
+    import numpy as np
+
+    rng = np.random.default_rng(bits * 7919 + sum(shape))
+    for n_limbs in (1, 2, 5):
+        full = [np.full(shape, 2**bits - 1)] * (n_limbs - 1) + [np.full(shape, 2 ** (bits + 1) - 1)]
+        full = [limb.copy() for limb in full]
+        for limb in full:
+            limb.reshape(-1)[0] = 1
+        drawn = [rng.integers(0, 2**bits, shape) for _ in range(n_limbs - 1)]
+        drawn.append(rng.integers(0, 2 ** (bits + 1), shape))
+        for limbs in (full, drawn):
+            values = [
+                sum(int(v) << (bits * k) for k, v in enumerate(cell))
+                for cell in zip(*(limb.reshape(-1).tolist() for limb in limbs))
+            ]
+            assert walks._sum_of_squares(limbs, bits) == sum(v * v for v in values)
 
 
 def test_walk_table_total_and_lookup():
@@ -81,26 +141,46 @@ def test_walk_table_total_and_lookup():
     assert tab.counts == {(0, 0): 2, (0, 1): 1, (2, 0): 1, (2, 1): 2, (2, 2): 1}
 
 
-def test_cell_cap():
+def _layers_before_cap(monkeypatch, run):
+    """The layers a call's sweep yields before it raises CapExceededError,
+    and the error's text."""
+    built = []
+    sweep = walks._run_dp
+
+    def counting(*args):
+        for layer in sweep(*args):
+            built.append(layer)
+            yield layer
+
+    monkeypatch.setattr(walks, "_run_dp", counting)
+    with pytest.raises(CapExceededError) as caught:
+        run()
+    monkeypatch.setattr(walks, "_run_dp", sweep)
+    return len(built), str(caught.value)
+
+
+def test_cell_cap(monkeypatch):
     # the full box of 4473 x 4473 cells is the first square one above the cap;
-    # the cap is checked before any layer is built
+    # a count back to the origin sweeps half its length
     assert 4472**2 <= walks.DEFAULT_MAX_CELLS < 4473**2
     for run in (
-        lambda: count_confined_walks(2, 4472),
+        lambda: count_confined_walks(2, 2 * 4472),
         lambda: walk_count_table(2, 4472),
         lambda: g_sequence(2, 2236),
     ):
-        with pytest.raises(CapExceededError, match=f"cap {walks.DEFAULT_MAX_CELLS}"):
-            run()
+        built, error = _layers_before_cap(monkeypatch, run)
+        assert built == 0 and f"cap {walks.DEFAULT_MAX_CELLS}" in error
 
 
 def test_cell_cap_counts_the_full_box(monkeypatch):
-    # the cap is on the worst-case box 41 x 41, not on the live wedge
+    # the cap is on the worst-case box 41 x 41 of the 40-step half sweep
+    # that counts the walks back to the origin after 80 steps, not on the
+    # live region
     monkeypatch.setattr(walks, "DEFAULT_MAX_CELLS", 41 * 41)
-    assert count_confined_walks(2, 40) == gessel_closed_form(20)
+    assert count_confined_walks(2, 80) == gessel_closed_form(40)
     monkeypatch.setattr(walks, "DEFAULT_MAX_CELLS", 41 * 41 - 1)
-    with pytest.raises(CapExceededError):
-        count_confined_walks(2, 40)
+    built, _ = _layers_before_cap(monkeypatch, lambda: count_confined_walks(2, 80))
+    assert built == 0
 
 
 def _admitted(d, length, end):
@@ -114,18 +194,21 @@ def _admitted(d, length, end):
     return True
 
 
-def test_work_cap():
-    # the largest origin sweeps under the cap: d=2 at n = 678 (26 s in one
-    # run on a 2-vCPU host) and d=1 at 12,471 steps
+def test_work_cap(monkeypatch):
+    # the largest sweeps under the cap, timed in CHANGES.md: the half sweeps
+    # of single origin counts, d=2 at n = 805 and d=1 at n = 9,695, and the
+    # origin sweeps of sequences, d=2 at n = 678 and d=1 at 12,471 steps
+    assert _admitted(2, 805, None) and not _admitted(2, 806, None)
+    assert _admitted(1, 9695, None) and not _admitted(1, 9696, None)
     assert _admitted(2, 1356, (0, 0)) and not _admitted(2, 1358, (0, 0))
     assert _admitted(1, 12471, (0,)) and not _admitted(1, 12472, (0,))
     for run in (
-        lambda: count_confined_walks(2, 1358),
-        lambda: walk_count_table(2, 1358),
+        lambda: count_confined_walks(2, 2 * 806),
+        lambda: walk_count_table(2, 806),
         lambda: g_sequence(2, 679),
     ):
-        with pytest.raises(CapExceededError, match=f"work cap of {walks.DEFAULT_MAX_WORK} "):
-            run()
+        built, error = _layers_before_cap(monkeypatch, run)
+        assert built == 0 and f"work cap of {walks.DEFAULT_MAX_WORK} " in error
 
 
 def test_work_cap_reads_the_module_constant(monkeypatch):
