@@ -126,7 +126,10 @@ def cmd_count(args, parser) -> int:
     elif args.method == "closed":
         if args.d != 2:
             parser.error("--method closed is only available for --d 2")
-        counts = [formulas.gessel_closed_form(top)] if single else formulas.gessel_closed_sequence(top)
+        if single:
+            counts = [formulas.gessel_closed_form(top)]
+        else:
+            counts = formulas.gessel_closed_sequence(top)
     elif single:
         counts = [walks.count_confined_walks(args.d, 2 * top)]
     else:

@@ -60,7 +60,8 @@ from .exceptions import CapExceededError
 
 DEFAULT_MAX_CELLS = 20_000_000
 # Predicted work of one sweep, in cell updates (see _run_dp).  The largest
-# d=2 origin sweep under it, n = 678, ran 26 s on a 2-vCPU host.
+# d=2 sweeps under it, the origin wedge of 2 * 678 steps and the open sweep
+# of 805, each ran about 28 s on a 2-vCPU host.
 DEFAULT_MAX_WORK = 20_000_000_000
 # Cells of one int64 limb that fill 2 MiB, a core's L2 cache on that host.
 # The open sweep of n = 805 ran its layers of up to 0.2 MiB per limb at about

@@ -86,11 +86,18 @@ def _origin_by_full_sweep(d, n):
 def test_half_sweep_matches_the_full_sweep_origin(d, n_max):
     # at d=2 the full sweep's origin count needs a second limb from n = 17 on
     for n in range(n_max + 1):
-        assert count_confined_walks(d, 2 * n) == _origin_by_full_sweep(d, n), n
-        assert count_confined_walks(d, 2 * n, end=(0,) * d) == _origin_by_full_sweep(d, n), n
+        want = _origin_by_full_sweep(d, n)
+        assert count_confined_walks(d, 2 * n) == want, n
+        assert count_confined_walks(d, 2 * n, end=(0,) * d) == want, n
 
 
-@given(st.integers(1, 4).flatmap(lambda d: st.tuples(st.just(d), st.integers(0, (150, 60, 24, 12)[d - 1]))))
+@st.composite
+def _origin_cases(draw):
+    d = draw(st.integers(1, 4))
+    return d, draw(st.integers(0, (150, 60, 24, 12)[d - 1]))
+
+
+@given(_origin_cases())
 @settings(max_examples=30, deadline=None)
 def test_half_sweep_origin_count_property(case):
     d, n = case
@@ -108,8 +115,8 @@ def test_sum_of_squares_is_exact(shape, bits):
 
     rng = np.random.default_rng(bits * 7919 + sum(shape))
     for n_limbs in (1, 2, 5):
-        full = [np.full(shape, 2**bits - 1)] * (n_limbs - 1) + [np.full(shape, 2 ** (bits + 1) - 1)]
-        full = [limb.copy() for limb in full]
+        full = [np.full(shape, 2**bits - 1) for _ in range(n_limbs - 1)]
+        full.append(np.full(shape, 2 ** (bits + 1) - 1))
         for limb in full:
             limb.reshape(-1)[0] = 1
         drawn = [rng.integers(0, 2**bits, shape) for _ in range(n_limbs - 1)]
