@@ -59,21 +59,32 @@ def _format_factors(factors: dict[int, int], cofactor: int) -> str:
     return " * ".join(parts) or "1"
 
 
+def _json_row(args, row) -> dict:
+    item = dict(row)
+    item["count"] = str(item["count"])
+    if args.factor and row["count"] > 0:
+        factors, cofactor = _factorize(row["count"])
+        item["factors"] = {str(p): e for p, e in sorted(factors.items())}
+        if cofactor > 1:
+            item["cofactor"] = str(cofactor)
+    return item
+
+
 def _emit_count(args, rows) -> None:
     # rows: list of dicts with n/length, endpoint, count; JSON is a list for
     # --n-max and a single object for --n and --length
     if args.format == "json":
-        payload = []
+        if args.n_max is None:
+            print(json.dumps(_json_row(args, rows[0]), indent=2))
+            return
+        # the list one row at a time, in the bytes of json.dumps(list, indent=2)
+        # (rows is never empty), so only one row's text is held at once
+        sep = "["
         for row in rows:
-            item = {k: v for k, v in row.items()}
-            item["count"] = str(item["count"])
-            if args.factor and row["count"] > 0:
-                factors, cofactor = _factorize(row["count"])
-                item["factors"] = {str(p): e for p, e in sorted(factors.items())}
-                if cofactor > 1:
-                    item["cofactor"] = str(cofactor)
-            payload.append(item)
-        print(json.dumps(payload if args.n_max is not None else payload[0], indent=2))
+            print(sep)
+            print("  " + json.dumps(_json_row(args, row), indent=2).replace("\n", "\n  "), end="")
+            sep = ","
+        print("\n]")
         return
     for row in rows:
         if args.format == "csv":

@@ -16,7 +16,16 @@ The bijection is a checked public boundary over a trusted core: the public
 word_to_markers and markers_to_word validate their input once, then call
 _split and _interleave, which work on code tuples and trust their input,
 except that _interleave checks the path against the marker floors in the
-pass that builds the word.
+pass that builds the word.  _split_block and _interleave_block do the same
+on a whole (R, 2n) array of words at once, for verify's exhaustive check.
+The two pairs share no logic on purpose: a one-row block round trip costs
+about twenty times a scalar one, and the public functions take one word
+or path per call.
+
+The floor DP, _count_paths, runs over a stack of floor rows at once;
+ballot_count_dp and count_ph_paths pass it one row.  numpy is imported
+inside the functions that use it, so importing the package does not load
+it.
 """
 
 from __future__ import annotations
@@ -49,7 +58,13 @@ def ballot_count(i: int, j: int, k: int) -> int:
 
     Zero when k+i+j is odd or when either endpoint is negative; otherwise
     the reflection-principle value binom(k, (k+i-j)/2) - binom(k, (k+i+j)/2 + 1).
+    ValueError if int() would change i, j or k.
     """
+    return _ballot_count(*_integers((i, j, k), "i, j and k"))
+
+
+def _ballot_count(i: int, j: int, k: int) -> int:
+    """ballot_count on ints, which are not checked."""
     if i < 0 or j < 0 or k < 0:
         return 0
     if (k + i + j) % 2:
@@ -59,7 +74,7 @@ def ballot_count(i: int, j: int, k: int) -> int:
 
 def ballot_count_dp(i: int, j: int, k: int) -> int:
     """Same count as ballot_count, by the height-by-height DP."""
-    return _count_paths(i, j, k)
+    return _count_one(*_integers((i, j, k), "i, j and k"), PHConstraint((), ()))
 
 
 @dataclass(frozen=True)
@@ -159,14 +174,12 @@ def marker_lists(signs: Sequence[int], word_positions: Sequence[int]) -> MarkerL
 
 
 def _build_marker_lists(signs: tuple[int, ...], pos: tuple[int, ...]) -> MarkerLists:
-    """MarkerLists from signs and 1-based word positions already known valid."""
-    return MarkerLists(signs, pos, _path_positions(pos), marker_floors(signs))
+    """MarkerLists from signs and 1-based word positions already known valid.
 
-
-def _path_positions(word_positions: tuple[int, ...]) -> tuple[int, ...]:
-    """The path abscissae of markers at these 1-based word positions: each
-    word position minus the marker's ordinal, the markers up to it."""
-    return tuple(p - i for i, p in enumerate(word_positions, start=1))
+    A marker's path abscissa is its word position minus its ordinal, the
+    markers up to it."""
+    path_positions = tuple(p - i for i, p in enumerate(pos, start=1))
+    return MarkerLists(signs, pos, path_positions, marker_floors(signs))
 
 
 def _split(codes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -239,6 +252,71 @@ def _floor_error(path, word_positions, signs, t, h):
     )
 
 
+def _split_block(words):
+    """_split on each row of words, an (R, 2n) array of the codes of complete
+    words over letters 1 and 2, which are not checked.
+
+    One (rows, word_positions, signs, path) per marker count m present, in
+    increasing m: the indices of the rows with m markers, their 1-based
+    marker positions and signs, both (R_m, m), and their +-1 paths,
+    (R_m, 2n - m).
+    """
+    import numpy as np
+
+    marks = np.abs(words) == 1
+    counts = np.count_nonzero(marks, axis=1)
+    out = []
+    for m in np.unique(counts).tolist():
+        rows = np.flatnonzero(counts == m)
+        block, mask = words[rows], marks[rows]
+        positions = np.nonzero(mask)[1].reshape(len(rows), m) + 1
+        signs = block[mask].reshape(len(rows), m)
+        path = block[~mask].reshape(len(rows), words.shape[1] - m) >> 1
+        out.append((rows, positions, signs, path))
+    return out
+
+
+def _interleave_block(path, word_positions, signs):
+    """_interleave on each row of the (R, k) path, (R, m) word positions and
+    (R, m) signs arrays, trusted as _interleave trusts its input: the (R, k+m)
+    codes of the words.
+
+    After each letter the height must reach max(0, -run), where run sums
+    the marker signs so far: the floor _interleave tracks.  On the first
+    row that breaks it or ends above 0, the PathConstraintError that
+    _interleave raises for that row.
+    """
+    import numpy as np
+
+    rows, m = signs.shape
+    length = path.shape[1] + m
+    at = np.arange(rows)[:, None], word_positions - 1
+    marks = np.zeros((rows, length), dtype=bool)
+    marks[at] = True
+    steps = np.zeros((rows, length), dtype=path.dtype)
+    steps[~marks] = path.ravel()
+    run = np.zeros_like(steps)
+    run[at] = signs
+    codes = 2 * steps
+    codes[at] = signs
+    height = np.cumsum(steps, axis=1)
+    low = (height < 0) | (height + np.cumsum(run, axis=1) < 0)
+    bad = low.any(axis=1) | (path.sum(axis=1) != 0)
+    if bad.any():
+        r = int(np.argmax(bad))
+        if not low[r].any():
+            raise PathConstraintError(f"path ends at height {int(path[r].sum())}, expected 0")
+        p = int(np.argmax(low[r]))  # the letter at word position p + 1
+        raise _floor_error(
+            tuple(path[r].tolist()),
+            tuple(word_positions[r].tolist()),
+            tuple(signs[r].tolist()),
+            p + 1 - int(np.count_nonzero(marks[r, : p + 1])),
+            int(height[r, p]),
+        )
+    return codes
+
+
 def word_to_markers(word: GesselWord) -> MarkerLists:
     """Extract the marker lists of a complete word over letters 1 and 2."""
     if word.d > 2 or any(l.index > 2 for l in word.letters):
@@ -284,28 +362,59 @@ def count_ph_paths(constraint: PHConstraint, length: int) -> int:
 
     This is the oracle the closed-form marker sums are tested against.
     """
-    return _count_paths(0, 0, length, constraint)
+    return _count_one(0, 0, length, constraint)
 
 
-def _count_paths(i: int, j: int, k: int, constraint: PHConstraint | None = None) -> int:
-    """Paths of k +-1 steps from height i to height j that stay >= 0, and on
-    or above the floor profile of constraint when one is given.
+def _count_one(i, j, k, constraint):
+    """_count_paths on the one floor row of constraint, built once k is
+    known to be under the cap."""
+    _check_steps(k)
+    return _count_paths(i, j, k, [constraint.floor_profile(k)])[0]
 
-    Direct DP over (abscissa, height).  A path at abscissa t sits at height
-    <= i + t and must still reach j in k - t steps, so each layer is cut to
-    heights <= min(i + t, j + k - t): no higher cell can be counted.
-    """
+
+def _check_steps(k):
     if k > DEFAULT_MAX_STEPS:
         raise CapExceededError(f"{k} steps exceeds DP cap {DEFAULT_MAX_STEPS}")
+
+
+# Rows of floors per pass of the batched DP: a few chunks' cells stay small
+# next to the rows they are cut from.
+DP_CHUNK = 4096
+
+
+def _count_paths(i: int, j: int, k: int, floors) -> list[int]:
+    """For each row of floors, an (R, k+1) array of per-abscissa floors,
+    the number of paths of k +-1 steps from height i to height j that stay
+    >= 0 and on or above that row.
+
+    Direct DP over (abscissa, height), run on DP_CHUNK rows at a time.  A
+    path at abscissa t sits at height <= i + t and must still reach j in
+    k - t steps, so each layer is cut to heights <= min(i + t, j + k - t):
+    no higher cell can be counted.  A cell counts paths of t <= k steps,
+    at most comb(k, k // 2) of them, so cells are int64 while that fits
+    and Python ints above it.
+    """
+    import numpy as np
+
+    _check_steps(k)
     if min(i, j, k) < 0 or (i + j + k) % 2 or j > i + k:
-        return 0
-    floors = [0] * (k + 1) if constraint is None else constraint.floor_profile(k)
-    # heights 0..i+k, then one cell that stays 0: height -1 reads it as cur[-1]
-    cur = [0] * (i + k + 2)
-    cur[i] = int(i >= floors[0])
-    for t in range(1, k + 1):
-        nxt = [0] * (i + k + 2)
-        for h in range(floors[t], min(i + t, j + k - t) + 1):
-            nxt[h] = cur[h - 1] + cur[h + 1]
-        cur = nxt
-    return cur[j]
+        return [0] * len(floors)
+    floors = np.asarray(floors, dtype=np.int64)
+    dtype = np.int64 if comb(k, k // 2) < 2**63 else object
+    heights = np.arange(i + k + 2)
+    out = []
+    for start in range(0, len(floors), DP_CHUNK):
+        rows = floors[start : start + DP_CHUNK]
+        # heights 0..i+k, then one cell that stays 0: height -1 reads it as cur[:, -1]
+        cur = np.zeros((len(rows), i + k + 2), dtype=dtype)
+        cur[:, i] = 1
+        cur[heights < rows[:, 0, None]] = 0
+        for t in range(1, k + 1):
+            top = min(i + t, j + k - t)
+            nxt = np.zeros_like(cur)
+            nxt[:, 0] = cur[:, 1]
+            nxt[:, 1 : top + 1] = cur[:, : top] + cur[:, 2 : top + 2]
+            nxt[heights < rows[:, t, None]] = 0
+            cur = nxt
+        out += cur[:, j].tolist()
+    return out

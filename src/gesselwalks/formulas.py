@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Callable, Sequence
 
-from .dyck import ballot_count, binom, catalan, marker_lists
+from .dyck import _ballot_count, binom, catalan, marker_lists
 from .exceptions import CapExceededError, IntegralityError
 
 # gessel_closed_sequence, gessel_closed_form and so `count --method closed` stop
@@ -164,7 +164,7 @@ def count_words_fixed_markers(
 
     # heights at each marker abscissa; contract left to right
     his = [min(pp, path_len - pp) for pp in ppos]
-    vec = {k: ballot_count(0, k, ppos[0]) for k in range(0, his[0] + 1)}
+    vec = {k: _ballot_count(0, k, ppos[0]) for k in range(0, his[0] + 1)}
     for a in range(1, m):
         seg = ppos[a] - ppos[a - 1]
         f = ml.floors[a - 1]
@@ -173,11 +173,11 @@ def count_words_fixed_markers(
             tot = 0
             for k1, v in vec.items():
                 if v:
-                    tot += v * ballot_count(k1 - f, k2 - f, seg)
+                    tot += v * _ballot_count(k1 - f, k2 - f, seg)
             nxt[k2] = tot
         vec = nxt
     tail = path_len - ppos[-1]
-    return sum(v * ballot_count(k, 0, tail) for k, v in vec.items())
+    return sum(v * _ballot_count(k, 0, tail) for k, v in vec.items())
 
 
 def adjacent_marker_sum_direct(n: int) -> int:

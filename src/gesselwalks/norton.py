@@ -18,11 +18,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb, lcm
+from math import comb
 
 from .exceptions import CapExceededError, IntegralityError
 
 DEFAULT_MAX_N = 10
+
+
+def _integer(value, name) -> int:
+    """value as an int; ValueError if int() would change it."""
+    out = int(value)
+    if out != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return out
 
 
 def as_bits(w) -> tuple[int, ...]:
@@ -110,12 +118,19 @@ def sum_witness(w, target: int) -> tuple[Fraction, ...]:
     and tilt everything by a small increasing ramp; the denominator is
     doubled until all strict inequalities verify.  The search runs on the
     integer numerators over the common denominator denom * best.  Raises
-    ValueError when the target is not attainable.
+    ValueError when the target is not attainable, or when int() would
+    change it.
     """
-    return _witness(as_bits(w), target)
+    bits = as_bits(w)
+    target = _integer(target, "target")
+    nums, scale = _witness(bits, target)
+    _check_witness(bits, nums, scale, target)
+    return tuple(Fraction(x, scale) for x in nums)
 
 
 def _witness(bits, target):
+    """(numerators, scale) of sum_witness's rationals, not yet checked
+    against the target."""
     L = len(bits)
     best = _max_suffix(bits)
     if not (0 < target < best):
@@ -143,8 +158,7 @@ def _witness(bits, target):
         if jump > 0 and nums[0] > 0 and nums[-1] < scale and all(
             x < y for x, y in zip(nums, nums[1:])
         ):
-            _check_witness(bits, nums, scale, target)
-            return tuple(Fraction(x, scale) for x in nums)
+            return nums, scale
         denom *= 2
 
 
@@ -154,25 +168,25 @@ def achievable_odd_sums(w) -> frozenset[int]:
     best = _max_suffix(bits)
     out = set()
     for t in range(1, best, 2):
-        # re-check the exact certificate for membership, in integers over
-        # the lcm of its denominators
-        a = _witness(bits, t)
-        scale = lcm(*(x.denominator for x in a))
-        _check_witness(bits, [x.numerator * (scale // x.denominator) for x in a], scale, t)
+        _check_witness(bits, *_witness(bits, t), t)
         out.add(t)
     return frozenset(out)
 
 
-def _check_n(n):
+def _check_n(n) -> int:
+    """n as an int, once it is known to be in 1..DEFAULT_MAX_N; ValueError
+    if int() would change it."""
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > DEFAULT_MAX_N:
         raise CapExceededError(f"2^{2 * n} sign words exceed cap n <= {DEFAULT_MAX_N}")
+    return n
 
 
 def norton_count(n: int) -> int:
     """Total number of (word, attainable positive odd target) incidences."""
-    _check_n(n)
+    n = _check_n(n)
     total = 0
     for bits in product((0, 1), repeat=2 * n):
         total += _max_suffix(bits) // 2
@@ -181,7 +195,7 @@ def norton_count(n: int) -> int:
 
 def table_counts(n: int) -> dict[tuple[int, int], int]:
     """Counts keyed by (number of 1s, odd target) over all sign words."""
-    _check_n(n)
+    n = _check_n(n)
     table: dict[tuple[int, int], int] = {}
     for bits in product((0, 1), repeat=2 * n):
         n1 = sum(bits)
@@ -211,6 +225,7 @@ def diagonal_columns(n: int) -> DiagonalReport:
     totals, and verify's norton/diagonal-binomials compares them.  A broken
     pattern is reported, not raised.
     """
+    n = _check_n(n)
     table = table_counts(n)
     columns = []
     pattern_ok = True

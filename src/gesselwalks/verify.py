@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import random
 import time
-from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import cache
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations, product, repeat
 
 from . import dyck, enumeration, formulas, norton, walks
 from .exceptions import CapExceededError
@@ -206,45 +205,104 @@ def suite_identities(n_max: int = 30, bound: int = 15, seed: int = 20260826):
     ]
 
 
-def _fiber_sizes(n):
-    """Count the complete d=2 words of length 2n per (signs, positions) class."""
-    sizes = Counter()
-    for codes in enumeration.iter_complete_words(2, n):
-        signs, positions, _ = dyck._split(codes)
-        sizes[signs, positions] += 1
-    return sizes
+def _class_keys(words):
+    """One integer per row of words, an (R, 2n) array of complete d=2 words,
+    naming its marker class: bit p - 1 is set for a marker at word position
+    p, and bit 2n + p - 1 when that marker is a plain 1.  The 4n bits fit
+    an int64 for every length up to 31, far above the enumeration cap."""
+    import numpy as np
+
+    bits = np.int64(1) << np.arange(words.shape[1], dtype=np.int64)
+    return (np.abs(words) == 1) @ bits | ((words == 1) @ bits) << words.shape[1]
 
 
-def _floor_paths():
-    """A fresh memo of the floor DP, keyed by (n, word positions, floors) of a
-    marker class of length-2n words: classes whose signs give the same floors
-    share one run."""
+def _class_key(n, signs, positions):
+    """_class_keys of one marker class of length-2n words."""
+    return sum((1 | (s > 0) << 2 * n) << p - 1 for s, p in zip(signs, positions))
 
-    @cache
-    def count(n, positions, floors):
-        constraint = dyck.PHConstraint(dyck._path_positions(positions), floors)
-        return dyck.count_ph_paths(constraint, 2 * n - len(positions))
 
-    return count
+def _class_of(n, key):
+    """(n, signs, positions) of a marker class key of length-2n words."""
+    positions = tuple(p for p in range(1, 2 * n + 1) if key >> p - 1 & 1)
+    signs = tuple(1 if key >> 2 * n + p - 1 & 1 else -1 for p in positions)
+    return n, signs, positions
+
+
+def _class_tally(key_blocks):
+    """(keys, words per key), the keys ascending, over blocks of class keys."""
+    import numpy as np
+
+    return np.unique(np.concatenate(list(key_blocks)), return_counts=True)
+
+
+def _floor_rows(n, keys):
+    """Yield (indices, floor rows) for the marker class keys of length-2n
+    words, one group per marker count m: row r is the floor_profile, over
+    abscissae 0..2n-m, of the PHConstraint of class keys[indices[r]]."""
+    import numpy as np
+
+    length = 2 * n
+    bits = np.arange(length)
+    marks = (keys[:, None] >> bits & 1).astype(bool)
+    plus = (keys[:, None] >> bits + length & 1).astype(bool)
+    counts = np.count_nonzero(marks, axis=1)
+    for m in np.unique(counts).tolist():
+        idx = np.flatnonzero(counts == m)
+        mask = marks[idx]
+        # path abscissa of the i-th marker (0-based): word position - (i + 1)
+        abscissae = np.nonzero(mask)[1].reshape(len(idx), m) - np.arange(m)
+        signs = np.where(plus[idx][mask], 1, -1).reshape(len(idx), m)
+        floors = np.maximum(-np.cumsum(signs, axis=1), 0)  # marker_floors
+        t = np.arange(length - m + 1)
+        rows = np.zeros((len(idx), len(t)), dtype=np.int64)
+        for i in range(m - 1):
+            segment = (abscissae[:, i, None] <= t) & (t <= abscissae[:, i + 1, None])
+            rows = np.maximum(rows, segment * floors[:, i, None])
+        yield idx, rows
+
+
+def _floor_path_counts(n, keys):
+    """The floor DP's path count for each marker class key of length-2n
+    words: one batched DP run per marker count in each chunk of
+    dyck.DP_CHUNK keys, so the floor rows never outgrow the DP's own chunks."""
+    import numpy as np
+
+    out = np.zeros(len(keys), dtype=np.int64)
+    for start in range(0, len(keys), dyck.DP_CHUNK):
+        for idx, rows in _floor_rows(n, keys[start : start + dyck.DP_CHUNK]):
+            out[start + idx] = dyck._count_paths(0, 0, rows.shape[1] - 1, rows)
+    return out
 
 
 def suite_bijection(len_max: int = 12):
-    # the round trip runs the bijection's trusted cores on the enumerator's
-    # code tuples (the floor check stays inside _interleave), and tallies the
-    # words per marker class for fiber-counts as it goes
-    sizes = Counter()
+    # the round trip runs the bijection's block cores on the enumerator's
+    # blocks (the floor check stays inside _interleave_block), and tallies
+    # the words per marker class for fiber-counts as it goes
+    import numpy as np
+
+    tallies = []
 
     def round_trips():
         for n in range(len_max // 2 + 1):
-            for codes in enumeration.iter_complete_words(2, n):
-                signs, positions, path = dyck._split(codes)
-                sizes[n, signs, positions] += 1
-                yield n, dyck._interleave(path, positions, signs), codes
+            keys = []
+            for words in enumeration._word_blocks(2, n, None):
+                rebuilt = np.empty_like(words)
+                for rows, positions, signs, path in dyck._split_block(words):
+                    rebuilt[rows] = dyck._interleave_block(path, positions, signs)
+                keys.append(_class_keys(words))
+                bad = np.flatnonzero((rebuilt != words).any(axis=1))
+                yield from repeat((n, 0, 0), len(words) - len(bad))
+                for r in bad.tolist():
+                    yield n, tuple(rebuilt[r].tolist()), tuple(words[r].tolist())
+            tallies.append((n, *_class_tally(keys)))
 
     def fibers():
-        floor_paths, floors_of = _floor_paths(), cache(dyck.marker_floors)
-        for (n, signs, positions), size in sizes.items():
-            yield (n, signs, positions), floor_paths(n, positions, floors_of(signs)), size
+        for n, keys, sizes in tallies:
+            paths = _floor_path_counts(n, keys)
+            bad = np.flatnonzero(paths != sizes)
+            yield from repeat((n, 0, 0), len(keys) - len(bad))
+            for r in bad.tolist():
+                yield _class_of(n, int(keys[r])), int(paths[r]), int(sizes[r])
 
     return [
         _agree(
@@ -286,17 +344,24 @@ def _balanced_signs(pairs):
 
 
 def suite_cpt(n_max: int = 5):
+    import numpy as np
+
     def three_routes():
-        floor_paths = _floor_paths()
         for n in range(1, n_max + 1):
-            fibers = _fiber_sizes(n)
-            for n1 in range(1, min(CPT_N1_MAX, n) + 1):
-                for signs in _balanced_signs(n1):
-                    for positions in combinations(range(1, 2 * n + 1), 2 * n1):
-                        formula = formulas.count_words_fixed_markers(signs, positions, n)
-                        brute = fibers.get((signs, positions), 0)
-                        oracle = floor_paths(n, positions, dyck.marker_floors(signs))
-                        yield (n, signs, positions), (formula, brute), (oracle, oracle)
+            blocks = enumeration._word_blocks(2, n, None)
+            keys, sizes = _class_tally(map(_class_keys, blocks))
+            fibers = dict(zip(keys.tolist(), sizes.tolist()))
+            cases = [
+                (signs, positions)
+                for n1 in range(1, min(CPT_N1_MAX, n) + 1)
+                for signs in _balanced_signs(n1)
+                for positions in combinations(range(1, 2 * n + 1), 2 * n1)
+            ]
+            keys = [_class_key(n, signs, positions) for signs, positions in cases]
+            oracles = _floor_path_counts(n, np.array(keys, dtype=np.int64)).tolist()
+            for (signs, positions), key, oracle in zip(cases, keys, oracles):
+                formula = formulas.count_words_fixed_markers(signs, positions, n)
+                yield (n, signs, positions), (formula, fibers.get(key, 0)), (oracle, oracle)
 
     def legal_descents():
         for n in range(1, n_max + 1):

@@ -225,6 +225,28 @@ def test_closed_single_term_keeps_one_term_in_memory():
     assert int(out.stdout) < 40 * 1024  # ru_maxrss is in KiB
 
 
+def test_count_json_list_streams_one_row_at_a_time():
+    # building the whole JSON list of G(0..6000) first peaked at 94 MB
+    probe = (
+        "import resource, subprocess, sys\n"
+        "argv = ['count', '--method', 'closed', '--n-max', '6000', '--format', 'json']\n"
+        "subprocess.run([sys.executable, '-m', 'gesselwalks', *argv],"
+        " stdout=subprocess.DEVNULL, check=True)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) < 40 * 1024  # ru_maxrss is in KiB
+
+
+@pytest.mark.parametrize("argv", [("--n-max", "0"), ("--n-max", "12", "--factor")])
+def test_count_json_list_is_the_bytes_of_json_dumps(capsys, argv):
+    code, out, _ = run_cli(capsys, "count", *argv, "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    assert len(json.loads(out)) == int(argv[1]) + 1
+
+
 def test_closed_route_cap_exits_before_any_work(capsys, monkeypatch):
     above = formulas.CLOSED_MAX_N + 1
     for flag in ("--n", "--n-max"):
@@ -353,13 +375,14 @@ def test_verify_failure_digest_and_exit(capsys, monkeypatch):
 
 
 def test_verify_bijection_round_trip_runs_the_interleave_core(capsys, monkeypatch):
-    interleave = dyck._interleave
+    interleave = dyck._interleave_block
 
     def flip_last_letter(path, positions, signs):
         codes = interleave(path, positions, signs)
-        return codes[:-1] + tuple(-c for c in codes[-1:])
+        codes[:, -1:] *= -1
+        return codes
 
-    monkeypatch.setattr(dyck, "_interleave", flip_last_letter)
+    monkeypatch.setattr(dyck, "_interleave_block", flip_last_letter)
     argv = ("verify", "--suite", "bijection", "--len-max", "4", "--format", "json")
     code, out, _ = run_cli(capsys, *argv)
     entries = {e["name"]: e for e in json.loads(out)}
@@ -371,51 +394,63 @@ def test_verify_bijection_round_trip_runs_the_interleave_core(capsys, monkeypatc
     assert entries["bijection/fiber-counts"]["status"] == "pass"
 
 
-def _classes_per_constraint(len_max):
+def _class_tally(n):
+    """Words of length 2n per (signs, positions) marker class, by the scalar core."""
+    return Counter(dyck._split(codes)[:2] for codes in enumeration.iter_complete_words(2, n))
+
+
+def _classes_per_floor_row(len_max):
     """Marker classes of the complete d=2 words up to len_max, counted per
-    (path_positions, floors, length) floor constraint."""
-    classes = set()
+    (path length, floor row) of their floor constraints."""
+    per_row = Counter()
     for n in range(len_max // 2 + 1):
-        for codes in enumeration.iter_complete_words(2, n):
-            signs, positions, _ = dyck._split(codes)
-            classes.add((n, signs, positions))
-    per_key = Counter()
-    for n, signs, positions in classes:
-        ml = dyck.marker_lists(signs, positions)
-        per_key[ml.path_positions, ml.floors, 2 * n - len(signs)] += 1
-    return per_key
+        for signs, positions in _class_tally(n):
+            length = 2 * n - len(signs)
+            row = dyck.marker_lists(signs, positions).constraint().floor_profile(length)
+            per_row[length, tuple(row)] += 1
+    return per_row
 
 
-def test_fiber_counts_run_the_floor_dp_once_per_constraint(monkeypatch):
-    count_ph_paths = dyck.count_ph_paths
-    keys = []
+def test_fiber_counts_compare_each_class_with_its_own_floor_dp():
+    for n in range(6):
+        blocks = enumeration._word_blocks(2, n, None)
+        keys, sizes = verify._class_tally(map(verify._class_keys, blocks))
+        classes = [verify._class_of(n, key) for key in keys.tolist()]
+        assert [verify._class_key(*case) for case in classes] == keys.tolist()
+        tally = _class_tally(n)
+        assert dict(zip(((s, p) for _, s, p in classes), sizes.tolist())) == tally
+        want = [
+            dyck.count_ph_paths(dyck.marker_lists(s, p).constraint(), 2 * n - len(s))
+            for _, s, p in classes
+        ]
+        assert verify._floor_path_counts(n, keys).tolist() == want == sizes.tolist()
 
-    def counted(constraint, length):
-        keys.append((constraint.positions, constraint.floors, length))
-        return count_ph_paths(constraint, length)
 
-    monkeypatch.setattr(dyck, "count_ph_paths", counted)
-    entries = {e.name: e for e in verify.suite_bijection(8)}
-    per_key = _classes_per_constraint(8)
-    classes = sum(per_key.values())
-    assert Counter(keys) == Counter(dict.fromkeys(per_key, 1))
-    # fewer DP runs than classes: classes share constraints
-    assert len(keys) < classes
-    fibers = entries["bijection/fiber-counts"]
-    assert (fibers.status, fibers.actual) == ("pass", f"all {classes} marker classes agree")
+def test_class_floor_rows_are_the_floor_profiles():
+    for n in range(7):
+        blocks = enumeration._word_blocks(2, n, None)
+        keys, _ = verify._class_tally(map(verify._class_keys, blocks))
+        seen = []
+        for idx, rows in verify._floor_rows(n, keys):
+            for key, row in zip(keys[idx].tolist(), rows.tolist()):
+                _, signs, positions = verify._class_of(n, key)
+                constraint = dyck.marker_lists(signs, positions).constraint()
+                assert row == constraint.floor_profile(2 * n - len(signs)), (n, signs, positions)
+                seen.append(key)
+        assert sorted(seen) == keys.tolist()
 
 
 def test_fiber_counts_report_every_class_of_a_wrong_constraint(capsys, monkeypatch):
-    per_key = _classes_per_constraint(8)
-    wrong, shared = per_key.most_common(1)[0]
+    per_row = _classes_per_floor_row(8)
+    wrong, shared = max((item for item in per_row.items() if any(item[0][1])), key=lambda x: x[1])
     assert shared > 1
-    count_ph_paths = dyck.count_ph_paths
+    count_paths = dyck._count_paths
 
-    def off_by_one(constraint, length):
-        right = count_ph_paths(constraint, length)
-        return right + ((constraint.positions, constraint.floors, length) == wrong)
+    def off_by_one(i, j, k, floors):
+        right = count_paths(i, j, k, floors)
+        return [c + ((k, tuple(row)) == wrong) for c, row in zip(right, floors.tolist())]
 
-    monkeypatch.setattr(dyck, "count_ph_paths", off_by_one)
+    monkeypatch.setattr(dyck, "_count_paths", off_by_one)
     argv = ("verify", "--suite", "bijection", "--len-max", "8", "--format", "json")
     code, out, _ = run_cli(capsys, *argv)
     entries = {e["name"]: e for e in json.loads(out)}
@@ -423,7 +458,7 @@ def test_fiber_counts_report_every_class_of_a_wrong_constraint(capsys, monkeypat
     assert entries["bijection/round-trip"]["status"] == "pass"
     fibers = entries["bijection/fiber-counts"]
     assert fibers["status"] == "fail"
-    classes = sum(per_key.values())
+    classes = sum(per_row.values())
     assert fibers["actual"].startswith(f"{shared}/{classes} marker classes disagree: ")
 
 

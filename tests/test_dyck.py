@@ -69,6 +69,22 @@ def test_ballot_closed_equals_dp_property(i, j, k):
     assert ballot_count(i, j, k) == ballot_count_dp(i, j, k)
 
 
+@pytest.mark.parametrize(
+    "call, args",
+    [(ballot_count, (0, 0, 2.5)), (ballot_count_dp, (1, 1, 2.5)), (ballot_count_dp, (0.5, 0.5, 2))],
+)
+def test_ballot_counts_reject_non_integral_arguments(call, args):
+    with pytest.raises(ValueError, match="i, j and k must be integers"):
+        call(*args)
+
+
+def test_ballot_counts_take_integral_arguments_of_other_types():
+    import numpy as np
+
+    assert ballot_count(0, 0, 2.0) == ballot_count_dp(0, 0, 2.0) == 1
+    assert ballot_count(np.int64(1), 1, 2) == ballot_count_dp(1, np.int64(1), 2) == 2
+
+
 def test_catalan():
     assert [catalan(n) for n in range(8)] == [1, 1, 2, 5, 14, 42, 132, 429]
     assert catalan(-1) == 0
@@ -140,15 +156,16 @@ def test_markers_to_word_round_trip_small():
 
 
 @st.composite
-def _complete_d2_words(draw):
-    """A complete d=2 word of length 14..40, drawn one letter at a time.
+def _complete_d2_words(draw, pairs=st.integers(7, 20)):
+    """A complete d=2 word of length 2 * pairs (14..40 by default), drawn
+    one letter at a time.
 
     With a = #2 - #2bar and s = #plain - #barred, a word is valid while both
     stay >= 0 and complete when both end at 0.  From (a, s) the shortest
     completion takes a + |a - s| letters, so a letter is offered only when
     the letters left can still close the word.
     """
-    length = 2 * draw(st.integers(7, 20))
+    length = 2 * draw(pairs)
     a = s = 0
     codes = []
     for left in range(length - 1, -1, -1):
@@ -198,7 +215,7 @@ def _rebuild_oracle(path, positions, signs):
 
 
 @st.composite
-def _markers_and_path(draw):
+def _markers_and_path(draw, pairs=st.integers(0, 4), steps=st.integers(0, 12)):
     """Balanced marker signs at strictly increasing 1-based word positions, and
     any +-1 path of the length they leave.
 
@@ -206,9 +223,9 @@ def _markers_and_path(draw):
     markers at position 1 (abscissa 0) and adjacent markers (one shared
     abscissa) come up often.
     """
-    pairs = draw(st.integers(0, 4))
+    pairs = draw(pairs)
     signs = tuple(draw(st.permutations([1] * pairs + [-1] * pairs)))
-    steps = draw(st.integers(0, 12))
+    steps = draw(steps)
     marks = st.lists(st.integers(0, steps), min_size=2 * pairs, max_size=2 * pairs)
     abscissae = sorted(draw(marks))
     positions = tuple(a + i for i, a in enumerate(abscissae, start=1))
@@ -228,6 +245,84 @@ def test_markers_to_word_checks_the_floors_in_one_pass(case):
     except PathConstraintError as err:
         got = err.segment, err.abscissa, err.floor, err.height
     assert got == _rebuild_oracle(path, positions, signs)
+
+
+def _block_round_trip(codes_list):
+    """For each row of the block, _split's triple and the rebuilt codes, read
+    off the block cores; the rows must all have one length."""
+    import numpy as np
+
+    from gesselwalks import dyck
+
+    words = np.array(codes_list, dtype=np.int8).reshape(len(codes_list), -1)
+    split = [None] * len(words)
+    rebuilt = np.zeros_like(words)
+    for rows, positions, signs, path in dyck._split_block(words):
+        assert positions.shape == signs.shape == (len(rows), positions.shape[1])
+        assert path.shape == (len(rows), words.shape[1] - positions.shape[1])
+        for r, triple in zip(rows.tolist(), zip(signs.tolist(), positions.tolist(), path.tolist())):
+            split[r] = tuple(map(tuple, triple))
+        rebuilt[rows] = dyck._interleave_block(path, positions, signs)
+    return split, [tuple(row) for row in rebuilt.tolist()]
+
+
+def test_block_cores_match_the_scalar_cores_on_every_word_to_length_10():
+    from gesselwalks import dyck, iter_complete_words
+
+    for n in range(6):
+        words = list(iter_complete_words(2, n))
+        split, rebuilt = _block_round_trip(words)
+        assert split == [dyck._split(codes) for codes in words]
+        assert rebuilt == [dyck._interleave(p, pos, s) for s, pos, p in split] == words
+
+
+@given(st.sampled_from((6, 7)).flatmap(
+    lambda n: st.lists(_complete_d2_words(st.just(n)), min_size=1, max_size=12)
+))
+@settings(max_examples=60, deadline=None)
+def test_block_cores_match_the_scalar_cores_at_lengths_12_and_14(words):
+    from gesselwalks import dyck
+
+    split, rebuilt = _block_round_trip(words)
+    assert split == [dyck._split(codes) for codes in words]
+    assert rebuilt == words
+
+
+def _scalar_or_error(path, positions, signs):
+    from gesselwalks import dyck
+
+    try:
+        return dyck._interleave(path, positions, signs)
+    except PathConstraintError as err:
+        return str(err), err.segment, err.abscissa, err.floor, err.height
+
+
+@given(st.tuples(st.integers(0, 4), st.integers(0, 12)).flatmap(
+    lambda shape: st.lists(
+        _markers_and_path(st.just(shape[0]), st.just(shape[1])), min_size=1, max_size=6
+    )
+))
+@settings(max_examples=300, deadline=None)
+def test_interleave_block_checks_the_floors_like_the_scalar_core(cases):
+    """Rows of one shape, most of them off their floors: the block returns the
+    scalar core's codes for every row, or raises its error for the first row
+    that fails."""
+    import numpy as np
+
+    from gesselwalks import dyck
+
+    want = [_scalar_or_error(*case) for case in cases]
+    path, positions, signs = (
+        np.array([case[k] for case in cases], dtype=np.int64).reshape(len(cases), -1) for k in range(3)
+    )
+    try:
+        got = [tuple(row) for row in dyck._interleave_block(path, positions, signs).tolist()]
+    except PathConstraintError as err:
+        assert (str(err), err.segment, err.abscissa, err.floor, err.height) == next(
+            w for w in want if isinstance(w[0], str)
+        )
+    else:
+        assert got == want
 
 
 def test_markers_to_word_checks_a_conforming_path_without_the_floor_profile(monkeypatch):
@@ -359,6 +454,73 @@ def _constraints(draw):
 def test_count_ph_paths_against_iteration(case):
     constraint, length = case
     assert count_ph_paths(constraint, length) == len(list(iter_ph_paths(constraint, length)))
+
+
+def _count_paths_loop(i, j, k, floors):
+    """The floor DP on one floor row, one cell at a time: the reference for
+    the batched dyck._count_paths."""
+    if min(i, j, k) < 0 or (i + j + k) % 2 or j > i + k:
+        return 0
+    cur = [0] * (i + k + 2)
+    cur[i] = int(i >= floors[0])
+    for t in range(1, k + 1):
+        nxt = [0] * (i + k + 2)
+        for h in range(floors[t], min(i + t, j + k - t) + 1):
+            nxt[h] = cur[h - 1] + cur[h + 1]
+        cur = nxt
+    return cur[j]
+
+
+@st.composite
+def _floor_stacks(draw, max_steps=12):
+    """A path length k and a stack of 1..9 floor rows over abscissae 0..k,
+    each entry drawn from [0, 4]: any rows, not only floor profiles."""
+    k = draw(st.integers(0, max_steps))
+    row = st.lists(st.integers(0, 4), min_size=k + 1, max_size=k + 1)
+    return k, draw(st.lists(row, min_size=1, max_size=9))
+
+
+@given(_floor_stacks())
+@settings(max_examples=150, deadline=None)
+def test_batched_floor_dp_counts_every_row_by_brute_force(case):
+    from gesselwalks import dyck
+
+    k, rows = case
+    want = []
+    for row in rows:
+        paths = product((1, -1), repeat=k)
+        heights = (tuple(accumulate(steps, initial=0)) for steps in paths)
+        want.append(sum(h[-1] == 0 and all(x >= f for x, f in zip(h, row)) for h in heights))
+    assert dyck._count_paths(0, 0, k, rows) == want
+
+
+@given(st.integers(-1, 6), st.integers(-1, 6), _floor_stacks(max_steps=16))
+@settings(max_examples=150, deadline=None)
+def test_batched_floor_dp_matches_the_loop_reference_across_chunks(i, j, case):
+    from gesselwalks import dyck
+
+    k, rows = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dyck, "DP_CHUNK", 2)  # chunk boundaries inside every stack of 3 or more
+        got = dyck._count_paths(i, j, k, rows)
+    assert got == [_count_paths_loop(i, j, k, row) for row in rows]
+
+
+def test_batched_floor_dp_is_exact_across_the_int64_boundary(monkeypatch):
+    from math import comb
+
+    from gesselwalks import dyck
+
+    monkeypatch.setattr(dyck, "DEFAULT_MAX_STEPS", 80)
+    # comb(66, 33) < 2**63 <= comb(67, 33): the cells turn into Python ints at k = 67
+    assert comb(66, 33) < 2**63 <= comb(67, 33)
+    for k in range(62, 73):
+        rows = [[0] * (k + 1), [t % 3 for t in range(k + 1)], [min(t, k - t, 5) // 2 for t in range(k + 1)]]
+        for i, j in ((0, 0), (1, 3), (4, 0)):
+            got = dyck._count_paths(i, j, k, rows)
+            assert got == [_count_paths_loop(i, j, k, row) for row in rows], (i, j, k)
+            assert got[0] == ballot_count(i, j, k)
+            assert all(type(c) is int for c in got)
 
 
 def test_count_ph_paths_unconstrained_is_catalan():

@@ -160,15 +160,39 @@ def test_witness_handles_any_interior_target():
 
 def test_bad_witness_raises_even_under_optimize(monkeypatch):
     # the certificate check is a raise, not an assert, so python -O keeps it
+    # on the integer certificate the builder returns: numerators over a scale
     real = norton._witness
 
     def perturbed(bits, target):
-        a = real(bits, target)
-        return (a[0] / 2,) + a[1:]
+        nums, scale = real(bits, target)
+        return [nums[0] + 1, *nums[1:]], scale
 
     monkeypatch.setattr(norton, "_witness", perturbed)
     with pytest.raises(IntegralityError):
         achievable_odd_sums("1111")
+    with pytest.raises(IntegralityError):
+        sum_witness("1111", 3)
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (norton_count, (2.5,)),
+        (table_counts, (2.5,)),
+        (diagonal_columns, (2.5,)),
+        (sum_witness, ("111111", 1.5)),
+    ],
+)
+def test_non_integral_arguments_raise_value_error(call, args):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(*args)
+
+
+def test_integral_arguments_of_other_types_act_as_ints():
+    assert norton_count(2.0) == norton_count(2) == 7
+    assert table_counts(2.0) == table_counts(2)
+    assert diagonal_columns(2.0) == diagonal_columns(2)
+    assert sum_witness("111111", 3.0) == sum_witness("111111", 3)
 
 
 def test_multiplicity_conjecture_small():
