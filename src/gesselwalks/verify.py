@@ -3,6 +3,12 @@
 Each entry checks one cross-route equality over its cases, or pins a value;
 on failure `actual` lists the first mismatches.  Conjecture entries gate no
 exit code unless the caller promotes them.
+
+The bijection and cpt suites read the enumerator's word blocks as arrays:
+the block cores of dyck round-trip whole blocks, each word's marker class
+is one integer key, and the floor DP runs on a stack of floor rows built
+from the keys.  The scalar cores stay for the public one-word functions,
+where a one-row block would cost about twenty times as much.
 """
 
 from __future__ import annotations
