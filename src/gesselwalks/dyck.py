@@ -405,7 +405,7 @@ def _count_paths(i: int, j: int, k: int, floors) -> list[int]:
     out = []
     for start in range(0, len(floors), DP_CHUNK):
         rows = floors[start : start + DP_CHUNK]
-        # heights 0..i+k, then one cell that stays 0: height -1 reads it as cur[:, -1]
+        # heights 0..i+k, then one cell that stays 0, read as height top + 1
         cur = np.zeros((len(rows), i + k + 2), dtype=dtype)
         cur[:, i] = 1
         cur[heights < rows[:, 0, None]] = 0
