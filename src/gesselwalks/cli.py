@@ -1,8 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 a verified check or sequence comparison failed,
-2 bad arguments, 3 an enumeration/DP cap was exceeded, 4 a bundled fixture
-is missing, 5 a network fetch failed.
+2 bad arguments, 3 an enumeration/DP cap was exceeded, 4 a b-file is
+missing or malformed.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import urllib.error
 from functools import cache
 
 from . import enumeration, formulas, oeis, verify, walks
@@ -21,7 +20,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_FIXTURE = 4
-EXIT_NETWORK = 5
 
 
 # Every bound a verify suite takes, in table order, is a flag of `verify`.
@@ -203,7 +201,7 @@ def cmd_verify(args, parser) -> int:
 
 
 def cmd_oeis(args, parser) -> int:
-    rows = oeis.compare(args.sequence, args.n_max, fetch=args.fetch)
+    rows = oeis.compare(args.sequence, args.n_max, path=args.bfile)
     if args.format == "json":
         print(json.dumps(rows, indent=2))
     elif args.format == "csv":
@@ -282,9 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oeis.add_argument("--sequence", required=True, choices=sorted(oeis.SEQUENCE_IDS))
     p_oeis.add_argument("--n-max", type=int, dest="n_max", default=10)
     p_oeis.add_argument(
-        "--fetch",
-        action="store_true",
-        help="fetch the reference b-file instead of using the bundled fixture",
+        "--bfile", metavar="PATH", help="compare against the b-file at PATH, not the bundled one"
     )
 
     for p in (p_count, p_tri, p_oeis):
@@ -319,9 +315,6 @@ def main(argv=None) -> int:
     except ValueError as exc:  # after FixtureError, which is a ValueError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (urllib.error.URLError, TimeoutError) as exc:
-        print(f"error: network fetch failed: {exc}", file=sys.stderr)
-        return EXIT_NETWORK
 
 
 if __name__ == "__main__":

@@ -83,11 +83,6 @@ def _max_suffix(bits) -> int:
     return best
 
 
-def disjoint_ten_pairs(w) -> int:
-    """Maximal number of disjoint (1 at i, 0 at j>i) index pairs."""
-    return _ten_pairs(as_bits(w))
-
-
 def stats(w) -> SignWordStats:
     bits = as_bits(w)
     n1 = sum(bits)

@@ -139,7 +139,8 @@ def _run_dp(d, length, end=None):
     """
     import numpy as np
 
-    steps = sorted(gessel_steps(d))
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
     cells = (length + 1) ** d
     if cells > DEFAULT_MAX_CELLS:
         raise CapExceededError(
@@ -163,11 +164,11 @@ def _run_dp(d, length, end=None):
     bits = _limb_bits(d)
     work = 0
     for t in range(1, length + 1):
-        limbs = ceil((t * log2(len(steps)) + 1) / bits)
+        limbs = ceil((t * log2(2 * d) + 1) / bits)
         cells = prod(layer_shape(t, coset_at(t)))
         if cells > _CACHED_CELLS:
             cells *= 2
-        work += limbs * (len(steps) + 4) * (cells + 1000)
+        work += limbs * (2 * d + 4) * (cells + 1000)
         if work > DEFAULT_MAX_WORK:
             raise CapExceededError(
                 f"DP sweep of {length} steps exceeds the work cap of "
@@ -180,6 +181,9 @@ def _run_dp(d, length, end=None):
     limbs = [np.zeros(shape, dtype=np.int64)]
     limbs[0][(0,) * d] = 1
     yield coset, limbs
+    # 2d tuples of d coordinates, so O(d^2): built only once both caps have
+    # passed and the first layer exists
+    steps = sorted(gessel_steps(d))
     for t in range(1, length + 1):
         grow = int(limbs[-1].max(initial=0)) * len(steps) > mask
         new_coset = coset_at(t)

@@ -1,20 +1,9 @@
-import urllib.request
-
 import pytest
-
-from gesselwalks.oeis import CACHE_ENV
 
 
 @pytest.fixture
-def bfile_cache(tmp_path, monkeypatch):
-    """A b-file cache directory with no network behind it: b-files placed
-    there are what `oeis --fetch` reads."""
-
-    def offline(url, timeout):
-        raise AssertionError(f"fetched {url}")
-
-    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
-    monkeypatch.setattr(urllib.request, "urlopen", offline)
+def bfile_cache(tmp_path):
+    """A directory for the b-files a test passes to `oeis --bfile`."""
     return tmp_path
 
 

@@ -1,12 +1,14 @@
+import errno
 import json
 import subprocess
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from gesselwalks import dyck, enumeration, formulas, norton, verify
+from gesselwalks import dyck, enumeration, formulas, norton, oeis, verify, walks
 from gesselwalks.cli import _factorize, main
 
 
@@ -620,6 +622,24 @@ def test_negative_n_names_the_flag(capsys, method):
     assert err == "error: --n must be >= 0, got -1\n"
 
 
+@pytest.mark.parametrize(
+    "flag, value, code",
+    [("--n", "1", 3), ("--n", "0", 2), ("--length", "0", 2), ("--n-max", "0", 2)],
+)
+def test_count_at_a_huge_d_exits_before_the_steps_are_built(
+    capsys, monkeypatch, flag, value, code
+):
+    # a cap, or numpy's limit on array dimensions for the first layer,
+    # fires before the 2d steps of d coordinates each are built
+    def no_steps(d):
+        raise AssertionError(f"built the steps of d = {d}")
+
+    monkeypatch.setattr(walks, "gessel_steps", no_steps)
+    got, out, err = run_cli(capsys, "count", "--d", "20000", flag, value)
+    assert (got, out) == (code, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_oeis_n_max_below_offset_exit_usage(capsys):
     code, out, err = run_cli(capsys, "oeis", "--sequence", "A000531", "--n-max", "0")
     assert (code, out) == (2, "")
@@ -629,12 +649,11 @@ def test_oeis_n_max_below_offset_exit_usage(capsys):
 def test_oeis_missing_fixture_exit_code(capsys, monkeypatch, tmp_path):
     from types import SimpleNamespace
 
-    from gesselwalks import oeis
-
     monkeypatch.setattr(oeis, "resources", SimpleNamespace(files=lambda package: tmp_path))
     code, _, err = run_cli(capsys, "oeis", "--sequence", "A135404", "--n-max", "3")
     assert code == 4
-    assert "fixtures.json" in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "b135404.txt" in err
 
 
 @pytest.mark.parametrize(
@@ -646,8 +665,11 @@ def test_oeis_missing_fixture_exit_code(capsys, monkeypatch, tmp_path):
     ],
 )
 def test_oeis_fetch_reads_a_cached_bfile_offline(capsys, bfile_cache, bfile, exit_code, message):
-    (bfile_cache / "b135404.txt").write_text(bfile)
-    code, _, err = run_cli(capsys, "oeis", "--sequence", "A135404", "--n-max", "3", "--fetch")
+    path = bfile_cache / "b135404.txt"
+    path.write_text(bfile)
+    code, _, err = run_cli(
+        capsys, "oeis", "--sequence", "A135404", "--n-max", "3", "--bfile", str(path)
+    )
     assert (code, err) == (exit_code, message)
 
 
@@ -659,9 +681,59 @@ def test_oeis_fetch_reads_a_cached_bfile_offline(capsys, bfile_cache, bfile, exi
     ],
 )
 def test_oeis_fetch_rejects_a_bad_cached_bfile_line(capsys, bfile_cache, seq_id, line, message):
-    (bfile_cache / f"b{seq_id[1:]}.txt").write_text(f"{line}\n2 11\n")
-    code, _, err = run_cli(capsys, "oeis", "--sequence", seq_id, "--n-max", "3", "--fetch")
+    path = bfile_cache / f"b{seq_id[1:]}.txt"
+    path.write_text(f"{line}\n2 11\n")
+    code, _, err = run_cli(
+        capsys, "oeis", "--sequence", seq_id, "--n-max", "3", "--bfile", str(path)
+    )
     assert (code, err) == (4, message)
+
+
+def _unreadable(path, monkeypatch):
+    path.write_text("0 1\n")
+    real = Path.read_text
+
+    def denied(self, *args, **kwargs):
+        if self == path:
+            raise PermissionError(errno.EACCES, "Permission denied")
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", denied)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda path, mp: None, "cannot read b-file {}: No such file or directory"),
+        (lambda path, mp: path.mkdir(), "cannot read b-file {}: Is a directory"),
+        (_unreadable, "cannot read b-file {}: Permission denied"),
+        (lambda path, mp: path.write_bytes(b"0 1\n1 \xff\n"), "b-file {} is not UTF-8 text"),
+    ],
+    ids=["missing", "directory", "unreadable", "not-utf8"],
+)
+def test_oeis_bfile_that_cannot_be_read_names_the_path(
+    capsys, bfile_cache, monkeypatch, make, message
+):
+    path = bfile_cache / "b135404.txt"
+    make(path, monkeypatch)
+    code, out, err = run_cli(
+        capsys, "oeis", "--sequence", "A135404", "--n-max", "3", "--bfile", str(path)
+    )
+    assert (code, out, err) == (4, "", f"error: {message.format(path)}\n")
+
+
+def test_oeis_bfile_index_above_the_cap_exits_before_any_work(capsys, bfile_cache, monkeypatch):
+    def no_route(n):
+        raise AssertionError(f"computed the term at {n}")
+
+    monkeypatch.setattr(formulas, "one_pair_closed", no_route)
+    path = bfile_cache / "b000531.txt"
+    path.write_text("1 1\n3000000 5\n")
+    code, out, err = run_cli(
+        capsys, "oeis", "--sequence", "A000531", "--n-max", "4000000", "--bfile", str(path)
+    )
+    message = f"error: b-file index 3000000 of A000531 exceeds cap {oeis.MAX_INDEX}\n"
+    assert (code, out, err) == (3, "", message)
 
 
 def test_console_script_smoke():

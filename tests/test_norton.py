@@ -8,7 +8,6 @@ from gesselwalks import (
     achievable_odd_sums,
     bar_first_total,
     diagonal_columns,
-    disjoint_ten_pairs,
     max_suffix_balance,
     norton_count,
     one_first_total,
@@ -52,7 +51,7 @@ def test_each_public_call_reads_the_sign_word_once(monkeypatch):
 
     monkeypatch.setattr(norton, "as_bits", counted)
     word = "0111111"  # max suffix balance 5: targets 1 and 3, each witnessed
-    for call in (achievable_odd_sums, stats, max_suffix_balance, disjoint_ten_pairs):
+    for call in (achievable_odd_sums, stats, max_suffix_balance):
         calls.clear()
         call(word)
         assert calls == [word], call.__name__
@@ -72,14 +71,14 @@ def test_max_suffix_balance():
 
 
 def test_disjoint_ten_pairs():
-    assert disjoint_ten_pairs("1100") == 2
-    assert disjoint_ten_pairs("1010") == 2
-    assert disjoint_ten_pairs("0011") == 0
-    assert disjoint_ten_pairs("11011000") == 4
-    assert disjoint_ten_pairs("1110100000") == 4
+    assert stats("1100").n10 == 2
+    assert stats("1010").n10 == 2
+    assert stats("0011").n10 == 0
+    assert stats("11011000").n10 == 4
+    assert stats("1110100000").n10 == 4
     # matching count + max suffix balance always partitions the ones
     for word in ("11011000", "1110100000", "0110", "111000"):
-        assert disjoint_ten_pairs(word) + max_suffix_balance(word) == word.count("1")
+        assert stats(word).n10 + max_suffix_balance(word) == word.count("1")
 
 
 def test_stats_modes():

@@ -1,20 +1,17 @@
-import io
-import os
-import urllib.request
 from types import SimpleNamespace
 
 import pytest
 
-from gesselwalks import FixtureError, gessel_closed_form, oeis, one_pair_closed
-from gesselwalks.formulas import even_marker_sum_free_closed
-from gesselwalks.oeis import (
-    CACHE_ENV,
-    SEQUENCE_IDS,
-    compare,
-    computed_terms,
-    fetch_bfile,
-    load_fixture,
+from gesselwalks import (
+    CapExceededError,
+    FixtureError,
+    formulas,
+    gessel_closed_form,
+    oeis,
+    one_pair_closed,
 )
+from gesselwalks.formulas import even_marker_sum_free_closed
+from gesselwalks.oeis import MAX_INDEX, SEQUENCE_IDS, compare, computed_terms, load_fixture
 
 
 def test_sequence_ids():
@@ -56,8 +53,6 @@ def test_computed_terms_route():
 def test_compare_computes_only_fixture_indices(monkeypatch):
     # the fixture holds n = 0..13, so a large n_max costs one closed
     # sequence up to 13
-    from gesselwalks import formulas
-
     seen = []
     closed = formulas.gessel_closed_sequence
     monkeypatch.setattr(
@@ -83,26 +78,25 @@ def test_compare_matches(seq_id):
 
 
 def test_cached_bfile_is_read_offline(bfile_cache):
-    (bfile_cache / "b135404.txt").write_text("# comment line\n0 1\n1 2\n2 11\n")
-    bf = fetch_bfile("A135404")
-    assert bf.terms == {0: 1, 1: 2, 2: 11}
-    rows = compare("A135404", 2, fetch=True)
-    assert len(rows) == 3 and all(r["match"] for r in rows)
+    path = bfile_cache / "upstream.txt"
+    path.write_text("# comment line\n0 1\n1 2\n2 11\n")
+    for given in (path, str(path)):
+        rows = compare("A135404", 2, path=given)
+        assert [(r["index"], r["reference"]) for r in rows] == [(0, "1"), (1, "2"), (2, "11")]
+        assert all(r["match"] for r in rows)
 
 
 def test_missing_package_data(tmp_path, monkeypatch):
     monkeypatch.setattr(oeis, "resources", SimpleNamespace(files=lambda package: tmp_path))
-    with pytest.raises(FixtureError, match="fixtures.json missing"):
-        load_fixture("A135404")
-    (tmp_path / "fixtures.json").write_text('{"A135404": {"file": "b135404.txt", "offset": 0}}')
-    with pytest.raises(FixtureError, match="b135404.txt missing"):
+    with pytest.raises(FixtureError, match="b135404.txt: No such file or directory"):
         load_fixture("A135404")
 
 
 def test_malformed_bfile(bfile_cache):
-    (bfile_cache / "b135404.txt").write_text("0 1 extra\n")
+    path = bfile_cache / "b135404.txt"
+    path.write_text("0 1 extra\n")
     with pytest.raises(FixtureError):
-        fetch_bfile("A135404")
+        compare("A135404", 3, path=path)
 
 
 @pytest.mark.parametrize(
@@ -115,54 +109,38 @@ def test_malformed_bfile(bfile_cache):
     ],
 )
 def test_bad_bfile_line_names_the_sequence_and_the_line(bfile_cache, seq_id, line):
-    (bfile_cache / f"b{seq_id[1:]}.txt").write_text(f"{line}\n2 11\n")
+    path = bfile_cache / f"b{seq_id[1:]}.txt"
+    path.write_text(f"{line}\n2 11\n")
     with pytest.raises(FixtureError, match=f"{seq_id}: {line!r}"):
-        compare(seq_id, 3, fetch=True)
+        compare(seq_id, 3, path=path)
 
 
 def test_compare_no_overlap(bfile_cache):
-    (bfile_cache / "b135404.txt").write_text("50 12345\n")
+    path = bfile_cache / "b135404.txt"
+    path.write_text("50 12345\n")
     with pytest.raises(FixtureError):
-        compare("A135404", 3, fetch=True)
+        compare("A135404", 3, path=path)
 
 
 def test_compare_detects_mismatch(bfile_cache):
-    (bfile_cache / "b135404.txt").write_text("0 1\n1 3\n")
-    rows = compare("A135404", 1, fetch=True)
+    path = bfile_cache / "b135404.txt"
+    path.write_text("0 1\n1 3\n")
+    rows = compare("A135404", 1, path=path)
     assert [r["match"] for r in rows] == [True, False]
 
 
-class _DroppedResponse(io.BytesIO):
-    def read(self, *args):
-        raise OSError("connection reset")
+def _no_route(*args):
+    raise AssertionError("computed a term above the index cap")
 
 
-def test_fetch_writes_one_cache_file(tmp_path, monkeypatch):
-    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
-    monkeypatch.setattr(
-        urllib.request, "urlopen", lambda url, timeout: io.BytesIO(b"0 1\n1 2\n2 11\n")
-    )
-    bf = fetch_bfile("A135404")
-    assert bf.terms == {0: 1, 1: 2, 2: 11}
-    assert [p.name for p in tmp_path.iterdir()] == ["b135404.txt"]
+@pytest.mark.parametrize("seq_id", SEQUENCE_IDS)
+def test_index_cap_fires_before_any_term_is_computed(monkeypatch, seq_id):
+    for name in ("gessel_closed_sequence", "one_pair_closed", "even_marker_sum_free_closed"):
+        monkeypatch.setattr(formulas, name, _no_route)
+    with pytest.raises(CapExceededError, match=f"index {MAX_INDEX + 1} of {seq_id} exceeds cap"):
+        computed_terms(seq_id, [1, 2, MAX_INDEX + 1])
 
 
-def test_fetch_failure_leaves_no_cache_file(tmp_path, monkeypatch):
-    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
-    monkeypatch.setattr(urllib.request, "urlopen", lambda url, timeout: _DroppedResponse())
-    with pytest.raises(OSError):
-        fetch_bfile("A135404")
-    assert list(tmp_path.iterdir()) == []
+def test_index_cap_admits_its_own_index():
+    assert computed_terms("A000531", [MAX_INDEX]) == {MAX_INDEX: one_pair_closed(MAX_INDEX)}
 
-
-def test_fetch_failed_rename_leaves_no_cache_file(tmp_path, monkeypatch):
-    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
-    monkeypatch.setattr(urllib.request, "urlopen", lambda url, timeout: io.BytesIO(b"0 1\n"))
-
-    def no_replace(src, dst):
-        raise OSError("disk full")
-
-    monkeypatch.setattr(os, "replace", no_replace)
-    with pytest.raises(OSError):
-        fetch_bfile("A135404")
-    assert list(tmp_path.iterdir()) == []

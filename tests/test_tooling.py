@@ -159,7 +159,7 @@ CLI_FLAGS = {
         "--suite", "--n-max", "--bound", "--seed", "--len-max", "--strict-conjectures",
         "--format", "--no-timing",
     ),
-    "oeis": ("--sequence", "--n-max", "--fetch", "--format"),
+    "oeis": ("--sequence", "--n-max", "--bfile", "--format"),
 }
 
 
@@ -205,4 +205,24 @@ def test_readme_lists_every_environment_variable():
     readme = (SRC.parent.parent / "README.md").read_text()
     section = readme.split("\n## Environment variables\n")[1].split("\n## ")[0]
     listed = [line.split("`")[1] for line in section.splitlines() if line.startswith("- `")]
-    assert sorted(read) == listed
+    # the package reads none: a new variable is an option, added here on purpose
+    assert sorted(read) == listed == []
+
+
+def test_library_imports_no_network_module():
+    # b-files come from the package data or a path the user names
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] in ("urllib", "http", "socket")
+            ]
+    assert found == []

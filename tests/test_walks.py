@@ -190,6 +190,23 @@ def test_cell_cap_counts_the_full_box(monkeypatch):
     assert built == 0
 
 
+def _no_steps(d):
+    raise AssertionError(f"built the {2 * d} steps of d = {d}")
+
+
+def test_caps_fire_before_the_steps_are_built(monkeypatch):
+    # the 2d steps hold 2d^2 coordinates (2.3 GB at d = 12,000), so the caps
+    # are predicted from 2d alone
+    monkeypatch.setattr(walks, "gessel_steps", _no_steps)
+    for run in (
+        lambda: count_confined_walks(20000, 2),
+        lambda: walk_count_table(20000, 1),
+        lambda: g_sequence(20000, 1),
+    ):
+        with pytest.raises(CapExceededError, match="cells exceeds cap"):
+            run()
+
+
 def _admitted(d, length, end):
     """Whether a Gessel sweep from the origin passes both caps.
 
