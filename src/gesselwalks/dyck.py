@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
-from .exceptions import CapExceededError, MalformedWordError, PathConstraintError
+from .exceptions import CapExceededError, MalformedWordError, PathConstraintError, checked_ints
 from .words import GesselWord, is_complete
 
 DEFAULT_MAX_STEPS = 64
@@ -60,7 +60,7 @@ def ballot_count(i: int, j: int, k: int) -> int:
     the reflection-principle value binom(k, (k+i-j)/2) - binom(k, (k+i+j)/2 + 1).
     ValueError if int() would change i, j or k.
     """
-    return _ballot_count(*_integers((i, j, k), "i, j and k"))
+    return _ballot_count(*checked_ints((i, j, k), "i, j and k must be integers"))
 
 
 def _ballot_count(i: int, j: int, k: int) -> int:
@@ -74,7 +74,8 @@ def _ballot_count(i: int, j: int, k: int) -> int:
 
 def ballot_count_dp(i: int, j: int, k: int) -> int:
     """Same count as ballot_count, by the height-by-height DP."""
-    return _count_one(*_integers((i, j, k), "i, j and k"), PHConstraint((), ()))
+    i, j, k = checked_ints((i, j, k), "i, j and k must be integers")
+    return _count_one(i, j, k, PHConstraint((), ()))
 
 
 @dataclass(frozen=True)
@@ -95,8 +96,9 @@ class PHConstraint:
     floors: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "positions", _integers(self.positions, "positions"))
-        object.__setattr__(self, "floors", _integers(self.floors, "floors"))
+        for field in ("positions", "floors"):
+            values = checked_ints(getattr(self, field), f"{field} must be integers")
+            object.__setattr__(self, field, values)
         if len(self.positions) != len(self.floors):
             raise ValueError("positions and floors must have equal length")
         if any(p < 0 for p in self.positions):
@@ -149,18 +151,9 @@ def marker_floors(signs: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _integers(values, name):
-    """values as a tuple of ints; ValueError if int() would change any of them."""
-    values = tuple(values)
-    out = tuple(map(int, values))
-    if out != values:
-        raise ValueError(f"{name} must be integers, got {values!r}")
-    return out
-
-
 def marker_lists(signs: Sequence[int], word_positions: Sequence[int]) -> MarkerLists:
-    signs = _integers(signs, "signs")
-    pos = _integers(word_positions, "positions")
+    signs = checked_ints(signs, "signs must be integers")
+    pos = checked_ints(word_positions, "positions must be integers")
     if len(signs) != len(pos):
         raise ValueError("signs and positions must have equal length")
     if any(s not in (1, -1) for s in signs):

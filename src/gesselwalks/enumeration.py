@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .exceptions import CapExceededError
+from .exceptions import CapExceededError, checked_ints
 
 DEFAULT_MAX_LENGTH = 14
 
@@ -41,10 +41,7 @@ CHUNK = 4096
 def _check_cap(d, n) -> tuple[int, int]:
     """d and n as ints, once they are known to fit the frontier and its cap;
     ValueError if int() would change either of them."""
-    given = (d, n)
-    d, n = map(int, given)
-    if (d, n) != given:
-        raise ValueError(f"d and n must be integers, got d={given[0]!r}, n={given[1]!r}")
+    d, n = checked_ints((d, n), "d and n must be integers")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if d < 1:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types and the integer check shared across the package."""
 
 
 class GesselError(Exception):
@@ -36,3 +36,17 @@ class IntegralityError(GesselError, ArithmeticError):
 
 class FixtureError(GesselError, ValueError):
     """A vendored data fixture is missing or malformed."""
+
+
+def checked_ints(values, rule) -> tuple[int, ...]:
+    """values as a tuple of ints; ValueError stating rule if int() would
+    change any of them.  Integral values of other types (1.0, numpy ints)
+    pass as ints.  It lives here so no module imports a route to reach it."""
+    values = tuple(values)
+    try:
+        out = tuple(map(int, values))
+    except OverflowError:  # int(inf)
+        out = None
+    if out != values:
+        raise ValueError(f"{rule}, got {values!r}")
+    return out

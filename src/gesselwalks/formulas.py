@@ -22,7 +22,7 @@ from math import comb, factorial
 from typing import Callable, Sequence
 
 from .dyck import _ballot_count, binom, catalan, marker_lists
-from .exceptions import CapExceededError, IntegralityError
+from .exceptions import CapExceededError, IntegralityError, checked_ints
 
 # gessel_closed_sequence, gessel_closed_form and so `count --method closed` stop
 # at this n: printing G(0..n_max) grows as n_max^3, and `count --method closed
@@ -41,6 +41,7 @@ def gessel_closed_form(n: int) -> int:
 
     Runs the recurrence of gessel_closed_sequence keeping only the last term.
     """
+    (n,) = checked_ints((n,), "n must be an integer")
     if n < 0:
         raise ValueError("n must be >= 0")
     for g in _gessel_terms(n):
@@ -55,6 +56,7 @@ def gessel_closed_sequence(n_max: int) -> list[int]:
     term ratio G(k+1) = G(k) * 4(6k+5)(2k+1) / ((k+2)(3k+5)), which stays
     integral.
     """
+    (n_max,) = checked_ints((n_max,), "n_max must be an integer")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     return list(_gessel_terms(n_max))
@@ -75,6 +77,7 @@ def _gessel_terms(n_max: int):
 
 def one_pair_closed(n: int) -> int:
     """Complete d=2 words of length 2n with a single 1/1-bar pair."""
+    (n,) = checked_ints((n,), "n must be an integer")
     if n < 1:
         raise ValueError("n must be >= 1")
     val = Fraction(2 * n + 1, 2) * comb(2 * n, n) - 2 ** (2 * n - 1)
@@ -235,6 +238,7 @@ def even_marker_sum_reflected_direct(n: int) -> int:
 
 
 def even_marker_sum_free_closed(n: int) -> int:
+    (n,) = checked_ints((n,), "n must be an integer")
     if n < 1:
         raise ValueError("n must be >= 1")
     val = Fraction(n + 2, 4) * comb(2 * n, n) - 3 * Fraction(2) ** (2 * n - 3)

@@ -20,17 +20,9 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from .exceptions import CapExceededError, IntegralityError
+from .exceptions import CapExceededError, IntegralityError, checked_ints
 
 DEFAULT_MAX_N = 10
-
-
-def _integer(value, name) -> int:
-    """value as an int; ValueError if int() would change it."""
-    out = int(value)
-    if out != value:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return out
 
 
 def as_bits(w) -> tuple[int, ...]:
@@ -117,7 +109,7 @@ def sum_witness(w, target: int) -> tuple[Fraction, ...]:
     change it.
     """
     bits = as_bits(w)
-    target = _integer(target, "target")
+    (target,) = checked_ints((target,), "target must be an integer")
     nums, scale = _witness(bits, target)
     _check_witness(bits, nums, scale, target)
     return tuple(Fraction(x, scale) for x in nums)
@@ -171,7 +163,7 @@ def achievable_odd_sums(w) -> frozenset[int]:
 def _check_n(n) -> int:
     """n as an int, once it is known to be in 1..DEFAULT_MAX_N; ValueError
     if int() would change it."""
-    n = _integer(n, "n")
+    (n,) = checked_ints((n,), "n must be an integer")
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > DEFAULT_MAX_N:

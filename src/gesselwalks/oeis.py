@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from stat import S_ISREG
 from typing import Iterable
 
 from .exceptions import CapExceededError, FixtureError
@@ -28,6 +29,9 @@ SEQUENCE_IDS = tuple(OFFSETS)
 # for A135404), two runs each on a 2-vCPU host; both routes grow about as
 # the cube of the index.
 MAX_INDEX = 8_000
+# Largest b-file read, in bytes.  The largest one MAX_INDEX admits, the
+# A135404 terms 0..8,000 one "index value" line each, takes 38,520,019.
+MAX_BFILE_BYTES = 40_000_000
 
 
 @dataclass(frozen=True)
@@ -64,6 +68,15 @@ def _read_bfile(seq_id: str, path=None) -> BFile:
     else:
         path = Path(path)
     try:
+        # stat first: opening a named pipe with no writer would block, and a
+        # device would be read without end
+        info = path.stat()
+        if not S_ISREG(info.st_mode):
+            raise FixtureError(f"cannot read b-file {path}: not a regular file")
+        if info.st_size > MAX_BFILE_BYTES:
+            raise FixtureError(
+                f"b-file {path} holds {info.st_size} bytes, above the cap of {MAX_BFILE_BYTES}"
+            )
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise FixtureError(f"cannot read b-file {path}: {exc.strerror}") from None

@@ -12,8 +12,7 @@ coordinate can still fall by at most 1 per remaining step, so hi_t is
 further capped at end + (length-t).  Every cell that can carry a walk to
 that endpoint lies inside the region, so the counts read there are exact;
 g_sequence, which reads the origin after every even step, sweeps the wedge
-min(t, length-t) per axis.  The cell cap still applies to the full box,
-(length+1)^d cells.
+min(t, length-t) per axis.
 
 Within that region a layer holds only the coset a walk can occupy.  Every
 step moves the first coordinate by +-1, so x_1 = t (mod 2): on that axis
@@ -21,9 +20,10 @@ index i of layer t stands for coordinate r_t + 2i with r_t = t mod 2, and
 each layer holds half the cells of the region.  The other axes move by -1,
 0 or +1, so there index i stands for coordinate i.  Writing (r_t, g) for
 an axis's residue and stride, a step s shifts the index on that axis by
-(r_t + s - r_{t+1}) / g, an integer.  The cell cap still counts the full
-box, not the coset; a second cap bounds the sweep's predicted work, and
-both are checked before the first step.
+(r_t + s - r_{t+1}) / g, an integer.  One pre-pass predicts every layer's
+shape and limb count before the first step.  It refuses a layer that would
+hold more than DEFAULT_MAX_CELLS int64 words (its cells times its limbs),
+and a sweep whose predicted work passes DEFAULT_MAX_WORK.
 
 Counts stay exact in int64 arithmetic: a layer is a list of int64 limb
 arrays of the layer shape, and a cell holds sum(limb[k] * 2^(B*k))
@@ -52,13 +52,16 @@ package does not load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import ceil, log2, prod
+from itertools import repeat
+from math import ceil, log2
 from typing import Sequence
 
-from .exceptions import CapExceededError
+from .exceptions import CapExceededError, checked_ints
 
-DEFAULT_MAX_CELLS = 20_000_000
+# int64 words one layer may hold: its cells times its predicted limbs (see
+# _run_dp).  The d=4 half sweep of `count --n 65` holds 37,949,472 in its
+# last layer and peaked at 421.5 MB; that of `--n 66` would hold 40,903,768.
+DEFAULT_MAX_CELLS = 40_000_000
 # Predicted work of one sweep, in cell updates (see _run_dp).  The largest
 # d=2 sweeps under it, the origin wedge of 2 * 678 steps and the open sweep
 # of 805, each ran about 28 s on a 2-vCPU host.
@@ -75,6 +78,7 @@ _GRAM_CHUNK = 1024
 
 def gessel_steps(d: int) -> frozenset[tuple[int, ...]]:
     """The 2d Gessel steps in dimension d."""
+    (d,) = checked_ints((d,), "d must be an integer")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     ups = []
@@ -82,15 +86,6 @@ def gessel_steps(d: int) -> frozenset[tuple[int, ...]]:
         ups.append(tuple([1] * k + [0] * (d - k)))
     downs = [tuple(-x for x in v) for v in ups]
     return frozenset(ups + downs)
-
-
-@dataclass(frozen=True)
-class WalkCountTable:
-    """Endpoint counts of the confined Gessel walks of a fixed length."""
-
-    dimension: int
-    length: int
-    counts: dict[tuple[int, ...], int]
 
 
 def _limb_bits(d) -> int:
@@ -139,33 +134,36 @@ def _run_dp(d, length, end=None):
     """
     import numpy as np
 
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    cells = (length + 1) ** d
-    if cells > DEFAULT_MAX_CELLS:
-        raise CapExceededError(
-            f"DP lattice of {cells} cells exceeds cap {DEFAULT_MAX_CELLS}"
-        )
-
     def coset_at(t):
         return ((t % 2, 2),) + ((0, 1),) * (d - 1)
 
-    def layer_shape(t, coset):
-        # 0 <= r < g and hi >= 0, so an axis whose residue lies above hi gets 0
-        his = [t] * d if end is None else [min(t, x + length - t) for x in end]
-        return tuple((h - r) // g + 1 for h, (r, g) in zip(his, coset))
+    def axis_sizes(t):
+        # 0 <= r < g and hi >= 0, so an axis whose residue lies above hi gets
+        # 0; only the first axis has r > 0, so only the first can be empty
+        his = repeat(t, d) if end is None else (min(t, x + length - t) for x in end)
+        return ((h - r) // g + 1 for h, (r, g) in zip(his, coset_at(t)))
 
-    # Each step makes 2d + 4 numpy calls per limb (a zeroed layer, one
-    # slice add per step, three for the carry), each touching at most the
-    # layer's cells; a call costs about as much as 1,000 cell updates, and
-    # a cell update twice as much once one limb of the layer outgrows
-    # _CACHED_CELLS.  A count after t steps is below (2d)^t, which needs at
-    # most ceil((t*log2(2d) + 1) / B) limbs.
+    # A count after t steps is below (2d)^t, which needs at most
+    # ceil((t*log2(2d) + 1) / B) limbs.  A layer's cells are multiplied in
+    # axis by axis, and the pre-pass stops at the first partial product over
+    # the cell cap, so a huge shape is never multiplied out; only the first
+    # axis can be empty, so no later factor brings the product back under.
+    # Each step makes 2d + 4 numpy calls per limb (a zeroed layer, one slice
+    # add per step, three for the carry), each touching at most the layer's
+    # cells; a call costs about as much as 1,000 cell updates, and a cell
+    # update twice as much once one limb of the layer outgrows _CACHED_CELLS.
     bits = _limb_bits(d)
     work = 0
     for t in range(1, length + 1):
         limbs = ceil((t * log2(2 * d) + 1) / bits)
-        cells = prod(layer_shape(t, coset_at(t)))
+        cells = 1
+        for size in axis_sizes(t):
+            cells *= size
+            if limbs * cells > DEFAULT_MAX_CELLS:
+                raise CapExceededError(
+                    f"DP sweep of {length} steps exceeds the cell cap of "
+                    f"{DEFAULT_MAX_CELLS} int64 limb cells at layer {t}"
+                )
         if cells > _CACHED_CELLS:
             cells *= 2
         work += limbs * (2 * d + 4) * (cells + 1000)
@@ -177,7 +175,7 @@ def _run_dp(d, length, end=None):
 
     mask = (1 << bits) - 1
     coset = coset_at(0)
-    shape = layer_shape(0, coset)
+    shape = tuple(axis_sizes(0))
     limbs = [np.zeros(shape, dtype=np.int64)]
     limbs[0][(0,) * d] = 1
     yield coset, limbs
@@ -187,7 +185,7 @@ def _run_dp(d, length, end=None):
     for t in range(1, length + 1):
         grow = int(limbs[-1].max(initial=0)) * len(steps) > mask
         new_coset = coset_at(t)
-        new_shape = layer_shape(t, new_coset)
+        new_shape = tuple(axis_sizes(t))
         shifts = [
             tuple((r + x - r2) // g for x, (r, g), (r2, _) in zip(s, coset, new_coset))
             for s in steps
@@ -251,6 +249,16 @@ def _sum_of_squares(limbs, bits) -> int:
     return total
 
 
+def _checked(d, length, what):
+    """d and length as ints, once d >= 1 and length >= 0; what names length."""
+    d, length = checked_ints((d, length), f"d and {what} must be integers")
+    if length < 0:
+        raise ValueError(f"{what} must be >= 0")
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+    return d, length
+
+
 def count_confined_walks(d: int, length: int, *, end: Sequence[int] | None = None) -> int:
     """Gessel walks of the given length from the origin to end (default the
     origin) that stay in the orthant.
@@ -259,45 +267,22 @@ def count_confined_walks(d: int, length: int, *, end: Sequence[int] | None = Non
     returns the sum of its squared counts; an odd length returns 0 without
     a sweep.  Any other end runs one sweep of length steps toward end.
     """
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    coords = (0,) * d if end is None else tuple(end)
-    end = tuple(map(int, coords))
-    if end != coords:
-        raise ValueError(f"end must be integers, got {coords!r}")
-    if len(end) != d:
-        raise ValueError("end must have dimension d")
-    if any(x < 0 for x in end):
-        return 0
-    if any(end):
-        for coset, limbs in _run_dp(d, length, end):
-            pass
-        return _read(coset, limbs, end, _limb_bits(d))
+    d, length = _checked(d, length, "length")
+    if end is not None:
+        end = checked_ints(end, "end must be integers")
+        if len(end) != d:
+            raise ValueError("end must have dimension d")
+        if any(x < 0 for x in end):
+            return 0
+        if any(end):
+            for coset, limbs in _run_dp(d, length, end):
+                pass
+            return _read(coset, limbs, end, _limb_bits(d))
     if length % 2:
         return 0
     for _, limbs in _run_dp(d, length // 2):
         pass
     return _sum_of_squares(limbs, _limb_bits(d))
-
-
-def walk_count_table(d: int, length: int) -> WalkCountTable:
-    """Counts of the confined Gessel walks of the given length from the
-    origin, per endpoint reached."""
-    import numpy as np
-
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    for coset, limbs in _run_dp(d, length):
-        pass
-    bits = _limb_bits(d)
-    nonzero = np.logical_or.reduce([limb != 0 for limb in limbs])
-    counts = {
-        tuple(r + g * i for (r, g), i in zip(coset, cell)): _value(limbs, cell, bits)
-        for cell in map(tuple, np.argwhere(nonzero).tolist())
-    }
-    return WalkCountTable(d, length, counts)
 
 
 def g_sequence(d: int, n_max: int) -> list[int]:
@@ -307,8 +292,7 @@ def g_sequence(d: int, n_max: int) -> list[int]:
     The sweep is bounded by the origin as endpoint: every origin it reads
     lies at or before the last step, so no walk it counts is cut.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    d, n_max = _checked(d, n_max, "n_max")
     origin = (0,) * d
     bits = _limb_bits(d)
     out = []

@@ -1,5 +1,6 @@
 import errno
 import json
+import os
 import subprocess
 import sys
 import time
@@ -198,6 +199,10 @@ CLOSED_ABOVE = str(formulas.CLOSED_MAX_N + 1)
         (("count", "--d", "2", "--n", "806"), "work cap"),
         (("count", "--d", "2", "--n-max", "679"), "work cap"),
         (("count", "--d", "1", "--length", "19392"), "work cap"),
+        # the first d=4 --n past the cell cap, and a d whose first layer has
+        # 2^999999 cells: the pre-pass stops multiplying them past the cap
+        (("count", "--d", "4", "--n", "66"), "cell cap"),
+        (("count", "--d", "1000000", "--n", "1"), "cell cap"),
     ],
 )
 def test_each_route_exits_at_its_cap_before_any_work(capsys, argv, cap):
@@ -705,7 +710,7 @@ def _unreadable(path, monkeypatch):
     "make, message",
     [
         (lambda path, mp: None, "cannot read b-file {}: No such file or directory"),
-        (lambda path, mp: path.mkdir(), "cannot read b-file {}: Is a directory"),
+        (lambda path, mp: path.mkdir(), "cannot read b-file {}: not a regular file"),
         (_unreadable, "cannot read b-file {}: Permission denied"),
         (lambda path, mp: path.write_bytes(b"0 1\n1 \xff\n"), "b-file {} is not UTF-8 text"),
     ],
@@ -720,6 +725,33 @@ def test_oeis_bfile_that_cannot_be_read_names_the_path(
         capsys, "oeis", "--sequence", "A135404", "--n-max", "3", "--bfile", str(path)
     )
     assert (code, out, err) == (4, "", f"error: {message.format(path)}\n")
+
+
+def test_oeis_bfile_on_a_named_pipe_exits_without_reading(bfile_cache):
+    # opening a pipe with no writer blocks, so the command runs in a child
+    # whose timeout fails this test instead of hanging the suite
+    fifo = bfile_cache / "b135404.txt"
+    os.mkfifo(fifo)
+    argv = ["oeis", "--sequence", "A135404", "--bfile", str(fifo)]
+    out = subprocess.run(
+        [sys.executable, "-m", "gesselwalks", *argv],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    message = f"error: cannot read b-file {fifo}: not a regular file\n"
+    assert (out.returncode, out.stdout, out.stderr) == (4, "", message)
+
+
+def test_oeis_bfile_above_the_size_cap_is_not_read(capsys, bfile_cache, monkeypatch):
+    path = bfile_cache / "b135404.txt"
+    path.write_text("0 1\n1 2\n")
+    argv = ("oeis", "--sequence", "A135404", "--n-max", "1", "--bfile", str(path))
+    monkeypatch.setattr(oeis, "MAX_BFILE_BYTES", 8)
+    assert run_cli(capsys, *argv)[0] == 0
+    monkeypatch.setattr(oeis, "MAX_BFILE_BYTES", 7)
+    message = f"error: b-file {path} holds 8 bytes, above the cap of 7\n"
+    assert run_cli(capsys, *argv) == (4, "", message)
 
 
 def test_oeis_bfile_index_above_the_cap_exits_before_any_work(capsys, bfile_cache, monkeypatch):

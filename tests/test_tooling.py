@@ -5,6 +5,7 @@ import ast
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -226,3 +227,26 @@ def test_library_imports_no_network_module():
                 if name.split(".")[0] in ("urllib", "http", "socket")
             ]
     assert found == []
+
+
+CAP_TABLE_HEADER = "| d | largest `--n` | time, peak RSS | largest `--n-max` | time, peak RSS |"
+
+
+def _bound(cell):
+    """(9695, "work") from a README cell such as "9,695 (work)"."""
+    value, cap = re.fullmatch(r"([\d,]+) \((\w+) cap\)", cell).groups()
+    return int(value.replace(",", "")), cap
+
+
+def test_readme_cap_table_is_the_tested_one():
+    from test_walks import CAP_TABLE
+
+    readme = (SRC.parent.parent / "README.md").read_text()
+    lines = readme.split(f"\n{CAP_TABLE_HEADER}\n")[1].splitlines()[1:]
+    rows = []
+    for line in lines:
+        if not line.startswith("|"):
+            break
+        d, n, _, n_max, _ = (cell.strip() for cell in line.strip("|").split("|"))
+        rows.append((int(d), *_bound(n), *_bound(n_max)))
+    assert rows == CAP_TABLE

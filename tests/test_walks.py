@@ -12,10 +12,12 @@ from gesselwalks import (
     count_complete_words,
     count_confined_walks,
     dyck,
+    even_marker_sum_free_closed,
+    formulas,
     g_sequence,
     gessel_closed_form,
     gessel_steps,
-    walk_count_table,
+    one_pair_closed,
     walks,
 )
 
@@ -129,8 +131,24 @@ def test_sum_of_squares_is_exact(shape, bits):
             assert walks._sum_of_squares(limbs, bits) == sum(v * v for v in values)
 
 
+def _endpoint_counts(d, length):
+    """The nonzero counts of the last layer of one open sweep, keyed by the
+    orthant point each cell stands for."""
+    import numpy as np
+
+    for coset, limbs in walks._run_dp(d, length):
+        pass
+    bits = walks._limb_bits(d)
+    counts = {}
+    for cell in np.ndindex(limbs[0].shape):
+        value = walks._value(limbs, cell, bits)
+        if value:
+            counts[tuple(r + g * i for (r, g), i in zip(coset, cell))] = value
+    return counts
+
+
 def test_walk_table_total_and_lookup():
-    tab = walk_count_table(2, 2)
+    counts = _endpoint_counts(2, 2)
     # total over all endpoints = all confined 2-step walks
     brute = 0
     steps = sorted(gessel_steps(2))
@@ -143,9 +161,9 @@ def test_walk_table_total_and_lookup():
             if x2 < 0 or y2 < 0:
                 continue
             brute += 1
-    assert sum(tab.counts.values()) == brute
+    assert sum(counts.values()) == brute
     # keys are points of the orthant, not indices into the stored coset
-    assert tab.counts == {(0, 0): 2, (0, 1): 1, (2, 0): 1, (2, 1): 2, (2, 2): 1}
+    assert counts == {(0, 0): 2, (0, 1): 1, (2, 0): 1, (2, 1): 2, (2, 2): 1}
 
 
 def _layers_before_cap(monkeypatch, run):
@@ -166,28 +184,43 @@ def _layers_before_cap(monkeypatch, run):
     return len(built), str(caught.value)
 
 
+def _largest_limb_cells(d, length, end=None):
+    """The most int64 words the pre-pass predicts for one layer of a sweep:
+    its cells times ceil((t*log2(2d) + 1) / B) limbs after t steps."""
+    bits = walks._limb_bits(d)
+    return max(
+        ceil((t * log2(2 * d) + 1) / bits) * limbs[0].size
+        for t, (_, limbs) in enumerate(walks._run_dp(d, length, end))
+    )
+
+
 def test_cell_cap(monkeypatch):
-    # the full box of 4473 x 4473 cells is the first square one above the cap;
-    # a count back to the origin sweeps half its length
-    assert 4472**2 <= walks.DEFAULT_MAX_CELLS < 4473**2
-    for run in (
-        lambda: count_confined_walks(2, 2 * 4472),
-        lambda: walk_count_table(2, 4472),
-        lambda: g_sequence(2, 2236),
-    ):
-        built, error = _layers_before_cap(monkeypatch, run)
-        assert built == 0 and f"cap {walks.DEFAULT_MAX_CELLS}" in error
+    # a cap equal to a sweep's largest layer admits it, and one word less
+    # refuses it before the first layer, through both public routes
+    for d, n in ((2, 40), (3, 12), (4, 6)):
+        want = g_sequence(d, n)
+        for run, length, end in (
+            (lambda: count_confined_walks(d, 2 * n), n, None),
+            (lambda: g_sequence(d, n)[-1], 2 * n, (0,) * d),
+        ):
+            largest = _largest_limb_cells(d, length, end)
+            with monkeypatch.context() as patch:
+                patch.setattr(walks, "DEFAULT_MAX_CELLS", largest)
+                assert run() == want[-1]
+                patch.setattr(walks, "DEFAULT_MAX_CELLS", largest - 1)
+                built, error = _layers_before_cap(patch, run)
+            assert built == 0 and f"cell cap of {largest - 1} " in error
 
 
-def test_cell_cap_counts_the_full_box(monkeypatch):
-    # the cap is on the worst-case box 41 x 41 of the 40-step half sweep
-    # that counts the walks back to the origin after 80 steps, not on the
-    # live region
-    monkeypatch.setattr(walks, "DEFAULT_MAX_CELLS", 41 * 41)
+def test_cell_cap_counts_the_largest_layer(monkeypatch):
+    # the 40-step half sweep behind G(40) ends on its largest layer: x_1 even
+    # in 0..40 and x_2 in 0..40, 21 x 41 cells in ceil((40*2 + 1) / 59) = 2
+    # predicted limbs, against 41 x 41 cells of the full box
+    monkeypatch.setattr(walks, "DEFAULT_MAX_CELLS", 2 * 21 * 41)
     assert count_confined_walks(2, 80) == gessel_closed_form(40)
-    monkeypatch.setattr(walks, "DEFAULT_MAX_CELLS", 41 * 41 - 1)
-    built, _ = _layers_before_cap(monkeypatch, lambda: count_confined_walks(2, 80))
-    assert built == 0
+    monkeypatch.setattr(walks, "DEFAULT_MAX_CELLS", 2 * 21 * 41 - 1)
+    built, error = _layers_before_cap(monkeypatch, lambda: count_confined_walks(2, 80))
+    assert built == 0 and error.endswith(" at layer 40")
 
 
 def _no_steps(d):
@@ -198,39 +231,61 @@ def test_caps_fire_before_the_steps_are_built(monkeypatch):
     # the 2d steps hold 2d^2 coordinates (2.3 GB at d = 12,000), so the caps
     # are predicted from 2d alone
     monkeypatch.setattr(walks, "gessel_steps", _no_steps)
-    for run in (
-        lambda: count_confined_walks(20000, 2),
-        lambda: walk_count_table(20000, 1),
-        lambda: g_sequence(20000, 1),
-    ):
-        with pytest.raises(CapExceededError, match="cells exceeds cap"):
+    for run in (lambda: count_confined_walks(20000, 2), lambda: g_sequence(20000, 1)):
+        with pytest.raises(CapExceededError, match="cell cap of"):
             run()
 
 
-def _admitted(d, length, end):
-    """Whether a Gessel sweep from the origin passes both caps.
+def test_huge_d_exits_with_a_one_line_message():
+    # layer 1 holds 2^(d-1) cells; the pre-pass stops multiplying them once
+    # past the cap, so it never forms or prints a 301,030-digit count
+    with pytest.raises(CapExceededError) as caught:
+        count_confined_walks(10**6, 2)
+    assert str(caught.value) == (
+        f"DP sweep of 1 steps exceeds the cell cap of {walks.DEFAULT_MAX_CELLS} "
+        "int64 limb cells at layer 1"
+    )
 
-    The caps are checked before layer 0 is yielded, so no step runs."""
+
+# The largest --n and --n-max that `count` admits per d, and the cap that
+# refuses the next one; README lists the same rows with one timed run each.
+# --n N sweeps N steps with no endpoint, --n-max N sweeps 2N toward the origin.
+CAP_TABLE = [
+    # d, --n, cap past it, --n-max, cap past it
+    (1, 9695, "work", 6235, "work"),
+    (2, 805, "work", 678, "work"),
+    (3, 183, "work", 153, "work"),
+    (4, 65, "cell", 63, "work"),
+    (5, 31, "cell", 31, "cell"),
+    (6, 17, "cell", 17, "cell"),
+    (8, 8, "cell", 8, "cell"),
+    (10, 5, "cell", 5, "cell"),
+]
+
+
+def _refusal(d, length, end):
+    """The message of the cap that refuses a sweep, None when both admit it.
+
+    The caps are checked before layer 0 is yielded, so no layer is built."""
     try:
         next(walks._run_dp(d, length, end))
-    except CapExceededError:
-        return False
-    return True
+    except CapExceededError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("d, n, n_cap, n_max, n_max_cap", CAP_TABLE)
+def test_cap_table(d, n, n_cap, n_max, n_max_cap):
+    origin = (0,) * d
+    assert _refusal(d, n, None) is None
+    assert f" the {n_cap} cap of " in _refusal(d, n + 1, None)
+    assert _refusal(d, 2 * n_max, origin) is None
+    assert f" the {n_max_cap} cap of " in _refusal(d, 2 * n_max + 2, origin)
 
 
 def test_work_cap(monkeypatch):
-    # the largest sweeps under the cap, timed in CHANGES.md: the half sweeps
-    # of single origin counts, d=2 at n = 805 and d=1 at n = 9,695, and the
-    # origin sweeps of sequences, d=2 at n = 678 and d=1 at 12,471 steps
-    assert _admitted(2, 805, None) and not _admitted(2, 806, None)
-    assert _admitted(1, 9695, None) and not _admitted(1, 9696, None)
-    assert _admitted(2, 1356, (0, 0)) and not _admitted(2, 1358, (0, 0))
-    assert _admitted(1, 12471, (0,)) and not _admitted(1, 12472, (0,))
-    for run in (
-        lambda: count_confined_walks(2, 2 * 806),
-        lambda: walk_count_table(2, 806),
-        lambda: g_sequence(2, 679),
-    ):
+    # the first d=2 requests past the work cap (CAP_TABLE) build no layer
+    for run in (lambda: count_confined_walks(2, 2 * 806), lambda: g_sequence(2, 679)):
         built, error = _layers_before_cap(monkeypatch, run)
         assert built == 0 and f"work cap of {walks.DEFAULT_MAX_WORK} " in error
 
@@ -327,7 +382,7 @@ def test_dp_matches_brute_force(case):
     d = len(end)
     brute = _brute_endpoints(d, length)
     assert count_confined_walks(d, length, end=end) == brute[end]
-    assert walk_count_table(d, length).counts == dict(brute)
+    assert _endpoint_counts(d, length) == dict(brute)
 
 
 def _dict_dp(d, length):
@@ -361,7 +416,7 @@ def _long_walk_cases(draw):
 def test_multi_limb_dp_matches_dict_dp(case):
     d, length = case
     want = _dict_dp(d, length)
-    assert walk_count_table(d, length).counts == want
+    assert _endpoint_counts(d, length) == want
     end = max(want, key=want.get)
     assert count_confined_walks(d, length, end=end) == want[end]
 
@@ -372,8 +427,7 @@ def test_d1_counts_match_ballot_numbers_to_300():
         for j in {0, 1, 2, length // 2, length - 2, length - 1, length, length + 1}:
             got = count_confined_walks(1, length, end=(j,))
             assert got == dyck.ballot_count(0, j, length)
-    table = walk_count_table(1, 300)
-    assert table.counts == {
+    assert _endpoint_counts(1, 300) == {
         (j,): dyck.ballot_count(0, j, 300) for j in range(0, 301, 2)
     }
 
@@ -389,14 +443,6 @@ def test_bad_inputs():
     for knob in ({"steps": gessel_steps(2)}, {"start": (0, 0)}):
         with pytest.raises(TypeError):
             count_confined_walks(2, 2, **knob)
-        with pytest.raises(TypeError):
-            walk_count_table(2, 2, **knob)
-
-
-def test_walk_count_table_rejects_a_negative_length():
-    for length in (-1, -3):
-        with pytest.raises(ValueError, match="length must be >= 0"):
-            walk_count_table(2, length)
 
 
 def test_endpoint_coordinates_must_be_integers():
@@ -411,3 +457,30 @@ def test_endpoint_coordinates_must_be_integers():
     assert count_confined_walks(2, 4, end=(2.0, 0)) == want
     assert count_confined_walks(2, 4, end=np.array([2, 0])) == want
     assert count_confined_walks(2, 4, end=(np.int64(2), np.int32(0))) == want
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (count_confined_walks, (2, 4)),
+        (g_sequence, (2, 2)),
+        (gessel_steps, (2,)),
+        (gessel_closed_form, (2,)),
+        (formulas.gessel_closed_sequence, (2,)),
+        (one_pair_closed, (2,)),
+        (even_marker_sum_free_closed, (2,)),
+    ],
+    ids=lambda value: getattr(value, "__name__", None),
+)
+def test_counts_take_integral_numbers_of_any_type(call, args):
+    import numpy as np
+
+    # one shared check: int() must not change a value, whatever its type
+    want = call(*args)
+    assert call(*map(float, args)) == call(*map(np.int64, args)) == want
+    for i in range(len(args)):
+        for value in (args[i] + 0.5, float("inf")):
+            bad = list(args)
+            bad[i] = value
+            with pytest.raises(ValueError, match="must be (an integer|integers)"):
+                call(*bad)
