@@ -5,16 +5,21 @@ letter by letter (with prefix pruning), never with closed forms or lattice
 DP, so its outputs can be compared against the independent counting routes.
 
 The words come from one chunked numpy frontier, :func:`_word_blocks`.  Each
-row of a block is one word prefix.  The feasibility tests run on the letter
-differences of all 2d one-letter extensions of a block at once; only the
-surviving children are then gathered from their parent rows, and they go
-back on a stack in chunks of at most :data:`CHUNK` rows.  Every letter but
-the last is tested this way; the last is forced.  Each letter moves the
-imbalance sum(|diff|) by +-1, so a prefix of odd length 2n-1 that passed
-has imbalance exactly 1, and the one letter cancelling it is written in
-without a test.  Rows are never merged, so every complete word is built
-and tallied on its own, and the stack holds at most about
-length * 2d * CHUNK rows.
+row of a block is one word prefix that already passed its tests, so a
+one-letter extension can only break the tests its own letter moves.  The
+block is tested once per axis, on three per-row quantities (the suffix
+sums of the letter differences, their running minimum and the imbalance),
+and that decides all 2d extensions of every row; only the surviving
+children are then gathered from their parent rows with 1-D takes, and they
+go back on a stack in chunks of at most :data:`CHUNK` rows.  Every letter
+but the last is tested this way; the last is forced.  Each letter moves
+the imbalance sum(|diff|) by +-1, so a prefix of odd length 2n-1 that
+passed has imbalance exactly 1, and the one letter cancelling it is
+written in without a test.  Rows are never merged, so every complete word
+is built and tallied on its own.  The tests of a block hold O(d) values
+per parent row, and only a surviving child gets its own d letter
+differences; no array holds them for all 2d candidates of a row.  The
+stack holds at most about length * 2d * CHUNK rows.
 
 Enumeration order is deterministic: words are produced in ascending
 lexicographic order of their code tuples, with codes ordered numerically
@@ -59,11 +64,14 @@ def _word_blocks(d: int, n: int, marker_cap: int | None) -> Iterator[np.ndarray]
     Rows come out in ascending lexicographic order across all blocks.  A
     prefix survives while every suffix sum of its letter differences
     (diff[i] + ... + diff[d-1]) is >= 0 and the total imbalance sum(|diff|)
-    can still be closed by the letters left.  marker_cap, when given,
-    bounds the occurrences of letter 1 and of its barred twin separately.
-    The last letter is not tested: every letter moves the imbalance by +-1,
-    so a prefix of odd length 2n-1 that passed has imbalance exactly 1, and
-    only the letter cancelling that one unit completes the word.
+    can still be closed by the letters left.  A block of parent rows is
+    tested once per axis, and the outcome for each of the 2d letters is
+    read off the row's suffix sums, their running minimum and its
+    imbalance.  marker_cap, when given, bounds the occurrences of letter 1
+    and of its barred twin separately.  The last letter is not tested:
+    every letter moves the imbalance by +-1, so a prefix of odd length
+    2n-1 that passed has imbalance exactly 1, and only the letter
+    cancelling that one unit completes the word.
     Callers check n, d and the length cap first.
     """
     import numpy as np
@@ -76,52 +84,72 @@ def _word_blocks(d: int, n: int, marker_cap: int | None) -> Iterator[np.ndarray]
     delta = np.zeros((d, k), dtype=np.min_scalar_type(-(length + 2)))
     delta[np.abs(codes) - 1, np.arange(k)] = np.sign(codes)
     plain, barred = d, d - 1  # letter indices of codes 1 and -1
-    # closing @ diff is the code of the letter that zeroes a diff with one
-    # entry +-1: -(i + 1) for diff[i] = 1, i + 1 for diff[i] = -1
-    closing = -np.arange(1, d + 1, dtype=codes.dtype)
+    # A row also carries the sum of its codes, sum((i + 1) * diff[i]) =
+    # S_0 + ... + S_{d-1} for the suffix sums S_i; a feasible row has
+    # 0 <= S_i <= n, so the sum lies in 0..d*n.
+    sum_dtype = np.min_scalar_type(-(d * n + 1))
 
     # diff holds one row per axis, so the tests below run on contiguous
     # arrays instead of reducing along a short axis
-    stack = [(0, np.zeros((1, length), codes.dtype), np.zeros((d, 1), delta.dtype))]
+    stack = [(0, np.zeros((1, length), codes.dtype), np.zeros((d, 1), delta.dtype),
+              np.zeros(1, sum_dtype))]
     while stack:
-        pos, words, diff = stack.pop()
+        pos, words, diff, total = stack.pop()
         if pos == length:  # n = 0: the empty word
             yield words
             continue
         if pos == length - 1:
-            # The forced letter goes into the chunk in place: the chunk is a
-            # copy the stack owns.  It needs no marker_cap test: a closing 1
-            # or -1 brings its count up to its twin's, which the cap bounds.
-            words[:, pos] = closing @ diff
+            # With imbalance 1, diff is +-1 on one axis i and the code sum
+            # is +-(i + 1), so -total is the letter that zeroes it.  It goes
+            # into the chunk in place: the chunk is a fresh array the stack
+            # owns.  It needs no marker_cap test: a closing 1 or -1 brings
+            # its count up to its twin's, which the cap bounds.
+            words[:, pos] = -total
             yield words
             continue
-        # Child r * k + c is row r extended by letter c.  The tests below
-        # read only the children's diff and the parents' rows, so a child
-        # row is built only once it is known to survive.
-        kid_diff = (diff[:, :, None] + delta[:, None, :]).reshape(d, -1)
-        ok = np.ones(kid_diff.shape[1], dtype=bool)
-        suffix = np.zeros_like(kid_diff[0])
-        imbalance = np.zeros_like(kid_diff[0])
-        for row in kid_diff[::-1]:
-            suffix += row
-            ok &= suffix >= 0
-            imbalance += np.abs(row)
-        ok &= imbalance <= length - pos - 1
+        # A parent row already passed, so a child can only break a test its
+        # letter moves.  A letter on axis a moves the suffix sums S_0..S_a by
+        # its sign, and the imbalance I by +1 when it pushes diff[a] away
+        # from 0, by -1 when towards it.  I has the parity of pos and
+        # I <= 2n - pos, so I == 2n - pos - 1 cannot occur: a child that
+        # raises I survives iff slack = I < 2n - pos.  Hence +(a + 1)
+        # survives iff slack or diff[a] < 0, and -(a + 1) iff
+        # min(S_0..S_a) >= 1 and (slack or diff[a] > 0).
+        rows = len(words)
+        ok = np.empty((k, rows), dtype=bool)  # ok[c, r]: row r extended by c
+        slack = np.abs(diff).sum(axis=0, dtype=diff.dtype) < length - pos
+        suffix = diff.sum(axis=0, dtype=diff.dtype)  # S_0
+        low_ok = suffix >= 1  # min(S_0..S_a) >= 1
+        for a, row in enumerate(diff):
+            if a:
+                suffix -= diff[a - 1]
+                low_ok &= suffix >= 1
+            np.logical_or(slack, row < 0, out=ok[d + a])
+            np.logical_and(low_ok, slack | (row > 0), out=ok[d - 1 - a])
         if marker_cap is not None:
-            by_letter = ok.reshape(-1, k)  # a view: writes land in ok
             placed = words[:, :pos]
-            by_letter[:, plain] &= np.count_nonzero(placed == 1, axis=1) < marker_cap
-            by_letter[:, barred] &= np.count_nonzero(placed == -1, axis=1) < marker_cap
-        keep = np.flatnonzero(ok)  # ascending, so the children stay in order
-        kids = words[keep // k]
-        kids[:, pos] = codes[keep % k]
-        kid_diff = kid_diff[:, keep]
+            ok[plain] &= np.count_nonzero(placed == 1, axis=1) < marker_cap
+            ok[barred] &= np.count_nonzero(placed == -1, axis=1) < marker_cap
+        # Child r * k + c is row r extended by letter c; flatnonzero is
+        # ascending, so the children stay in order.  Row r has
+        # per_row[r] children, so repeat gives each child's parent.
+        by_row = np.empty((rows, k), dtype=bool)
+        for c, col in enumerate(ok):
+            by_row[:, c] = col
+        keep = np.flatnonzero(by_row)
+        per_row = ok.view(np.uint8).sum(axis=0, dtype=np.min_scalar_type(k))
+        parent = np.repeat(np.arange(rows), per_row)
+        letter = keep - parent * k
+        # one void item per word row, so a row gather is a 1-D take
+        flat = words.view(np.dtype((np.void, words.itemsize * length))).ravel()
         # The first chunk is popped first, so the order stays lexicographic.
-        # Chunks are copies: a popped chunk frees its rows, and its diff
-        # rows are contiguous again.
-        for start in reversed(range(0, len(kids), CHUNK)):
-            stop = start + CHUNK
-            stack.append((pos + 1, kids[start:stop].copy(), kid_diff[:, start:stop].copy()))
+        for start in reversed(range(0, len(keep), CHUNK)):
+            p, c = parent[start:start + CHUNK], letter[start:start + CHUNK]
+            kids = flat.take(p).view(codes.dtype).reshape(-1, length)
+            kids[:, pos] = added = codes.take(c)
+            # rows one letter short of complete need only their code sum
+            kid_diff = diff.take(p, 1) + delta.take(c, 1) if pos + 2 < length else None
+            stack.append((pos + 1, kids, kid_diff, total.take(p) + added))
 
 
 def iter_complete_words(d: int, n: int) -> Iterator[tuple[int, ...]]:

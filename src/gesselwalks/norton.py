@@ -97,27 +97,17 @@ def _check_witness(bits, nums, scale, target):
         )
 
 
-def sum_witness(w, target: int) -> tuple[Fraction, ...]:
-    """Exact rationals 0 < a_1 < ... < a_2n < 1 whose signed sum is target.
+def _witness(bits, target):
+    """(numerators, scale) of exact rationals 0 < a_1 < ... < a_2n < 1 whose
+    signed sum is target, not yet checked against it.
 
     Start from the threshold configuration attaining the max suffix balance
     (zeros before the cut, ones after), scale the jump to hit the target,
     and tilt everything by a small increasing ramp; the denominator is
     doubled until all strict inequalities verify.  The search runs on the
     integer numerators over the common denominator denom * best.  Raises
-    ValueError when the target is not attainable, or when int() would
-    change it.
+    ValueError when the target is not attainable.
     """
-    bits = as_bits(w)
-    (target,) = checked_ints((target,), "target must be an integer")
-    nums, scale = _witness(bits, target)
-    _check_witness(bits, nums, scale, target)
-    return tuple(Fraction(x, scale) for x in nums)
-
-
-def _witness(bits, target):
-    """(numerators, scale) of sum_witness's rationals, not yet checked
-    against the target."""
     L = len(bits)
     best = _max_suffix(bits)
     if not (0 < target < best):

@@ -155,6 +155,22 @@ def test_tiny_chunks_match_brute_force(monkeypatch, chunk, marker_cap, d, n):
     assert block_words(d, n, marker_cap) == brute_force_words(d, n, marker_cap)
 
 
+def test_frontier_memory_grows_as_d_not_d_squared():
+    # a block's tests and gathers hold O(d) values per parent row; an array
+    # of d letter differences for each of the 2d candidate children of
+    # every row would peak near 161 MiB here
+    import tracemalloc
+
+    count_complete_words(1, 1)  # numpy's import is not the frontier's
+    tracemalloc.start()
+    try:
+        assert count_complete_words(100, 2) == 34850
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+
+
 def test_marker_cap_filters_letter_one_pairs():
     # words with at most one 1/1-bar pair
     capped = block_words(2, 3, 1)

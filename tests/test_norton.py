@@ -13,7 +13,6 @@ from gesselwalks import (
     one_first_total,
     one_pair_closed,
     stats,
-    sum_witness,
     table_counts,
 )
 from gesselwalks import norton
@@ -55,9 +54,6 @@ def test_each_public_call_reads_the_sign_word_once(monkeypatch):
         calls.clear()
         call(word)
         assert calls == [word], call.__name__
-    calls.clear()
-    sum_witness(word, 3)
-    assert calls == [word]
     norton_count(2)
     table_counts(2)
     assert calls == [word]
@@ -129,11 +125,18 @@ def test_count_matches_single_pair_closed_form():
         assert norton_count(n) == one_pair_closed(n)
 
 
+def witness(word, target):
+    """The witness rationals for target, after the certificate check."""
+    bits = as_bits(word)
+    nums, scale = norton._witness(bits, target)
+    norton._check_witness(bits, nums, scale, target)
+    return tuple(Fraction(x, scale) for x in nums)
+
+
 def test_witness_is_exact_and_ordered():
     for word in ("1111", "0111", "0011", "110011", "101010"):
         for t in achievable_odd_sums(word):
-            a = sum_witness(word, t)
-            assert all(isinstance(x, Fraction) for x in a)
+            a = witness(word, t)
             assert all(Fraction(0) < x < Fraction(1) for x in a)
             assert all(x < y for x, y in zip(a, a[1:]))
             bits = as_bits(word)
@@ -142,18 +145,21 @@ def test_witness_is_exact_and_ordered():
 
 
 def test_witness_rejects_unachievable_target():
-    with pytest.raises(ValueError):
-        sum_witness("1100", 1)
-    with pytest.raises(ValueError):
-        sum_witness("1111", 4)  # the maximum itself is an open bound
-    with pytest.raises(ValueError):
-        sum_witness("1111", 5)
+    with pytest.raises(ValueError, match="not attainable"):
+        witness("1100", 1)
+    with pytest.raises(ValueError, match="not attainable"):
+        witness("1111", 4)  # the maximum itself is an open bound
+    with pytest.raises(ValueError, match="not attainable"):
+        witness("1111", 5)
+    # the open bound is why achievable_odd_sums stops below the maximum
+    assert achievable_odd_sums("1111") == {1, 3}
+    assert achievable_odd_sums("11111") == {1, 3}
 
 
 def test_witness_handles_any_interior_target():
     # the builder is not restricted to odd targets; parity filtering
     # happens in achievable_odd_sums
-    a = sum_witness("1111", 2)
+    a = witness("1111", 2)
     assert sum(a) == 2
 
 
@@ -170,7 +176,7 @@ def test_bad_witness_raises_even_under_optimize(monkeypatch):
     with pytest.raises(IntegralityError):
         achievable_odd_sums("1111")
     with pytest.raises(IntegralityError):
-        sum_witness("1111", 3)
+        witness("1111", 3)
 
 
 @pytest.mark.parametrize(
@@ -179,7 +185,6 @@ def test_bad_witness_raises_even_under_optimize(monkeypatch):
         (norton_count, (2.5,)),
         (table_counts, (2.5,)),
         (diagonal_columns, (2.5,)),
-        (sum_witness, ("111111", 1.5)),
     ],
 )
 def test_non_integral_arguments_raise_value_error(call, args):
@@ -191,7 +196,6 @@ def test_integral_arguments_of_other_types_act_as_ints():
     assert norton_count(2.0) == norton_count(2) == 7
     assert table_counts(2.0) == table_counts(2)
     assert diagonal_columns(2.0) == diagonal_columns(2)
-    assert sum_witness("111111", 3.0) == sum_witness("111111", 3)
 
 
 def test_multiplicity_conjecture_small():

@@ -58,6 +58,13 @@ def test_d3_matches_enumeration():
         assert count_confined_walks(3, 2 * n) == count_complete_words(3, n)
 
 
+@pytest.mark.parametrize("d, n, want", [(5, 3, 2125), (8, 2, 212), (12, 2, 486)])
+def test_enumeration_matches_the_dp_past_the_brute_force_range(d, n, want):
+    # (2d)^(2n) tuples is far past what the frontier's brute-force tests
+    # can list, so the walk DP is the independent reference here
+    assert count_complete_words(d, n) == count_confined_walks(d, 2 * n) == want
+
+
 def test_endpoints():
     # one step can only reach the four neighbours
     assert count_confined_walks(2, 1, end=(1, 1)) == 1
