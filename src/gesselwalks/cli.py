@@ -2,13 +2,15 @@
 
 Exit codes: 0 success, 1 a verified check or sequence comparison failed,
 2 bad arguments, 3 an enumeration/DP cap was exceeded, 4 a b-file is
-missing or malformed.
+missing or malformed.  A reader that closes stdout early (``| head``) ends
+the command quietly with 0: it asked for no more output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 
@@ -305,7 +307,16 @@ def main(argv=None) -> int:
         "oeis": cmd_oeis,
     }
     try:
-        return handlers[args.command](args, parser)
+        code = handlers[args.command](args, parser)
+        sys.stdout.flush()  # so a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull, so the interpreter's last flush of what is
+        # still buffered cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

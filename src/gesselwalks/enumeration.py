@@ -1,6 +1,6 @@
 """Brute-force enumeration of complete Gessel words.
 
-This module is the ground-truth oracle: everything here builds whole words
+This module is the ground-truth oracle: every count here tests each word
 letter by letter (with prefix pruning), never with closed forms or lattice
 DP, so its outputs can be compared against the independent counting routes.
 
@@ -15,16 +15,24 @@ go back on a stack in chunks of at most :data:`CHUNK` rows.  Every letter
 but the last is tested this way; the last is forced.  Each letter moves
 the imbalance sum(|diff|) by +-1, so a prefix of odd length 2n-1 that
 passed has imbalance exactly 1, and the one letter cancelling it is
-written in without a test.  Rows are never merged, so every complete word
-is built and tallied on its own.  The tests of a block hold O(d) values
-per parent row, and only a surviving child gets its own d letter
-differences; no array holds them for all 2d candidates of a row.  The
-stack holds at most about length * 2d * CHUNK rows.
+written in without a test.  Rows are never merged: every complete word
+is its own row up to its last tested letter, and is tallied on its own.
+The tests of a block hold O(d) values per parent row, and only a
+surviving child gets its own d letter differences; no array holds them
+for all 2d candidates of a row.  The stack holds at most about
+length * 2d * CHUNK rows.
+
+Callers that read letters (:func:`iter_complete_words`, the marker position
+triangle, the bijection checks in ``verify``) get blocks of whole words.
+The word count and the profile triangle only tally, so their runs spell no
+letters: a row carries its letter differences, code sum and, for the
+profile, its count of 2s, and the run stops at the last tested letter.
+There each survivor bit of a parent row is one complete word, since the
+letter after it is forced; the tallies read the bits, not the words.
 
 Enumeration order is deterministic: words are produced in ascending
 lexicographic order of their code tuples, with codes ordered numerically
-(-d < ... < -1 < 1 < ... < d).  The counts and triangles below tally the
-same blocks that :func:`iter_complete_words` unpacks into tuples.
+(-d < ... < -1 < 1 < ... < d).
 
 numpy is imported inside the functions that use it, so importing the
 package does not load it.
@@ -58,7 +66,7 @@ def _check_cap(d, n) -> tuple[int, int]:
     return d, n
 
 
-def _word_blocks(d: int, n: int, marker_cap: int | None) -> Iterator[np.ndarray]:
+def _word_blocks(d: int, n: int, marker_cap: int | None, tally: int | None = None) -> Iterator:
     """Yield arrays of complete words of length 2n, one word per row.
 
     Rows come out in ascending lexicographic order across all blocks.  A
@@ -72,6 +80,15 @@ def _word_blocks(d: int, n: int, marker_cap: int | None) -> Iterator[np.ndarray]
     every letter moves the imbalance by +-1, so a prefix of odd length
     2n-1 that passed has imbalance exactly 1, and only the letter
     cancelling that one unit completes the word.
+
+    A tally run (tally set to a code) spells no words and builds no row
+    past its last tested letter.  A row carries, in place of its letters,
+    how often the code tally occurs in it (always 0 for tally 0, which is
+    no letter).  Each block of prefixes of length 2n-2 comes out as
+    (code sums, tally counts, ok), where the (2d, rows) mask ok[c, r] says
+    whether row r extended by letter c passed.  Each set bit is one
+    complete word: its last letter is forced, -(code sum + code c).  Tally
+    runs need n >= 1 and marker_cap None.
     Callers check n, d and the length cap first.
     """
     import numpy as np
@@ -90,9 +107,13 @@ def _word_blocks(d: int, n: int, marker_cap: int | None) -> Iterator[np.ndarray]
     sum_dtype = np.min_scalar_type(-(d * n + 1))
 
     # diff holds one row per axis, so the tests below run on contiguous
-    # arrays instead of reducing along a short axis
-    stack = [(0, np.zeros((1, length), codes.dtype), np.zeros((d, 1), delta.dtype),
-              np.zeros(1, sum_dtype))]
+    # arrays instead of reducing along a short axis.  In a tally run,
+    # words holds each row's tally count, at most n for a feasible row.
+    if tally is None:
+        root = np.zeros((1, length), codes.dtype)
+    else:
+        root = np.zeros(1, np.min_scalar_type(n))
+    stack = [(0, root, np.zeros((d, 1), delta.dtype), np.zeros(1, sum_dtype))]
     while stack:
         pos, words, diff, total = stack.pop()
         if pos == length:  # n = 0: the empty word
@@ -115,7 +136,7 @@ def _word_blocks(d: int, n: int, marker_cap: int | None) -> Iterator[np.ndarray]
         # raises I survives iff slack = I < 2n - pos.  Hence +(a + 1)
         # survives iff slack or diff[a] < 0, and -(a + 1) iff
         # min(S_0..S_a) >= 1 and (slack or diff[a] > 0).
-        rows = len(words)
+        rows = len(total)
         ok = np.empty((k, rows), dtype=bool)  # ok[c, r]: row r extended by c
         slack = np.abs(diff).sum(axis=0, dtype=diff.dtype) < length - pos
         suffix = diff.sum(axis=0, dtype=diff.dtype)  # S_0
@@ -126,6 +147,9 @@ def _word_blocks(d: int, n: int, marker_cap: int | None) -> Iterator[np.ndarray]
                 low_ok &= suffix >= 1
             np.logical_or(slack, row < 0, out=ok[d + a])
             np.logical_and(low_ok, slack | (row > 0), out=ok[d - 1 - a])
+        if tally is not None and pos == length - 2:
+            yield total, words, ok
+            continue
         if marker_cap is not None:
             placed = words[:, :pos]
             ok[plain] &= np.count_nonzero(placed == 1, axis=1) < marker_cap
@@ -140,13 +164,18 @@ def _word_blocks(d: int, n: int, marker_cap: int | None) -> Iterator[np.ndarray]
         per_row = ok.view(np.uint8).sum(axis=0, dtype=np.min_scalar_type(k))
         parent = np.repeat(np.arange(rows), per_row)
         letter = keep - parent * k
-        # one void item per word row, so a row gather is a 1-D take
-        flat = words.view(np.dtype((np.void, words.itemsize * length))).ravel()
+        if tally is None:
+            # one void item per word row, so a row gather is a 1-D take
+            flat = words.view(np.dtype((np.void, words.itemsize * length))).ravel()
         # The first chunk is popped first, so the order stays lexicographic.
         for start in reversed(range(0, len(keep), CHUNK)):
             p, c = parent[start:start + CHUNK], letter[start:start + CHUNK]
-            kids = flat.take(p).view(codes.dtype).reshape(-1, length)
-            kids[:, pos] = added = codes.take(c)
+            added = codes.take(c)
+            if tally is None:
+                kids = flat.take(p).view(codes.dtype).reshape(-1, length)
+                kids[:, pos] = added
+            else:
+                kids = words.take(p) + (added == tally)
             # rows one letter short of complete need only their code sum
             kid_diff = diff.take(p, 1) + delta.take(c, 1) if pos + 2 < length else None
             stack.append((pos + 1, kids, kid_diff, total.take(p) + added))
@@ -161,8 +190,13 @@ def iter_complete_words(d: int, n: int) -> Iterator[tuple[int, ...]]:
 
 def count_complete_words(d: int, n: int) -> int:
     """Number of complete Gessel words of length 2n over d letter pairs."""
+    import numpy as np
+
     d, n = _check_cap(d, n)
-    return sum(len(block) for block in _word_blocks(d, n, None))
+    if not n:
+        return 1  # the empty word
+    # tally 0 is no letter: only the survivor bits are read
+    return sum(int(np.count_nonzero(ok)) for _, _, ok in _word_blocks(d, n, None, 0))
 
 
 def profile_triangle_row(n: int) -> tuple[int, ...]:
@@ -174,14 +208,27 @@ def profile_triangle_row(n: int) -> tuple[int, ...]:
     """
     import numpy as np
 
-    _, n = _check_cap(2, n)  # before sizing hist from n
-    hist = np.zeros(n + 1, dtype=np.int64)
-    # a uint8 matrix-vector product counts the 2s per row; the sum is exact
-    # because rows are at most DEFAULT_MAX_LENGTH < 256 letters long
-    ones = np.ones(2 * n, dtype=np.uint8)
-    for block in _word_blocks(2, n, None):
-        hist += np.bincount((block == 2).view(np.uint8) @ ones, minlength=n + 1)
-    return tuple(hist.tolist())
+    _, n = _check_cap(2, n)  # before sizing the bins from n
+    if not n:
+        return (1,)
+    # A complete word never ends in a plain letter c: the prefix before it
+    # would hold diff -1 on axis c - 1, a negative suffix sum.  So a word
+    # has its prefix's 2s, plus one if its tested letter is 2.  Each leaf
+    # row is binned by (prefix 2s, survivors 0..4, whether 2 survived),
+    # where ok[3] is letter 2.
+    bins = np.zeros((n + 1) * 5 * 2, dtype=np.int64)
+    for _, twos, ok in _word_blocks(2, n, None, 2):
+        survivors = ok.view(np.uint8).sum(axis=0, dtype=np.uint8)
+        bins += np.bincount((twos * 5 + survivors) * 2 + ok[3], minlength=len(bins))
+    hist = [0] * (n + 1)
+    for key, count in enumerate(bins.tolist()):
+        if count:
+            twos, rest = divmod(key, 10)
+            survivors, two = divmod(rest, 2)
+            hist[twos] += count * (survivors - two)
+            if two:
+                hist[twos + 1] += count
+    return tuple(hist)
 
 
 def marker_position_triangle(n: int) -> dict[tuple[int, int], int]:

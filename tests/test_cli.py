@@ -788,3 +788,21 @@ def test_package_runs_as_module():
     )
     assert out.returncode == 0
     assert out.stdout.strip() == "782"
+
+
+def test_a_reader_closing_stdout_early_ends_the_command_quietly():
+    # about 2.4 MB of digits, far more than a pipe buffer, so the command is
+    # still writing when the reader goes away, as under `| head -1`
+    argv = ["count", "--method", "closed", "--n-max", "2000"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "gesselwalks", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    ) as proc:
+        assert proc.stdout.readline() == "1\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert "Traceback" not in err
+    assert (code, err) == (0, "")

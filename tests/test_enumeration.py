@@ -122,6 +122,35 @@ def brute_force_profile(n):
     return tuple(hist[j] for j in range(n + 1))
 
 
+def spelled_count(d, n):
+    return sum(len(block) for block in enumeration._word_blocks(d, n, None))
+
+
+@given(frontier_cases(), st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_tallies_match_the_spelled_words_property(case, profile_n):
+    # tally runs take no marker_cap; at d=2, n=3 the 4^6 candidate words
+    # of brute_force_profile fill BRUTE_FORCE_BUDGET
+    d, n, _, chunk = case
+    with mock.patch.object(enumeration, "CHUNK", chunk):
+        assert count_complete_words(d, n) == spelled_count(d, n)
+        assert profile_triangle_row(profile_n) == brute_force_profile(profile_n)
+
+
+@pytest.mark.parametrize("d", [127, 128, 130])
+def test_tally_counts_across_the_code_dtype_edges(d):
+    # codes leave int8 past d = 127, and the code sums of length-2 prefixes
+    # pass 127 from d = 64 on
+    assert count_complete_words(d, 2) == spelled_count(d, 2)
+
+
+@pytest.mark.parametrize("d, n_max", [(1, 6), (2, 4), (3, 3)])
+def test_complete_words_end_in_a_barred_letter(d, n_max):
+    # so the profile tally finds no 2 in the forced last letter
+    for n in range(1, n_max + 1):
+        assert all(w[-1] < 0 for w in brute_force_words(d, n)), (d, n)
+
+
 def brute_force_positions(n):
     tri = Counter()
     for w in brute_force_words(2, n, marker_cap=1):
