@@ -87,13 +87,17 @@ def _emit_count(args, rows) -> None:
         print("\n]")
         return
     for row in rows:
+        factors = ""
+        if args.factor and row["count"] > 0:
+            factors = _format_factors(*_factorize(row["count"]))
         if args.format == "csv":
+            # --factor adds a third field, empty for a zero count
             key = row.get("n", row.get("length"))
-            print(f"{key},{row['count']}")
+            print(f"{key},{row['count']}" + (f",{factors}" if args.factor else ""))
         else:
             print(row["count"])
-        if args.factor and row["count"] > 0:
-            print(f"  = {_format_factors(*_factorize(row['count']))}")
+            if factors:
+                print(f"  = {factors}")
 
 
 def cmd_count(args, parser) -> int:

@@ -13,6 +13,15 @@ sum bar_first_pair_count; summing it over all position pairs reduces, via
 the equal-block structure of the position triangle, to
 4*(free - reflected) + adjacent, the three nested sums implemented below
 in both direct and closed form.
+
+verify checks two families case by case over many cases, so each has a
+private block core beside its public scalar function, which tests pin it
+to: _count_words_fixed_markers_block runs the ballot-product contraction
+for a block of marker configurations at once, and _convolution_identity_block
+and _binomial_identity_block evaluate every triple of the two triangle
+identities from one table of triangle_ext values with one object-dtype
+matmul.  numpy is imported inside them, so importing the package does not
+load it.
 """
 
 from __future__ import annotations
@@ -183,6 +192,50 @@ def count_words_fixed_markers(
     return sum(v * _ballot_count(k, 0, tail) for k, v in vec.items())
 
 
+def _count_words_fixed_markers_block(signs, word_positions, n: int):
+    """count_words_fixed_markers on each row of the (R, m) signs and (R, m)
+    1-based word positions arrays, for words of length 2n: an (R,) int64
+    array.
+
+    Trusted: every row's signs are balanced +-1 at strictly increasing
+    positions in 1..2n.  The same left-to-right contraction over the marker
+    heights, on all rows at once: each step gathers every row's ballot
+    matrix, ballot(k1 - f, k2 - f, seg), from one table and multiplies it
+    into the row's vector, whose heights above the marker's bound are
+    zeroed as the scalar loop never fills them.  Every value counts +-1
+    paths, or path prefixes, of at most 2n - m steps, so it is below
+    2^(2n - m): under 2^14 at verify's cpt cap n <= 7, and inside int64
+    for any n < 32.
+    """
+    import numpy as np
+
+    rows, m = signs.shape
+    if m == 0:
+        return np.full(rows, catalan(n), dtype=np.int64)
+    path_len = 2 * n - m
+    ppos = word_positions - np.arange(1, m + 1)
+    his = np.minimum(ppos, path_len - ppos)
+    floors = np.maximum(-np.cumsum(signs, axis=1), 0)  # marker_floors
+    top, low = path_len // 2, -(m // 2)  # no height above top, no floor above m / 2
+    # ballot[s, a, b] = _ballot_count(a + low, b + low, s)
+    span = range(low, top + 1)
+    ballot = np.array(
+        [[[_ballot_count(a, b, s) for b in span] for a in span] for s in range(path_len + 1)],
+        dtype=np.int64,
+    )
+    heights = np.arange(top + 1)
+    vec = ballot[ppos[:, 0, None], -low, heights - low]
+    vec[heights > his[:, :1]] = 0
+    for a in range(1, m):
+        seg = ppos[:, a] - ppos[:, a - 1]
+        at = heights - floors[:, a - 1, None] - low
+        matrix = ballot[seg[:, None, None], at[:, :, None], at[:, None, :]]
+        vec = np.matmul(vec[:, None, :], matrix)[:, 0]
+        vec[heights > his[:, a, None]] = 0
+    tail = path_len - ppos[:, -1]
+    return (vec * ballot[tail[:, None], heights - low, -low]).sum(axis=1)
+
+
 def adjacent_marker_sum_direct(n: int) -> int:
     """Direct nested sum over bar-first words with markers at (2i, 2i+1)."""
     total = 0
@@ -318,6 +371,69 @@ def catalan_binomial_identity(a: int, b: int, c: int) -> bool:
         for j in range(c, b + 1)
     )
     return lhs == binom(a + b + 2, b - c)
+
+
+def _triangle_ext_table(bound: int):
+    """table[m + bound, n] = triangle_ext(m, n) for -bound <= m <= 2 bound + 1
+    and 0 <= n <= bound, as Python ints in an object array."""
+    import numpy as np
+
+    table = np.empty((3 * bound + 2, bound + 1), dtype=object)
+    for m in range(-bound, 2 * bound + 2):
+        for k in range(bound + 1):
+            table[m + bound, k] = triangle_ext(m, k)
+    return table
+
+
+def _convolution_identity_block(bound: int):
+    """(triples, holds): every (a, b, c) in 0..bound, in the order of
+    product(range(bound + 1), repeat=3), as a (N, 3) array, and whether
+    catalan_convolution_identity holds for each.
+
+    The left sides are one object-dtype matmul: X[a, i] = T(i + a, i)
+    against Y[(b, c), i] = T(b - i, c - i), which is 0 for i > c, so the
+    sum over every i <= bound is the sum over i <= c.  Values are Python
+    ints, so any bound is exact.
+    """
+    import numpy as np
+
+    table = _triangle_ext_table(bound)
+    r = np.arange(bound + 1)
+    a, i = r[:, None], r[None, :]
+    x = table[i + a + bound, i]  # [a, i]
+    b, c, i = r[:, None, None], r[None, :, None], r[None, None, :]
+    y = np.where(c >= i, table[b - i + bound, np.maximum(c - i, 0)], 0)  # [b, c, i]
+    lhs = (x @ y.reshape(-1, bound + 1).T).ravel()  # [a, (b, c)]
+    triples = np.argwhere(np.ones((bound + 1,) * 3, dtype=bool))
+    a, b, c = triples.T
+    return triples, (lhs == table[a + b + 1 + bound, c]).astype(bool)
+
+
+def _binomial_identity_block(bound: int):
+    """(triples, holds): every (a, b, c) with a, b in 0..bound and c <= b, in
+    the order verify lists them, as a (N, 3) array, and whether
+    catalan_binomial_identity holds for each.
+
+    The left sides are one object-dtype matmul: U[(a, b), j] = T(a - j, b - j),
+    which is 0 for j > b, against V[j, c] = binom(2j + 1, j - c), which is
+    0 for j < c.  Values are Python ints, so any bound is exact.
+    """
+    import numpy as np
+
+    table = _triangle_ext_table(bound)
+    # binoms[s, k] = binom(s, k) for every top either side reads
+    binoms = np.array(
+        [[binom(s, k) for k in range(bound + 1)] for s in range(2 * bound + 3)], dtype=object
+    )
+    r = np.arange(bound + 1)
+    a, b, j = r[:, None, None], r[None, :, None], r[None, None, :]
+    u = np.where(b >= j, table[a - j + bound, np.maximum(b - j, 0)], 0)  # [a, b, j]
+    j, c = r[:, None], r[None, :]
+    v = np.where(j >= c, binoms[2 * j + 1, np.maximum(j - c, 0)], 0)  # [j, c]
+    lhs = (u.reshape(-1, bound + 1) @ v).reshape((bound + 1,) * 3)  # [a, b, c]
+    triples = np.argwhere(np.broadcast_to(r[:, None] >= r, lhs.shape))  # c <= b
+    a, b, c = triples.T
+    return triples, (lhs[a, b, c] == binoms[a + b + 2, b - c]).astype(bool)
 
 
 def split_triangular_sum(f: Callable[[int, int], int], a: int) -> tuple[int, int]:

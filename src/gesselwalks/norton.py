@@ -11,18 +11,31 @@ threshold configuration.
 The statistic n10 counts the maximal number of disjoint 1-before-0 index
 pairs; with m(w) = floor((n1 - n10) / 2) the number of attainable positive
 odd targets equals max(m(w), 0).
+
+The public functions take one word per call and scan it in Python.  The
+counts over all words of a length (norton_count, table_counts and so
+diagonal_columns) and verify's multiplicity check read every word of that
+length instead, as 0/1 arrays of at most CHUNK rows from
+_sign_word_blocks.  The block cores _stats_block, _witness_block and
+_check_witness_block mirror stats, _witness and _check_witness row by row,
+from cumulative sums; tests pin each to its scalar twin.  numpy is imported
+inside them, so importing the package does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import comb
 
 from .exceptions import CapExceededError, IntegralityError, checked_ints
 
 DEFAULT_MAX_N = 10
+
+# Rows per block of sign words: no more than verify's other blocks, which
+# hold at most dyck.DP_CHUNK rows (a test pins it; this module imports no
+# other route).
+CHUNK = 4096
 
 
 def as_bits(w) -> tuple[int, ...]:
@@ -91,10 +104,13 @@ def _check_witness(bits, nums, scale, target):
     """Raise unless the signed sum of the witness nums / scale is target."""
     total = sum(x if b else -x for b, x in zip(bits, nums))
     if total != target * scale:
-        raise IntegralityError(
-            f"witness for {''.join(map(str, bits))} sums to "
-            f"{Fraction(total, scale)}, not {target}"
-        )
+        raise _witness_error(bits, total, scale, target)
+
+
+def _witness_error(bits, total, scale, target):
+    return IntegralityError(
+        f"witness for {''.join(map(str, bits))} sums to {Fraction(total, scale)}, not {target}"
+    )
 
 
 def _witness(bits, target):
@@ -150,6 +166,101 @@ def achievable_odd_sums(w) -> frozenset[int]:
     return frozenset(out)
 
 
+def _sign_word_blocks(length):
+    """Yield (words, best) for every sign word of this length, in the order
+    of product((0, 1), repeat=length), CHUNK rows at a time: words is an
+    (R, length) int8 array of bits and best the (R,) max_suffix_balance of
+    its rows, read from the cumulative sums of the reversed +-1 signs."""
+    import numpy as np
+
+    shifts = np.arange(length - 1, -1, -1)
+    for start in range(0, 1 << length, CHUNK):
+        index = np.arange(start, min(start + CHUNK, 1 << length))
+        words = (index[:, None] >> shifts & 1).astype(np.int8)
+        suffix = np.cumsum(2 * words[:, ::-1] - 1, axis=1)
+        yield words, suffix.max(axis=1, initial=0)
+
+
+def _stats_block(words):
+    """(n1, n10) of stats() for each row of words, an (R, L) 0/1 array.
+
+    The greedy scan of _ten_pairs leaves a 0 unmatched whenever no 1 is
+    open, so the unmatched 0s number the deepest deficit of #0s over #1s
+    among the prefixes, and n10 is the 0s less those."""
+    import numpy as np
+
+    n1 = words.sum(axis=1, dtype=np.int64)
+    prefix = np.cumsum(2 * words - 1, axis=1)
+    return n1, words.shape[1] - n1 + prefix.min(axis=1, initial=0)
+
+
+def _witness_block(words, best, targets):
+    """_witness on each row of words, an (R, L) 0/1 array whose max suffix
+    balances are best, for its target, each with 0 < target < best: an
+    (R, L) int64 array of numerators and the (R,) scales, not yet checked.
+
+    The same threshold configuration, ramp and jump as _witness, with the
+    first cut read from the suffix sums; each row's denominator is doubled
+    until all of its strict inequalities verify, as _witness doubles it.
+    The jump is positive once denom > ((L + 2) sigma + wsum) / target, and
+    the last numerator falls below scale once denom (best - target) >
+    (2L + 2) best - (L + 2) sigma - wsum.  Both right sides are below
+    4 (L + 2)^2, so denom < 8 (L + 2)^2 and every value is below
+    scale < 8 L (L + 2)^2: under 2^16 at verify's len_max cap of 16, and
+    far inside int64 for any L a block of sign words can have.
+    """
+    import numpy as np
+
+    rows, L = words.shape
+    eps = 2 * words.astype(np.int64) - 1
+    suffix = np.cumsum(eps[:, ::-1], axis=1)[:, ::-1]
+    cut = np.argmax(suffix == best[:, None], axis=1)  # the first cut attaining it
+    sigma = eps.sum(axis=1)
+    i = np.arange(1, L + 1)
+    wsum = eps @ i
+    after = i > cut[:, None]
+    denom = np.full(rows, 4 * (L + 1), dtype=np.int64)
+    while True:
+        scale = denom * best
+        jump = targets * denom - (L + 2) * sigma - wsum
+        nums = ((L + 2) + i) * best[:, None] + jump[:, None] * after
+        ok = (jump > 0) & (nums[:, 0] > 0) & (nums[:, -1] < scale)
+        ok &= (nums[:, 1:] > nums[:, :-1]).all(axis=1)
+        if ok.all():
+            return nums, scale
+        denom = np.where(ok, denom, 2 * denom)
+
+
+def _check_witness_block(words, nums, scale, targets):
+    """_check_witness on each row: raise for the first row whose witness
+    nums / scale does not sum to its target."""
+    import numpy as np
+
+    total = np.where(words == 1, nums, -nums).sum(axis=1)
+    bad = np.flatnonzero(total != targets * scale)
+    if len(bad):
+        r = int(bad[0])
+        raise _witness_error(words[r].tolist(), int(total[r]), int(scale[r]), int(targets[r]))
+
+
+def _achievable_counts(words, best):
+    """len(achievable_odd_sums) of each row of words, whose max suffix
+    balances are best: every odd target below best is witnessed and
+    checked, all pairs of the block at once, and counted per row."""
+    import numpy as np
+
+    half = best // 2
+    rows = np.repeat(np.arange(len(words)), half)
+    if not len(rows):
+        return half  # all 0: no word attains a target
+    # the odd targets 1, 3, ..., best - 1 of each row, rows in order
+    targets = 2 * (np.arange(len(rows)) - np.repeat(np.cumsum(half) - half, half)) + 1
+    pairs = words[rows]
+    nums, scale = _witness_block(pairs, best[rows], targets)
+    _check_witness_block(pairs, nums, scale, targets)
+    return np.bincount(rows, minlength=len(words))
+
+
 def _check_n(n) -> int:
     """n as an int, once it is known to be in 1..DEFAULT_MAX_N; ValueError
     if int() would change it."""
@@ -164,22 +275,27 @@ def _check_n(n) -> int:
 def norton_count(n: int) -> int:
     """Total number of (word, attainable positive odd target) incidences."""
     n = _check_n(n)
-    total = 0
-    for bits in product((0, 1), repeat=2 * n):
-        total += _max_suffix(bits) // 2
-    return total
+    return sum(int((best // 2).sum()) for _, best in _sign_word_blocks(2 * n))
 
 
 def table_counts(n: int) -> dict[tuple[int, int], int]:
     """Counts keyed by (number of 1s, odd target) over all sign words."""
+    import numpy as np
+
     n = _check_n(n)
+    length = 2 * n
+    # words per (n1, max suffix balance); a word counts at each odd t below it
+    tally = np.zeros((length + 1) ** 2, dtype=np.int64)
+    for words, best in _sign_word_blocks(length):
+        tally += np.bincount(
+            words.sum(axis=1, dtype=np.int64) * (length + 1) + best, minlength=len(tally)
+        )
+    above = np.cumsum(tally.reshape(length + 1, length + 1)[:, ::-1], axis=1)[:, ::-1]
     table: dict[tuple[int, int], int] = {}
-    for bits in product((0, 1), repeat=2 * n):
-        n1 = sum(bits)
-        best = _max_suffix(bits)
-        for t in range(1, best, 2):
-            key = (n1, t)
-            table[key] = table.get(key, 0) + 1
+    for n1 in range(length + 1):
+        for t in range(1, length, 2):
+            if above[n1, t + 1]:
+                table[n1, t] = int(above[n1, t + 1])
     return table
 
 

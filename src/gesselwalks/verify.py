@@ -4,11 +4,20 @@ Each entry checks one cross-route equality over its cases, or pins a value;
 on failure `actual` lists the first mismatches.  Conjecture entries gate no
 exit code unless the caller promotes them.
 
-The bijection and cpt suites read the enumerator's word blocks as arrays:
-the block cores of dyck round-trip whole blocks, each word's marker class
-is one integer key, and the floor DP runs on a stack of floor rows built
-from the keys.  The scalar cores stay for the public one-word functions,
-where a one-row block would cost about twenty times as much.
+A check reads its cases a block at a time: `_agree` compares each block's
+got and want arrays in one pass and renders a case only when it is among
+the first four mismatches.  The bijection and cpt suites read the
+enumerator's word blocks as arrays: the block cores of dyck round-trip
+whole blocks, each word's marker class is one integer key, and the floor
+DP runs on a stack of floor rows built from the keys.  cpt runs the ballot
+products on blocks of marker configurations, the multiplicity check builds
+and checks its witnesses on blocks of sign words, and the triangle
+identities evaluate all their triples at once, each through a private
+block core beside the public scalar function it mirrors.  The scalar cores
+stay for the public one-case functions, where a one-row block would cost
+far more.  No block handed to _agree holds more than dyck.DP_CHUNK cases;
+the triangle identities compute their (bound + 1)^3 triples or fewer at
+once, at most 68,921 at the bound cap of 40, and hand them over in chunks.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ import random
 import time
 from dataclasses import asdict, dataclass, field
 from functools import cache
-from itertools import accumulate, combinations, product, repeat
+from itertools import combinations, islice, product
 
 from . import dyck, enumeration, formulas, norton, walks
 from .exceptions import CapExceededError
@@ -61,21 +70,72 @@ def _run(name, params, expected, fn, *, conjecture=False):
     return ReportEntry(name, params, expected, actual, status, ms)
 
 
-def _agree(name, params, expected, cases, unit, *, conjecture=False):
-    """Entry checking got == want for each (case, got, want) of ``cases``, which
-    is read inside the timer: a lazy iterable times building each case too."""
+def _agree(name, params, expected, blocks, unit, *, conjecture=False):
+    """Entry checking got == want for every case of ``blocks``, an iterable of
+    (cases, got, want) read inside the timer: a lazy one times building the
+    cases too.
+
+    got and want hold one value per case: numpy arrays, whose rows are
+    compared in one pass, or lists of Python values (see _cases).  cases(i)
+    is the label of case i; it is called, before the next block is drawn,
+    only for the first four mismatches, which the digest shows as
+    (case, got, want) with array rows as tuples.
+    """
     def tally():
-        bad, total = [], 0
-        for total, (case, got, want) in enumerate(cases, start=1):
-            if got != want:
-                bad.append((case, got, want))
+        shown, bad, total = [], 0, 0
+        for cases, got, want in blocks:
+            misses = _mismatches(got, want)
+            for i in misses[: 4 - len(shown)]:
+                shown.append(str((cases(i), _value(got, i), _value(want, i))))
+            bad += len(misses)
+            total += len(got)
         if not bad:
             return True, f"all {total} {unit} agree"
-        digest = "; ".join(str(m) for m in bad[:4])
-        more = "" if len(bad) <= 4 else f" (+{len(bad) - 4} more)"
-        return False, f"{len(bad)}/{total} {unit} disagree: {digest}{more}"
+        more = "" if bad <= 4 else f" (+{bad - 4} more)"
+        return False, f"{bad}/{total} {unit} disagree: {'; '.join(shown)}{more}"
 
     return _run(name, params, expected, tally, conjecture=conjecture)
+
+
+def _mismatches(got, want) -> list[int]:
+    """Indices of the cases whose got differs from their want."""
+    if isinstance(got, list):
+        return [i for i, (g, w) in enumerate(zip(got, want)) if g != w]
+    import numpy as np
+
+    diff = np.asarray(got != want)
+    return np.flatnonzero(diff.any(axis=tuple(range(1, diff.ndim)))).tolist()
+
+
+def _value(values, i):
+    """Case i's value as the digest shows it: a row of an array as a tuple."""
+    if isinstance(values, list):
+        return values[i]
+    value = values[i].tolist()
+    return tuple(value) if isinstance(value, list) else value
+
+
+def _cases(triples):
+    """The (case, got, want) triples of a scalar check, as blocks of lists of
+    at most dyck.DP_CHUNK cases; a generator, so the triples are built
+    inside the entry's timer."""
+    triples = iter(triples)
+    while block := list(islice(triples, dyck.DP_CHUNK)):
+        cases, got, want = map(list, zip(*block))
+        yield cases.__getitem__, got, want
+
+
+def _rows(values):
+    """The label function of a block whose case labels are the rows of values."""
+    return lambda i: tuple(values[i].tolist())
+
+
+def _blocks(cases, got, want):
+    """One block's got and want arrays, with cases(i) the label of case i,
+    as blocks of at most dyck.DP_CHUNK cases."""
+    for start in range(0, len(got), dyck.DP_CHUNK):
+        at = slice(start, start + dyck.DP_CHUNK)
+        yield (lambda i: cases(start + i)), got[at], want[at]
 
 
 def suite_theorem(n_max: int = 30):
@@ -105,7 +165,7 @@ def suite_theorem(n_max: int = 30):
             "theorem/one-pair-assembly",
             {"n_max": n_max},
             "closed form == bar-first + one-first",
-            assembly,
+            _cases(assembly),
             "n values",
         ),
         _run("theorem/gessel-values", {"n": "0..4"}, "(1, 2, 11, 85, 782)", gessel_values),
@@ -113,7 +173,7 @@ def suite_theorem(n_max: int = 30):
             "theorem/engine-agreement",
             {"dp_n_max": THEOREM_DP_N_MAX, "enum_n_max": THEOREM_ENUM_N_MAX},
             "closed == walk DP == enumeration",
-            engines(),
+            _cases(engines()),
             "engine pairs",
         ),
     ]
@@ -127,7 +187,7 @@ def suite_identities(n_max: int = 30, bound: int = 15, seed: int = 20260826):
         return sum_direct(n)
 
     def against_closed(sum_direct, sum_closed, n_min):
-        return ((n, direct(sum_direct, n), sum_closed(n)) for n in range(n_min, n_max + 1))
+        return _cases((n, direct(sum_direct, n), sum_closed(n)) for n in range(n_min, n_max + 1))
 
     def bar_first_parts():
         for n in range(1, n_max + 1):
@@ -135,6 +195,13 @@ def suite_identities(n_max: int = 30, bound: int = 15, seed: int = 20260826):
             reflected = direct(formulas.even_marker_sum_reflected_direct, n)
             adjacent = direct(formulas.adjacent_marker_sum_direct, n)
             yield n, 4 * (free - reflected) + adjacent, formulas.bar_first_total(n)
+
+    def holds(identity_block):
+        import numpy as np
+
+        # one block of (bound + 1)^3 triples or fewer, checked a chunk at a time
+        triples, ok = identity_block(bound)
+        yield from _blocks(_rows(triples), ok, np.ones_like(ok))
 
     def split_tables():
         rng = random.Random(seed)
@@ -177,35 +244,28 @@ def suite_identities(n_max: int = 30, bound: int = 15, seed: int = 20260826):
             "identities/bar-first-assembly",
             {"n_max": n_max},
             "4*(free - reflected) + adjacent == closed total",
-            bar_first_parts(),
+            _cases(bar_first_parts()),
             "n values",
         ),
         _agree(
             "identities/triangle-convolution",
             {"bound": bound},
             "LHS == RHS for all triples",
-            (
-                ((a, b, c), formulas.catalan_convolution_identity(a, b, c), True)
-                for a, b, c in product(range(bound + 1), repeat=3)
-            ),
+            holds(formulas._convolution_identity_block),
             "triples",
         ),
         _agree(
             "identities/triangle-binomial",
             {"bound": bound},
             "LHS == RHS for all triples",
-            (
-                ((a, b, c), formulas.catalan_binomial_identity(a, b, c), True)
-                for a, b in product(range(bound + 1), repeat=2)
-                for c in range(b + 1)
-            ),
+            holds(formulas._binomial_identity_block),
             "triples",
         ),
         _agree(
             "identities/triangular-split",
             {"trials": 25, "seed": seed},
             "direct == band decomposition",
-            split_tables(),
+            _cases(split_tables()),
             "random tables",
         ),
     ]
@@ -223,8 +283,14 @@ def _class_keys(words):
 
 
 def _class_key(n, signs, positions):
-    """_class_keys of one marker class of length-2n words."""
-    return sum((1 | (s > 0) << 2 * n) << p - 1 for s, p in zip(signs, positions))
+    """_class_keys of marker classes of length-2n words, given by their
+    signs and 1-based positions: (m,) sequences for one class, or (R, m)
+    arrays for one class per row."""
+    import numpy as np
+
+    positions = np.asarray(positions, dtype=np.int64)
+    bits = np.int64(1) << positions - 1
+    return (bits | (np.asarray(signs) > 0) << 2 * n + positions - 1).sum(axis=-1)
 
 
 def _class_of(n, key):
@@ -296,19 +362,13 @@ def suite_bijection(len_max: int = 12):
                 for rows, positions, signs, path in dyck._split_block(words):
                     rebuilt[rows] = dyck._interleave_block(path, positions, signs)
                 keys.append(_class_keys(words))
-                bad = np.flatnonzero((rebuilt != words).any(axis=1))
-                yield from repeat((n, 0, 0), len(words) - len(bad))
-                for r in bad.tolist():
-                    yield n, tuple(rebuilt[r].tolist()), tuple(words[r].tolist())
+                yield (lambda r: n), rebuilt, words
             tallies.append((n, *_class_tally(keys)))
 
     def fibers():
         for n, keys, sizes in tallies:
             paths = _floor_path_counts(n, keys)
-            bad = np.flatnonzero(paths != sizes)
-            yield from repeat((n, 0, 0), len(keys) - len(bad))
-            for r in bad.tolist():
-                yield _class_of(n, int(keys[r])), int(paths[r]), int(sizes[r])
+            yield from _blocks(lambda r: _class_of(n, int(keys[r])), paths, sizes)
 
     return [
         _agree(
@@ -334,7 +394,7 @@ def suite_diamond(n_max: int = 8):
             "diamond/equal-blocks",
             {"n_max": n_max},
             "four bar-first counts equal per block",
-            (
+            _cases(
                 ((i, j, n), formulas.diamond_equal(i, j, n), True)
                 for n in range(3, n_max + 1)
                 for i in range(1, n - 1)
@@ -346,36 +406,65 @@ def suite_diamond(n_max: int = 8):
 
 
 def _balanced_signs(pairs):
-    return [s for s in product((1, -1), repeat=2 * pairs) if sum(s) == 0]
+    """Every balanced +-1 sign word of 2 * pairs letters as the rows of an
+    int64 array, in the order of product((1, -1), repeat=2 * pairs)."""
+    import numpy as np
+
+    width = 2 * pairs
+    index = np.arange(1 << width)[:, None]
+    signs = 1 - 2 * (index >> np.arange(width - 1, -1, -1) & 1)
+    return signs[signs.sum(axis=1) == 0]
+
+
+def _configurations(n, signs):
+    """Yield (signs, positions) blocks of at most dyck.DP_CHUNK marker
+    configurations of length-2n words: each row of signs, an (S, m) array,
+    with every m-set of 1-based positions, in the order of
+    product(signs, combinations(range(1, 2n + 1), m))."""
+    import numpy as np
+
+    m = signs.shape[1]
+    sets = list(combinations(range(1, 2 * n + 1), m))
+    positions = np.array(sets, dtype=np.int64).reshape(len(sets), m)
+    total = len(signs) * len(sets)
+    for start in range(0, total, dyck.DP_CHUNK):
+        index = np.arange(start, min(start + dyck.DP_CHUNK, total))
+        yield signs[index // len(sets)], positions[index % len(sets)]
 
 
 def suite_cpt(n_max: int = 5):
+    # both entries run the ballot products on blocks of configurations
     import numpy as np
+
+    def label(n, signs, positions):
+        return lambda r: (n, tuple(signs[r].tolist()), tuple(positions[r].tolist()))
 
     def three_routes():
         for n in range(1, n_max + 1):
             blocks = enumeration._word_blocks(2, n, None)
             keys, sizes = _class_tally(map(_class_keys, blocks))
-            fibers = dict(zip(keys.tolist(), sizes.tolist()))
-            cases = [
-                (signs, positions)
-                for n1 in range(1, min(CPT_N1_MAX, n) + 1)
-                for signs in _balanced_signs(n1)
-                for positions in combinations(range(1, 2 * n + 1), 2 * n1)
-            ]
-            keys = [_class_key(n, signs, positions) for signs, positions in cases]
-            oracles = _floor_path_counts(n, np.array(keys, dtype=np.int64)).tolist()
-            for (signs, positions), key, oracle in zip(cases, keys, oracles):
-                formula = formulas.count_words_fixed_markers(signs, positions, n)
-                yield (n, signs, positions), (formula, fibers.get(key, 0)), (oracle, oracle)
+            for n1 in range(1, min(CPT_N1_MAX, n) + 1):
+                for signs, positions in _configurations(n, _balanced_signs(n1)):
+                    formula = formulas._count_words_fixed_markers_block(signs, positions, n)
+                    key = _class_key(n, signs, positions)
+                    at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+                    fibers = np.where(keys[at] == key, sizes[at], 0)
+                    oracles = _floor_path_counts(n, key)
+                    yield (
+                        label(n, signs, positions),
+                        np.stack([formula, fibers], axis=1),
+                        np.stack([oracles, oracles], axis=1),
+                    )
 
     def legal_descents():
         for n in range(1, n_max + 1):
             for n1 in range(n + 1):
-                legal = [s for s in _balanced_signs(n1) if min(accumulate(s), default=0) >= 0]
-                for signs, positions in product(legal, combinations(range(1, 2 * n + 1), 2 * n1)):
-                    got = formulas.count_words_fixed_markers(signs, positions, n)
-                    yield (n, signs, positions), got, dyck.catalan(n - n1)
+                balanced = _balanced_signs(n1)
+                legal = balanced[(np.cumsum(balanced, axis=1) >= 0).all(axis=1)]
+                for signs, positions in _configurations(n, legal):
+                    got = formulas._count_words_fixed_markers_block(signs, positions, n)
+                    want = np.full(len(got), dyck.catalan(n - n1))
+                    yield label(n, signs, positions), got, want
 
     return [
         _agree(
@@ -440,23 +529,32 @@ def suite_norton(n_max: int = 6, len_max: int = 12):
             got = r.binomial_pattern_ok, r.full_contribution_total, r.partial_contribution_total
             yield n, got, (True, formulas.one_first_total(n), formulas.bar_first_total(n))
 
-    multiplicity = (
-        (bits, len(norton.achievable_odd_sums(bits)), max(norton.stats(bits).multiplicity, 0))
-        for n in range(1, len_max // 2 + 1)
-        for bits in product((0, 1), repeat=2 * n)
-    )
+    def multiplicity():
+        # stats, achievable_odd_sums and its witnesses on blocks of sign words
+        import numpy as np
+
+        for n in range(1, len_max // 2 + 1):
+            for words, best in norton._sign_word_blocks(2 * n):
+                n1, n10 = norton._stats_block(words)
+                got = norton._achievable_counts(words, best)
+                yield _rows(words), got, np.maximum((n1 - n10) // 2, 0)
+
     totals = ((n, norton.norton_count(n), formulas.one_pair_closed(n)) for n in range(1, n_max + 1))
     return [
         _run("norton/total-n2", {"n": 2}, "7", count_n2),
         _agree(
-            "norton/table-n2", {"n": 2}, "rows and stats as published", table1_rows(), "sign words"
+            "norton/table-n2",
+            {"n": 2},
+            "rows and stats as published",
+            _cases(table1_rows()),
+            "sign words",
         ),
-        _agree("norton/table-n4", {"n": 4}, "16 nonzero cells", table2_cells(), "cells"),
+        _agree("norton/table-n4", {"n": 4}, "16 nonzero cells", _cases(table2_cells()), "cells"),
         _agree(
             "norton/multiplicity-conjecture",
             {"len_max": len_max},
             "|achievable| == max(m, 0)",
-            multiplicity,
+            multiplicity(),
             "sign words",
             conjecture=True,
         ),
@@ -464,7 +562,7 @@ def suite_norton(n_max: int = 6, len_max: int = 12):
             "norton/count-conjecture",
             {"n_max": n_max},
             "norton count == single-pair word count",
-            totals,
+            _cases(totals),
             "n values",
             conjecture=True,
         ),
@@ -472,7 +570,7 @@ def suite_norton(n_max: int = 6, len_max: int = 12):
             "norton/diagonal-binomials",
             {"n_max": n_max},
             "diagonals are consecutive binomials; contribution split matches",
-            diagonals(),
+            _cases(diagonals()),
             "n values",
             conjecture=True,
         ),

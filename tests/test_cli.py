@@ -1,4 +1,6 @@
+import csv
 import errno
+import io
 import json
 import os
 import subprocess
@@ -122,6 +124,32 @@ def test_count_factor_reports_cofactor(capsys):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out.splitlines()[1] == f"  = {data['cofactor']} (unfactored)"
+
+
+@pytest.mark.parametrize("mode", [("--n", "3"), ("--n-max", "3"), ("--length", "3")])
+def test_count_csv_reads_as_csv_with_and_without_factor(capsys, mode):
+    for extra, fields in (((), 2), (("--factor",), 3)):
+        code, out, _ = run_cli(capsys, "count", "--d", "2", *mode, "--format", "csv", *extra)
+        rows = list(csv.reader(io.StringIO(out)))
+        assert code == 0 and rows
+        assert all(len(row) == fields for row in rows), rows
+    # the factorization is the third field; a zero count leaves it empty
+    want = {
+        "--n": ["3,85,5 * 17"],
+        "--n-max": ["0,1,1", "1,2,2", "2,11,11", "3,85,5 * 17"],
+        "--length": ["3,0,"],
+    }[mode[0]]
+    assert out.splitlines() == want
+
+
+def test_count_csv_factor_field_names_the_cofactor(capsys):
+    argv = ("count", "--d", "2", "--length", "41", "--endpoint=1,0", "--factor")
+    _, out, _ = run_cli(capsys, *argv, "--format", "json")
+    data = json.loads(out)
+    _, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    ((length, count, factors),) = csv.reader(io.StringIO(out))
+    assert (length, count) == ("41", data["count"])
+    assert factors.endswith(f"{data['cofactor']} (unfactored)")
 
 
 def test_count_flag_conflicts(capsys):
@@ -379,6 +407,77 @@ def test_verify_failure_digest_and_exit(capsys, monkeypatch):
         f"({n}, {formulas.one_pair_closed(n)}, {formulas.one_pair_closed(n) + 1})" for n in range(1, 5)
     )
     assert entry["actual"] == f"30/30 n values disagree: {shown} (+26 more)"
+
+
+def _per_case_digest(cases, unit):
+    """The actual text of the per-case loop: each (case, got, want) compared
+    in turn, the first four mismatches shown, the rest counted."""
+    bad, total = [], 0
+    for total, (case, got, want) in enumerate(cases, start=1):
+        if got != want:
+            bad.append((case, got, want))
+    if not bad:
+        return f"all {total} {unit} agree"
+    more = "" if len(bad) <= 4 else f" (+{len(bad) - 4} more)"
+    return f"{len(bad)}/{total} {unit} disagree: {'; '.join(map(str, bad[:4]))}{more}"
+
+
+@pytest.mark.parametrize("chunk", [3, dyck.DP_CHUNK])
+@pytest.mark.parametrize("flips", [(), (3,), (0, 9, 15), (1, 2, 3, 4, 11, 17), tuple(range(20))])
+def test_a_failing_block_gives_the_per_case_digest(monkeypatch, flips, chunk):
+    import numpy as np
+
+    monkeypatch.setattr(dyck, "DP_CHUNK", chunk)  # the list cases, in one block or two
+    # 20 cases: array rows, an empty block, array scalars, then list blocks
+    want = np.arange(40).reshape(20, 2)
+    got = want.copy()
+    got[list(flips), 1] += 1
+    pairs = list(zip(got.tolist(), want.tolist()))
+    cases = [(("row", i), tuple(g), tuple(w)) for i, (g, w) in enumerate(pairs[:8])]
+    cases += [(("scalar", i), g[1], w[1]) for i, (g, w) in enumerate(pairs[8:14], start=8)]
+    cases += [(("set", i), frozenset(g), frozenset(w)) for i, (g, w) in enumerate(pairs[14:], 14)]
+
+    def blocks():
+        yield (lambda i: ("row", i)), got[:8], want[:8]
+        yield (lambda i: ("row", 8 + i)), got[8:8], want[8:8]
+        yield (lambda i: ("scalar", 8 + i)), got[8:14, 1], want[8:14, 1]
+        yield from verify._cases(cases[14:])
+
+    entry = verify._agree("check", {}, "", blocks(), "cases")
+    assert entry.actual == _per_case_digest(cases, "cases")
+    assert entry.failed == bool(flips)
+
+
+def test_verify_blocks_hold_at_most_a_dp_chunk(monkeypatch):
+    sizes = Counter()
+    agree = verify._agree
+
+    def recording(name, params, expected, blocks, unit, **kwargs):
+        def seen():
+            for block in blocks:
+                sizes[name] = max(sizes[name], len(block[1]))
+                yield block
+
+        return agree(name, params, expected, seen(), unit, **kwargs)
+
+    monkeypatch.setattr(verify, "_agree", recording)
+    # 9,261 triples, and 26,968 marker classes of length 12: each more than one chunk
+    entries = verify.run_suite("all", bound=20)
+    assert all(e.status.endswith("pass") for e in entries)
+    assert max(sizes.values()) == dyck.DP_CHUNK
+    assert sizes["identities/triangle-convolution"] == sizes["bijection/fiber-counts"]
+
+
+def test_verify_reports_do_not_depend_on_the_block_size(monkeypatch):
+    def report():
+        entries = verify.run_suite("all", n_max=4, len_max=8, bound=4)
+        return [(e.name, e.status, e.actual) for e in entries]
+
+    want = report()
+    monkeypatch.setattr(dyck, "DP_CHUNK", 7)
+    monkeypatch.setattr(norton, "CHUNK", 5)
+    monkeypatch.setattr(enumeration, "CHUNK", 6)
+    assert report() == want
 
 
 def test_verify_bijection_round_trip_runs_the_interleave_core(capsys, monkeypatch):

@@ -29,6 +29,7 @@ from gesselwalks import (
     one_pair_closed,
     triangle_ext,
 )
+from gesselwalks import formulas
 from gesselwalks.formulas import (
     _as_integer,
     _gbinom,
@@ -227,6 +228,66 @@ def test_identity_checkers():
         for b in range(8):
             for c in range(b + 1):
                 assert catalan_binomial_identity(a, b, c), (a, b, c)
+
+
+def _identity_cases(bound):
+    """The triples of the two identities, in the order verify lists them."""
+    return (
+        list(product(range(bound + 1), repeat=3)),
+        [(a, b, c) for a, b in product(range(bound + 1), repeat=2) for c in range(b + 1)],
+    )
+
+
+def _block_report(identity_block, bound):
+    triples, holds = identity_block(bound)
+    return list(map(tuple, triples.tolist())), holds.tolist()
+
+
+def test_identity_blocks_match_the_scalar_predicates():
+    convolution, binomial = _identity_cases(20)
+    got = _block_report(formulas._convolution_identity_block, 20)
+    assert got == (convolution, [catalan_convolution_identity(*t) for t in convolution])
+    got = _block_report(formulas._binomial_identity_block, 20)
+    assert got == (binomial, [catalan_binomial_identity(*t) for t in binomial])
+    for bound in (0, 1):
+        convolution, binomial = _identity_cases(bound)
+        assert _block_report(formulas._convolution_identity_block, bound)[0] == convolution
+        assert _block_report(formulas._binomial_identity_block, bound)[0] == binomial
+
+
+def test_identity_blocks_fail_where_the_scalar_predicates_fail(monkeypatch):
+    # both identities hold everywhere, so a wrong triangle value is the only
+    # way to see that a block reports a failing triple as the scalar one does
+    def wrong(m, n):
+        return triangle_ext(m, n) + (m == 3 and n == 1)
+
+    monkeypatch.setattr(formulas, "triangle_ext", wrong)
+    convolution, binomial = _identity_cases(7)
+    want = [catalan_convolution_identity(*t) for t in convolution]
+    assert 0 < want.count(False) < len(want)
+    assert _block_report(formulas._convolution_identity_block, 7) == (convolution, want)
+    want = [catalan_binomial_identity(*t) for t in binomial]
+    assert 0 < want.count(False) < len(want)
+    assert _block_report(formulas._binomial_identity_block, 7) == (binomial, want)
+
+
+@pytest.mark.parametrize("n, n1_max", [*((n, n) for n in range(6)), (7, 2)])
+def test_fixed_markers_block_is_the_scalar_contraction(n, n1_max):
+    # every balanced configuration with n1 <= n1_max pairs, in one block per n1
+    import numpy as np
+
+    for n1 in range(n1_max + 1):
+        cases = [
+            (signs, positions)
+            for signs in product((1, -1), repeat=2 * n1)
+            if sum(signs) == 0
+            for positions in combinations(range(1, 2 * n + 1), 2 * n1)
+        ]
+        signs, positions = (
+            np.array(column, dtype=np.int64).reshape(len(cases), 2 * n1) for column in zip(*cases)
+        )
+        got = formulas._count_words_fixed_markers_block(signs, positions, n).tolist()
+        assert got == [count_words_fixed_markers(s, p, n) for s, p in cases], (n, n1)
 
 
 def test_split_triangular_sum_random_tables():

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gesselwalks import (
@@ -15,8 +20,10 @@ from gesselwalks import (
     stats,
     table_counts,
 )
-from gesselwalks import norton
+from gesselwalks import dyck, norton
 from gesselwalks.norton import as_bits
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_as_bits_forms():
@@ -251,3 +258,92 @@ def test_caps_read_the_module_constant(monkeypatch):
     for run in (norton_count, table_counts, diagonal_columns):
         with pytest.raises(CapExceededError, match="cap n <= 2"):
             run(3)
+
+
+def _words(length):
+    return list(product((0, 1), repeat=length))
+
+
+def _block_rows(length):
+    """(rows as tuples, best per row) of every block of _sign_word_blocks."""
+    rows, bests = [], []
+    for words, best in norton._sign_word_blocks(length):
+        assert words.shape == (len(best), length) and len(words) <= dyck.DP_CHUNK
+        rows += map(tuple, words.tolist())
+        bests += best.tolist()
+    return rows, bests
+
+
+@pytest.mark.parametrize("chunk", [5, norton.CHUNK])
+def test_sign_word_blocks_hold_every_word_in_order(monkeypatch, chunk):
+    monkeypatch.setattr(norton, "CHUNK", chunk)
+    for length in range(0, 13 if chunk > 5 else 7):
+        rows, bests = _block_rows(length)
+        assert rows == _words(length)
+        assert bests == [max_suffix_balance(w) for w in rows]
+    # the counts read the same blocks, so they cannot move with the chunk
+    assert norton_count(4) == 187
+    assert table_counts(4) == TABLE2
+
+
+def test_block_stats_are_the_scalar_stats():
+    for length in range(13):
+        for words, best in norton._sign_word_blocks(length):
+            n1, n10 = norton._stats_block(words)
+            got = list(zip(n1.tolist(), n10.tolist()))
+            assert got == [(s.n1, s.n10) for s in map(stats, words.tolist())], length
+            counts = norton._achievable_counts(words, best).tolist()
+            assert counts == [len(achievable_odd_sums(w)) for w in words.tolist()]
+
+
+def test_block_witness_is_the_scalar_witness():
+    # the same numerators and scale for every (word, odd target) pair
+    for length in range(1, 13):
+        pairs = [
+            (w, t) for w in _words(length) for t in range(1, max_suffix_balance(w), 2)
+        ]
+        if not pairs:
+            continue
+        words = np.array([w for w, _ in pairs], dtype=np.int8)
+        best = np.array([max_suffix_balance(w) for w, _ in pairs])
+        targets = np.array([t for _, t in pairs])
+        nums, scale = norton._witness_block(words, best, targets)
+        got = list(zip(nums.tolist(), scale.tolist()))
+        assert got == [norton._witness(w, t) for w, t in pairs], length
+        norton._check_witness_block(words, nums, scale, targets)
+
+
+PERTURBED_BLOCK_WITNESS = """
+from gesselwalks import IntegralityError, norton
+
+real = norton._witness_block
+
+def perturbed(words, best, targets):
+    nums, scale = real(words, best, targets)
+    nums[-1, 0] += 1
+    return nums, scale
+
+norton._witness_block = perturbed
+words, best = next(norton._sign_word_blocks(6))
+try:
+    norton._achievable_counts(words, best)
+except IntegralityError as exc:
+    print(exc)
+"""
+
+
+def test_bad_block_witness_raises_even_under_optimize():
+    # the last pair of the length-6 block is 111111 with target 5
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", PERTURBED_BLOCK_WITNESS],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    _, scale = norton._witness((1,) * 6, 5)
+    total = Fraction(5 * scale + 1, scale)
+    assert (out.returncode, out.stdout, out.stderr) == (
+        0, f"witness for 111111 sums to {total}, not 5\n", ""
+    )
