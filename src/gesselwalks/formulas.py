@@ -201,11 +201,12 @@ def _count_words_fixed_markers_block(signs, word_positions, n: int):
     positions in 1..2n.  The same left-to-right contraction over the marker
     heights, on all rows at once: each step gathers every row's ballot
     matrix, ballot(k1 - f, k2 - f, seg), from one table and multiplies it
-    into the row's vector, whose heights above the marker's bound are
-    zeroed as the scalar loop never fills them.  Every value counts +-1
-    paths, or path prefixes, of at most 2n - m steps, so it is below
-    2^(2n - m): under 2^14 at verify's cpt cap n <= 7, and inside int64
-    for any n < 32.
+    into the row's vector.  The vectors run over heights up to (2n - m) / 2
+    at every marker, where the scalar loop stops at the marker's own bound
+    min(p, 2n - m - p); a path above that bound cannot return to 0, so its
+    terms vanish and the sums agree.  Every value counts +-1 paths, or path
+    prefixes, of at most 2n - m steps, so it is below 2^(2n - m): under
+    2^14 at verify's cpt cap n <= 7, and inside int64 for any n < 32.
     """
     import numpy as np
 
@@ -214,7 +215,6 @@ def _count_words_fixed_markers_block(signs, word_positions, n: int):
         return np.full(rows, catalan(n), dtype=np.int64)
     path_len = 2 * n - m
     ppos = word_positions - np.arange(1, m + 1)
-    his = np.minimum(ppos, path_len - ppos)
     floors = np.maximum(-np.cumsum(signs, axis=1), 0)  # marker_floors
     top, low = path_len // 2, -(m // 2)  # no height above top, no floor above m / 2
     # ballot[s, a, b] = _ballot_count(a + low, b + low, s)
@@ -225,13 +225,11 @@ def _count_words_fixed_markers_block(signs, word_positions, n: int):
     )
     heights = np.arange(top + 1)
     vec = ballot[ppos[:, 0, None], -low, heights - low]
-    vec[heights > his[:, :1]] = 0
     for a in range(1, m):
         seg = ppos[:, a] - ppos[:, a - 1]
         at = heights - floors[:, a - 1, None] - low
         matrix = ballot[seg[:, None, None], at[:, :, None], at[:, None, :]]
         vec = np.matmul(vec[:, None, :], matrix)[:, 0]
-        vec[heights > his[:, a, None]] = 0
     tail = path_len - ppos[:, -1]
     return (vec * ballot[tail[:, None], heights - low, -low]).sum(axis=1)
 

@@ -468,6 +468,48 @@ def test_verify_blocks_hold_at_most_a_dp_chunk(monkeypatch):
     assert sizes["identities/triangle-convolution"] == sizes["bijection/fiber-counts"]
 
 
+def test_cpt_configurations_are_every_marker_configuration_in_order(monkeypatch):
+    from itertools import combinations, product
+
+    monkeypatch.setattr(dyck, "DP_CHUNK", 7)
+    for pairs in range(4):
+        balanced = [s for s in product((1, -1), repeat=2 * pairs) if sum(s) == 0]
+        assert list(map(tuple, verify._balanced_signs(pairs).tolist())) == balanced
+        for n in range(pairs, 5):
+            got = [
+                (tuple(s), tuple(p))
+                for signs, positions in verify._configurations(n, verify._balanced_signs(pairs))
+                for s, p in zip(signs.tolist(), positions.tolist())
+            ]
+            assert got == list(product(balanced, combinations(range(1, 2 * n + 1), 2 * pairs)))
+
+
+def test_identities_failure_digest_names_the_failing_triples(monkeypatch):
+    from itertools import product
+
+    # a wrong triangle value makes some triples fail in both identities; the
+    # digest, over blocks of 7 triples, is the one the per-case loop gives
+    triangle_ext = formulas.triangle_ext
+    def wrong(m, n):
+        return triangle_ext(m, n) + ((m, n) == (3, 1))
+
+    monkeypatch.setattr(formulas, "triangle_ext", wrong)
+    monkeypatch.setattr(dyck, "DP_CHUNK", 7)
+    entries = {e.name: e for e in verify.suite_identities(n_max=2, bound=4)}
+    convolution = [
+        (t, formulas.catalan_convolution_identity(*t), True) for t in product(range(5), repeat=3)
+    ]
+    binomial = [
+        ((a, b, c), formulas.catalan_binomial_identity(a, b, c), True)
+        for a, b in product(range(5), repeat=2)
+        for c in range(b + 1)
+    ]
+    for name, cases in (("convolution", convolution), ("binomial", binomial)):
+        entry = entries[f"identities/triangle-{name}"]
+        assert entry.failed
+        assert entry.actual == _per_case_digest(cases, "triples")
+
+
 def test_verify_reports_do_not_depend_on_the_block_size(monkeypatch):
     def report():
         entries = verify.run_suite("all", n_max=4, len_max=8, bound=4)
