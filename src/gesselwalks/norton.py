@@ -196,8 +196,10 @@ def _stats_block(words):
 
 def _witness_block(words, best, targets):
     """_witness on each row of words, an (R, L) 0/1 array whose max suffix
-    balances are best, for its target, each with 0 < target < best: an
-    (R, L) int64 array of numerators and the (R,) scales, not yet checked.
+    balances are best, for its target: an (R, L) int64 array of numerators
+    and the (R,) scales, not yet checked.  ValueError unless every target
+    has 0 < target < best, as _witness raises, since no denominator would
+    serve another target.
 
     The same threshold configuration, ramp and jump as _witness, with the
     first cut read from the suffix sums; each row's denominator is doubled
@@ -211,6 +213,8 @@ def _witness_block(words, best, targets):
     """
     import numpy as np
 
+    if not ((0 < targets) & (targets < best)).all():
+        raise ValueError("every target must lie strictly between 0 and its word's best")
     rows, L = words.shape
     eps = 2 * words.astype(np.int64) - 1
     suffix = np.cumsum(eps[:, ::-1], axis=1)[:, ::-1]

@@ -313,6 +313,30 @@ def test_block_witness_is_the_scalar_witness():
         norton._check_witness_block(words, nums, scale, targets)
 
 
+def test_block_witness_rejects_unattainable_targets():
+    words = np.array([[1, 1, 1, 1], [0, 0, 1, 1]], dtype=np.int8)
+    for targets in ([1, 2], [4, 1], [0, 1]):
+        with pytest.raises(ValueError, match="strictly between 0"):
+            norton._witness_block(words, np.array([4, 2]), np.array(targets))
+
+
+def test_verify_multiplicity_check_builds_every_witness(monkeypatch):
+    from gesselwalks import verify
+
+    calls = []
+    real = norton._witness_block
+
+    def counted(words, best, targets):
+        calls.append(len(targets))
+        return real(words, best, targets)
+
+    monkeypatch.setattr(norton, "_witness_block", counted)
+    (entry,) = [e for e in verify.suite_norton(n_max=1, len_max=8) if "multiplicity" in e.name]
+    assert entry.actual == f"all {4 + 16 + 64 + 256} sign words agree"
+    # one call per length, and one witness per (word, odd target) pair
+    assert calls == [norton_count(n) for n in range(1, 5)]
+
+
 PERTURBED_BLOCK_WITNESS = """
 from gesselwalks import IntegralityError, norton
 
