@@ -16,11 +16,14 @@ The bijection is a checked public boundary over a trusted core: the public
 word_to_markers and markers_to_word validate their input once, then call
 _split and _interleave, which work on code tuples and trust their input,
 except that _interleave checks the path against the marker floors in the
-pass that builds the word.  _split_block and _interleave_block do the same
-on a whole (R, 2n) array of words at once, for verify's exhaustive check.
-The two pairs share no logic on purpose: a one-row block round trip costs
-about twenty times a scalar one, and the public functions take one word
-or path per call.
+pass that builds the word.  _split_ragged and _interleave_ragged do the
+same on a whole (R, 2n) array of words at once, for verify's exhaustive
+check: one pass each per block, whatever the marker counts of its rows,
+which they hold as ragged arrays (each row's marker count, then every
+row's positions, signs and path steps laid end to end).  The two pairs
+share no logic on purpose: a one-row block round trip costs about ten
+times a scalar one, and the public functions take one word or path per
+call.
 
 The floor DP, _count_paths, runs over a stack of floor rows at once;
 ballot_count_dp and count_ph_paths pass it one row.  numpy is imported
@@ -245,69 +248,69 @@ def _floor_error(path, word_positions, signs, t, h):
     )
 
 
-def _split_block(words):
-    """_split on each row of words, an (R, 2n) array of the codes of complete
-    words over letters 1 and 2, which are not checked.
+def _split_ragged(words):
+    """_split on each row of words, an (R, 2n) int8 array of the codes of
+    complete words over letters 1 and 2, which are not checked.
 
-    One (rows, word_positions, signs, path) per marker count m present, in
-    increasing m: the indices of the rows with m markers, their 1-based
-    marker positions and signs, both (R_m, m), and their +-1 paths,
-    (R_m, 2n - m).
+    (counts, word_positions, signs, path), ragged: counts holds each row's
+    marker count, and the other three hold every row's 1-based marker
+    positions, marker signs and +-1 path steps, row after row, as flat
+    arrays.
     """
     import numpy as np
 
-    marks = np.abs(words) == 1
-    counts = np.count_nonzero(marks, axis=1)
-    out = []
-    for m in np.unique(counts).tolist():
-        rows = np.flatnonzero(counts == m)
-        block, mask = words[rows], marks[rows]
-        positions = np.nonzero(mask)[1].reshape(len(rows), m) + 1
-        signs = block[mask].reshape(len(rows), m)
-        path = block[~mask].reshape(len(rows), words.shape[1] - m) >> 1
-        out.append((rows, positions, signs, path))
-    return out
+    codes = words.ravel()
+    marks = np.abs(codes) == 1
+    at = np.flatnonzero(marks)
+    rows, columns = np.divmod(at, words.shape[1])
+    return (
+        np.bincount(rows, minlength=len(words)),
+        columns + 1,
+        codes[at],
+        np.compress(~marks, codes) >> 1,
+    )
 
 
-def _interleave_block(path, word_positions, signs):
-    """_interleave on each row of the (R, k) path, (R, m) word positions and
-    (R, m) signs arrays, trusted as _interleave trusts its input: the (R, k+m)
-    codes of the words.
+def _interleave_ragged(counts, word_positions, signs, path):
+    """_interleave on each row of the ragged arrays _split_ragged returns for
+    a block of R >= 1 words of one length L, trusted as _interleave trusts
+    its input: the (R, L) int8 codes of the words.
 
     After each letter the height must reach max(0, -run), where run sums
     the marker signs so far: the floor _interleave tracks.  On the first
     row that breaks it or ends above 0, the PathConstraintError that
-    _interleave raises for that row.
+    _interleave raises for that row.  Heights and runs are summed as int8,
+    which is exact for words up to length 127, far above the enumeration
+    cap of 14.
     """
     import numpy as np
 
-    rows, m = signs.shape
-    length = path.shape[1] + m
-    at = np.arange(rows)[:, None], word_positions - 1
+    rows = len(counts)
+    length = (len(path) + len(signs)) // rows
+    at = np.repeat(np.arange(rows) * length, counts) + word_positions - 1
     marks = np.zeros((rows, length), dtype=bool)
-    marks[at] = True
-    steps = np.zeros((rows, length), dtype=path.dtype)
-    steps[~marks] = path.ravel()
-    run = np.zeros_like(steps)
-    run[at] = signs
-    codes = 2 * steps
-    codes[at] = signs
-    height = np.cumsum(steps, axis=1)
-    low = (height < 0) | (height + np.cumsum(run, axis=1) < 0)
-    bad = low.any(axis=1) | (path.sum(axis=1) != 0)
-    if bad.any():
-        r = int(np.argmax(bad))
+    marks.ravel()[at] = True
+    letters = np.empty((rows, length), dtype=np.int8)  # a step or a sign each
+    letters[~marks] = path
+    letters.ravel()[at] = signs
+    steps = letters * ~marks
+    height = np.cumsum(steps, axis=1, dtype=np.int8)
+    total = np.cumsum(letters, axis=1, dtype=np.int8)  # height + run
+    if height.min(initial=0) < 0 or total.min(initial=0) < 0 or height[:, -1:].any():
+        low = (height < 0) | (total < 0)
+        r = int(np.argmax(low.any(axis=1) | height[:, -1:].any(axis=1)))
+        row_path = tuple(steps[r, ~marks[r]].tolist())
         if not low[r].any():
-            raise PathConstraintError(f"path ends at height {int(path[r].sum())}, expected 0")
+            raise PathConstraintError(f"path ends at height {sum(row_path)}, expected 0")
         p = int(np.argmax(low[r]))  # the letter at word position p + 1
         raise _floor_error(
-            tuple(path[r].tolist()),
-            tuple(word_positions[r].tolist()),
-            tuple(signs[r].tolist()),
+            row_path,
+            tuple((np.flatnonzero(marks[r]) + 1).tolist()),
+            tuple(letters[r, marks[r]].tolist()),
             p + 1 - int(np.count_nonzero(marks[r, : p + 1])),
             int(height[r, p]),
         )
-    return codes
+    return steps + letters
 
 
 def word_to_markers(word: GesselWord) -> MarkerLists:

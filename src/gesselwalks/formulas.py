@@ -12,7 +12,12 @@ marker positions.  When the barred letter leads, the count is the double
 sum bar_first_pair_count; summing it over all position pairs reduces, via
 the equal-block structure of the position triangle, to
 4*(free - reflected) + adjacent, the three nested sums implemented below
-in both direct and closed form.
+in both direct and closed form.  The two even-position sums share one
+table: _even_marker_sums builds the part of their quadruple sum that does
+not depend on n once, and returns both halves for every n up to a bound.
+The public per-n direct functions read it, and verify builds it once per
+identities run.  Every public function of n takes its integer arguments
+through checked_ints, so integral floats and numpy integers act as ints.
 
 verify checks two families case by case over many cases, so each has a
 private block core beside its public scalar function, which tests pin it
@@ -97,8 +102,13 @@ def catalan_triangle(m: int, n: int) -> int:
     """Ballot-style triangle value ((m-n+1)/(m+1)) * binom(m+n, n).
 
     Zero outside 0 <= n <= m; counts nonnegative paths from 0 to m-n in
-    m+n steps.
+    m+n steps.  ValueError if int() would change m or n.
     """
+    return _catalan_triangle(*checked_ints((m, n), "m and n must be integers"))
+
+
+def _catalan_triangle(m: int, n: int) -> int:
+    """catalan_triangle on ints, which are not checked."""
     if n < 0 or m < 0 or n > m:
         return 0
     num = comb(m + n, n) * (m - n + 1)
@@ -121,13 +131,13 @@ def bar_first_pair_count(i: int, j: int, n: int) -> int:
     for k1 in range(1, i):
         if (i - 1 - k1) % 2:
             continue
-        first = catalan_triangle((i - 1 + k1) // 2, (i - 1 - k1) // 2)
+        first = _catalan_triangle((i - 1 + k1) // 2, (i - 1 - k1) // 2)
         if not first:
             continue
         for k2 in range(0, j):
             if (2 * n - j - k2) % 2:
                 continue
-            last = catalan_triangle((2 * n - j + k2) // 2, (2 * n - j - k2) // 2)
+            last = _catalan_triangle((2 * n - j + k2) // 2, (2 * n - j - k2) // 2)
             if not last:
                 continue
             if (length_mid + k1 - k2) % 2:
@@ -235,57 +245,78 @@ def _count_words_fixed_markers_block(signs, word_positions, n: int):
 
 
 def adjacent_marker_sum_direct(n: int) -> int:
-    """Direct nested sum over bar-first words with markers at (2i, 2i+1)."""
-    total = 0
-    for i in range(1, n):
-        for r in range(1, i + 1):
-            for s in range(1, i + 1):
-                bracket = binom(0, r - s) - binom(0, r + s - 1)
-                if bracket:
-                    total += (
-                        catalan_triangle(i - 1 + r, i - r)
-                        * catalan_triangle(n - i + s - 1, n - i - s)
-                        * bracket
-                    )
-    return total
+    """Direct nested sum over bar-first words with markers at (2i, 2i+1).
+
+    The sum runs over 1 <= r, s <= i < n with the bracket binom(0, r - s) -
+    binom(0, r + s - 1), which is 1 at s = r and 0 at every other s, so only
+    the s = r terms are summed.
+    """
+    (n,) = checked_ints((n,), "n must be an integer")
+    return sum(
+        _catalan_triangle(i - 1 + r, i - r) * _catalan_triangle(n - i + r - 1, n - i - r)
+        for i in range(1, n)
+        for r in range(1, i + 1)
+    )
 
 
 def adjacent_marker_sum_closed(n: int) -> int:
+    (n,) = checked_ints((n,), "n must be an integer")
     if n < 1:
         raise ValueError("n must be >= 1")
     return (n - 1) * catalan(n - 1)
 
 
-def _spread_sum(n: int, reflected: bool) -> int:
-    # the catalan_triangle factors depend only on (i, r) and on (j, s)
-    left = {
-        i: [catalan_triangle(2 * i - r - 1, r) for r in range(i)] for i in range(1, n - 1)
-    }
-    right = {
-        j: [catalan_triangle(2 * n - 2 * j - s, s) for s in range(n - j)] for j in range(2, n)
-    }
-    total = 0
-    for i in range(1, n - 1):
-        for j in range(i + 1, n):
-            # the binomial's top depends only on (i, j): one row per pair
-            m = 2 * j - 2 * i - 1
-            row = [comb(m, k) for k in range(m + 1)]
-            for r in range(0, i):
-                for s in range(0, n - j):
-                    k = n - s - r - 1 if reflected else 2 * j + s - n - r - 1
-                    if 0 <= k <= m:
-                        total += left[i][r] * right[j][s] * row[k]
-    return total
+def _even_marker_sums(n_max: int) -> tuple[list[int], list[int]]:
+    """(free, reflected): the two halves of the even-position pairs sum for
+    every n in 0..n_max, as lists indexed by n, from one shared table.
+
+    Each half is the quadruple sum over 1 <= i < j < n, 0 <= r < i and
+    0 <= s < n - j of T(2i - r - 1, r) T(2(n - j) - s, s) binom(2(j - i) - 1, k),
+    T the catalan triangle, with k = 2j + s - n - r - 1 for the free half and
+    k = n - s - r - 1 for the reflected one.  The (i, r) part does not depend
+    on n: A[j][w], the sum over i < j and r of T(2i - r - 1, r)
+    binom(2(j - i) - 1, w - r), is the x^w coefficient of the sum over i < j of
+    L_i(x) (1 + x)^(2(j - i) - 1), with L_i(x) = sum_r T(2i - r - 1, r) x^r,
+    so A[j + 1] = (1 + x) ((1 + x) A[j] + L_j) from A[1] = 0.  Then the free
+    half is the sum over j and s of T(2(n - j) - s, s) A[j][2j - n - 1 + s],
+    and the reflected half reads A[j][n - 1 - s].  The same terms as the
+    quadruple sum, regrouped; no closed form enters.
+    """
+
+    def times_one_plus_x(poly):
+        return [a + b for a, b in zip(poly + [0], [0] + poly)]
+
+    # table[j] = A[j]: its 2j - 2 coefficients, zero-padded to at least n_max
+    # so that every read past them finds 0
+    table = [[0] * n_max, [0] * n_max]
+    for j in range(2, n_max):
+        inner = times_one_plus_x(table[j - 1][: 2 * j - 4])
+        for r in range(j - 1):
+            inner[r] += _catalan_triangle(2 * j - r - 3, r)  # L_{j-1}
+        a = times_one_plus_x(inner)
+        table.append(a + [0] * (n_max - len(a)))
+    right = [[_catalan_triangle(2 * e - s, s) for s in range(e)] for e in range(n_max + 1)]
+    free, reflected = [0] * (n_max + 1), [0] * (n_max + 1)
+    for n in range(n_max + 1):
+        for j in range(2, n):
+            a = table[j]
+            for s, t in enumerate(right[n - j]):
+                reflected[n] += t * a[n - 1 - s]
+                if 2 * j + s > n:
+                    free[n] += t * a[2 * j - n - 1 + s]
+    return free, reflected
 
 
 def even_marker_sum_free_direct(n: int) -> int:
     """Direct quadruple sum: free-path half of the even-position pairs."""
-    return _spread_sum(n, reflected=False)
+    (n,) = checked_ints((n,), "n must be an integer")
+    return _even_marker_sums(n)[0][n] if n > 0 else 0
 
 
 def even_marker_sum_reflected_direct(n: int) -> int:
     """Direct quadruple sum: reflected half of the even-position pairs."""
-    return _spread_sum(n, reflected=True)
+    (n,) = checked_ints((n,), "n must be an integer")
+    return _even_marker_sums(n)[1][n] if n > 0 else 0
 
 
 def even_marker_sum_free_closed(n: int) -> int:
@@ -297,6 +328,7 @@ def even_marker_sum_free_closed(n: int) -> int:
 
 
 def even_marker_sum_reflected_closed(n: int) -> int:
+    (n,) = checked_ints((n,), "n must be an integer")
     if n < 1:
         raise ValueError("n must be >= 1")
     val = (
@@ -309,6 +341,7 @@ def even_marker_sum_reflected_closed(n: int) -> int:
 
 def bar_first_total(n: int) -> int:
     """All bar-first single-pair words of length 2n, closed form."""
+    (n,) = checked_ints((n,), "n must be an integer")
     if n < 1:
         raise ValueError("n must be >= 1")
     poly = n**3 + 4 * n**2 + 5 * n + 2
@@ -320,6 +353,7 @@ def bar_first_total(n: int) -> int:
 
 def one_first_total(n: int) -> int:
     """All one-first single-pair words: Catalan(n-1) per position pair."""
+    (n,) = checked_ints((n,), "n must be an integer")
     if n < 1:
         raise ValueError("n must be >= 1")
     return (2 * n - 1) * binom(2 * n - 2, n - 1)

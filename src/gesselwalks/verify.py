@@ -7,13 +7,16 @@ exit code unless the caller promotes them.
 A check reads its cases a block at a time: `_agree` compares each block's
 got and want arrays in one pass and renders a case only when it is among
 the first four mismatches.  The bijection and cpt suites read the
-enumerator's word blocks as arrays: the block cores of dyck round-trip
-whole blocks, each word's marker class is one integer key, and the floor
-DP runs on a stack of floor rows built from the keys.  cpt runs the ballot
-products on blocks of marker configurations, the multiplicity check builds
-and checks its witnesses on blocks of sign words, and the triangle
-identities evaluate all their triples at once, each through a private
-block core beside the public scalar function it mirrors.  The scalar cores
+enumerator's word blocks as arrays: dyck's ragged block cores round-trip
+each block in one split and one interleave pass, each word's marker class
+is one integer key, and the floor DP runs on a stack of floor rows built
+from the keys.  The identities suite runs the adjacent sum once per n,
+and reads both even-position sums for every n from one table that
+formulas builds once per run.  cpt runs the ballot products on blocks of
+marker configurations, the multiplicity check builds and checks its
+witnesses on blocks of sign words, and the triangle identities evaluate
+all their triples at once, each through a private block core beside the
+public scalar function it mirrors.  The scalar cores
 stay for the public one-case functions, where a one-row block would cost
 far more.  No block handed to _agree holds more than dyck.DP_CHUNK cases;
 the triangle identities compute their (bound + 1)^3 triples or fewer at
@@ -180,21 +183,25 @@ def suite_theorem(n_max: int = 30):
 
 
 def suite_identities(n_max: int = 30, bound: int = 15, seed: int = 20260826):
-    # each direct nested sum runs once per n: the per-sum entries and
-    # bar-first-assembly read the same values
-    @cache
-    def direct(sum_direct, n):
-        return sum_direct(n)
+    # the adjacent sum runs once per n, and the two even-position sums read
+    # one shared table, built inside the timer of the first entry that needs
+    # it: the per-sum entries and bar-first-assembly read the same values
+    adjacent = cache(formulas.adjacent_marker_sum_direct)
+    even_sums = cache(lambda: formulas._even_marker_sums(n_max))
+
+    def free(n):
+        return even_sums()[0][n]
+
+    def reflected(n):
+        return even_sums()[1][n]
 
     def against_closed(sum_direct, sum_closed, n_min):
-        return _cases((n, direct(sum_direct, n), sum_closed(n)) for n in range(n_min, n_max + 1))
+        return _cases((n, sum_direct(n), sum_closed(n)) for n in range(n_min, n_max + 1))
 
     def bar_first_parts():
         for n in range(1, n_max + 1):
-            free = direct(formulas.even_marker_sum_free_direct, n)
-            reflected = direct(formulas.even_marker_sum_reflected_direct, n)
-            adjacent = direct(formulas.adjacent_marker_sum_direct, n)
-            yield n, 4 * (free - reflected) + adjacent, formulas.bar_first_total(n)
+            total = 4 * (free(n) - reflected(n)) + adjacent(n)
+            yield n, total, formulas.bar_first_total(n)
 
     def holds(identity_block):
         import numpy as np
@@ -215,29 +222,21 @@ def suite_identities(n_max: int = 30, bound: int = 15, seed: int = 20260826):
             "identities/adjacent-sum",
             {"n": f"2..{n_max}"},
             "direct == (n-1) Catalan(n-1)",
-            against_closed(
-                formulas.adjacent_marker_sum_direct, formulas.adjacent_marker_sum_closed, 2
-            ),
+            against_closed(adjacent, formulas.adjacent_marker_sum_closed, 2),
             "n values",
         ),
         _agree(
             "identities/even-pairs-free-sum",
             {"n": f"2..{n_max}"},
             "direct == closed",
-            against_closed(
-                formulas.even_marker_sum_free_direct, formulas.even_marker_sum_free_closed, 2
-            ),
+            against_closed(free, formulas.even_marker_sum_free_closed, 2),
             "n values",
         ),
         _agree(
             "identities/even-pairs-reflected-sum",
             {"n": f"3..{n_max}"},
             "direct == closed",
-            against_closed(
-                formulas.even_marker_sum_reflected_direct,
-                formulas.even_marker_sum_reflected_closed,
-                3,
-            ),
+            against_closed(reflected, formulas.even_marker_sum_reflected_closed, 3),
             "n values",
         ),
         _agree(
@@ -347,20 +346,17 @@ def _floor_path_counts(n, keys):
 
 
 def suite_bijection(len_max: int = 12):
-    # the round trip runs the bijection's block cores on the enumerator's
-    # blocks (the floor check stays inside _interleave_block), and tallies
-    # the words per marker class for fiber-counts as it goes
-    import numpy as np
-
+    # the round trip runs the bijection's ragged block cores once on each of
+    # the enumerator's blocks (the floor check stays inside
+    # _interleave_ragged), and tallies the words per marker class for
+    # fiber-counts as it goes
     tallies = []
 
     def round_trips():
         for n in range(len_max // 2 + 1):
             keys = []
             for words in enumeration._word_blocks(2, n, None):
-                rebuilt = np.empty_like(words)
-                for rows, positions, signs, path in dyck._split_block(words):
-                    rebuilt[rows] = dyck._interleave_block(path, positions, signs)
+                rebuilt = dyck._interleave_ragged(*dyck._split_ragged(words))
                 keys.append(_class_keys(words))
                 yield (lambda r: n), rebuilt, words
             tallies.append((n, *_class_tally(keys)))

@@ -523,14 +523,14 @@ def test_verify_reports_do_not_depend_on_the_block_size(monkeypatch):
 
 
 def test_verify_bijection_round_trip_runs_the_interleave_core(capsys, monkeypatch):
-    interleave = dyck._interleave_block
+    interleave = dyck._interleave_ragged
 
-    def flip_last_letter(path, positions, signs):
-        codes = interleave(path, positions, signs)
+    def flip_last_letter(counts, positions, signs, path):
+        codes = interleave(counts, positions, signs, path)
         codes[:, -1:] *= -1
         return codes
 
-    monkeypatch.setattr(dyck, "_interleave_block", flip_last_letter)
+    monkeypatch.setattr(dyck, "_interleave_ragged", flip_last_letter)
     argv = ("verify", "--suite", "bijection", "--len-max", "4", "--format", "json")
     code, out, _ = run_cli(capsys, *argv)
     entries = {e["name"]: e for e in json.loads(out)}
@@ -610,33 +610,51 @@ def test_fiber_counts_report_every_class_of_a_wrong_constraint(capsys, monkeypat
     assert fibers["actual"].startswith(f"{shared}/{classes} marker classes disagree: ")
 
 
-DIRECT_SUMS = (
-    "adjacent_marker_sum_direct",
-    "even_marker_sum_free_direct",
-    "even_marker_sum_reflected_direct",
-)
-
-
 def test_identities_run_each_direct_sum_once_per_n(monkeypatch):
     calls = Counter()
+    adjacent, even_sums = formulas.adjacent_marker_sum_direct, formulas._even_marker_sums
 
-    def counted(name, direct):
-        def run(n):
-            calls[name, n] += 1
-            return direct(n)
+    def counted_adjacent(n):
+        calls["adjacent", n] += 1
+        return adjacent(n)
 
-        return run
+    def counted_table(n_max):
+        calls["table", n_max] += 1
+        return even_sums(n_max)
 
-    for name in DIRECT_SUMS:
-        monkeypatch.setattr(formulas, name, counted(name, getattr(formulas, name)))
+    def per_n(n):
+        pytest.fail("the suite built a table for one n")
+
+    monkeypatch.setattr(formulas, "adjacent_marker_sum_direct", counted_adjacent)
+    monkeypatch.setattr(formulas, "_even_marker_sums", counted_table)
+    monkeypatch.setattr(formulas, "even_marker_sum_free_direct", per_n)
+    monkeypatch.setattr(formulas, "even_marker_sum_reflected_direct", per_n)
     entries = verify.suite_identities(n_max=12, bound=2)
     assert all(e.status == "pass" for e in entries)
-    assert calls == Counter({(name, n): 1 for name in DIRECT_SUMS for n in range(1, 13)})
+    assert calls == Counter({("table", 12): 1, **{("adjacent", n): 1 for n in range(1, 13)}})
+
+
+def test_identities_time_the_shared_table_in_the_first_entry_that_reads_it(monkeypatch):
+    even_sums = formulas._even_marker_sums
+
+    def slow(n_max):
+        time.sleep(0.05)
+        return even_sums(n_max)
+
+    monkeypatch.setattr(formulas, "_even_marker_sums", slow)
+    entries = {e.name: e for e in verify.suite_identities(n_max=12, bound=2)}
+    assert entries["identities/even-pairs-free-sum"].runtime_ms >= 50
+    assert entries["identities/even-pairs-reflected-sum"].runtime_ms < 50
 
 
 def test_a_wrong_direct_sum_fails_its_entry_and_the_assembly(monkeypatch):
-    free = formulas.even_marker_sum_free_direct
-    monkeypatch.setattr(formulas, "even_marker_sum_free_direct", lambda n: free(n) + 1)
+    even_sums = formulas._even_marker_sums
+
+    def wrong_free(n_max):
+        free, reflected = even_sums(n_max)
+        return [value + 1 for value in free], reflected
+
+    monkeypatch.setattr(formulas, "_even_marker_sums", wrong_free)
     entries = {e.name: e for e in verify.suite_identities(n_max=8, bound=2)}
     failed = {name for name, e in entries.items() if e.failed}
     assert failed == {"identities/even-pairs-free-sum", "identities/bar-first-assembly"}

@@ -247,22 +247,30 @@ def test_markers_to_word_checks_the_floors_in_one_pass(case):
     assert got == _rebuild_oracle(path, positions, signs)
 
 
+def _ragged_rows(flat, sizes):
+    """The rows of a ragged flat array, row r holding sizes[r] entries, as tuples."""
+    import numpy as np
+
+    return [tuple(row.tolist()) for row in np.split(flat, np.cumsum(sizes)[:-1])]
+
+
 def _block_round_trip(codes_list):
     """For each row of the block, _split's triple and the rebuilt codes, read
-    off the block cores; the rows must all have one length."""
+    off the ragged block cores; the rows must all have one length."""
     import numpy as np
 
     from gesselwalks import dyck
 
     words = np.array(codes_list, dtype=np.int8).reshape(len(codes_list), -1)
-    split = [None] * len(words)
-    rebuilt = np.zeros_like(words)
-    for rows, positions, signs, path in dyck._split_block(words):
-        assert positions.shape == signs.shape == (len(rows), positions.shape[1])
-        assert path.shape == (len(rows), words.shape[1] - positions.shape[1])
-        for r, triple in zip(rows.tolist(), zip(signs.tolist(), positions.tolist(), path.tolist())):
-            split[r] = tuple(map(tuple, triple))
-        rebuilt[rows] = dyck._interleave_block(path, positions, signs)
+    counts, positions, signs, path = dyck._split_ragged(words)
+    assert counts.tolist() == [sum(abs(c) == 1 for c in codes) for codes in codes_list]
+    split = list(zip(
+        _ragged_rows(signs, counts),
+        _ragged_rows(positions, counts),
+        _ragged_rows(path, words.shape[1] - counts),
+    ))
+    rebuilt = dyck._interleave_ragged(counts, positions, signs, path)
+    assert rebuilt.dtype == np.int8
     return split, [tuple(row) for row in rebuilt.tolist()]
 
 
@@ -270,6 +278,7 @@ def test_block_cores_match_the_scalar_cores_on_every_word_to_length_10():
     from gesselwalks import dyck, iter_complete_words
 
     for n in range(6):
+        # one block per length, holding every marker count 0..2n
         words = list(iter_complete_words(2, n))
         split, rebuilt = _block_round_trip(words)
         assert split == [dyck._split(codes) for codes in words]
@@ -297,32 +306,98 @@ def _scalar_or_error(path, positions, signs):
         return str(err), err.segment, err.abscissa, err.floor, err.height
 
 
-@given(st.tuples(st.integers(0, 4), st.integers(0, 12)).flatmap(
-    lambda shape: st.lists(
-        _markers_and_path(st.just(shape[0]), st.just(shape[1])), min_size=1, max_size=6
-    )
-))
-@settings(max_examples=300, deadline=None)
-def test_interleave_block_checks_the_floors_like_the_scalar_core(cases):
-    """Rows of one shape, most of them off their floors: the block returns the
-    scalar core's codes for every row, or raises its error for the first row
-    that fails."""
+def _ragged_block(cases):
+    """The ragged (counts, positions, signs, path) arrays of (path, positions,
+    signs) cases, as _split_ragged lays them out."""
     import numpy as np
 
+    def flat(k):
+        return np.array([v for case in cases for v in case[k]], dtype=np.int64)
+
+    return np.array([len(case[2]) for case in cases]), flat(1), flat(2), flat(0)
+
+
+@st.composite
+def _mixed_rows(draw):
+    """Rows of one word length 0..14, each with its own marker count 0..length:
+    a conforming row split off a complete word, or any +-1 path under any
+    balanced markers, most of them off their floors or ending above 0."""
+    from gesselwalks import dyck
+
+    length = draw(st.integers(0, 14))
+    anything = st.integers(0, length // 2).flatmap(
+        lambda pairs: _markers_and_path(st.just(pairs), st.just(length - 2 * pairs))
+    )
+    rows = anything
+    if length % 2 == 0 and length:
+        conforming = _complete_d2_words(st.just(length // 2)).map(dyck._split).map(
+            lambda split: (split[2], split[1], split[0])
+        )
+        rows = st.one_of(anything, conforming)
+    return draw(st.lists(rows, min_size=1, max_size=8))
+
+
+@given(st.one_of(
+    st.tuples(st.integers(0, 4), st.integers(0, 12)).flatmap(
+        lambda shape: st.lists(
+            _markers_and_path(st.just(shape[0]), st.just(shape[1])), min_size=1, max_size=6
+        )
+    ),
+    _mixed_rows(),
+))
+@example([((1, -1), (1, 2), (1, -1)), ((1, 1, -1, -1), (), ()), ((), (1, 2, 3, 4), (1, -1, 1, -1))])
+@example([((1, -1, 1, -1), (), ()), ((1, 1), (1, 2), (-1, 1))])  # second row below floor 1
+@example([((), (1, 2, 3, 4), (1, -1, -1, 1)), ((1, 1, -1, -1), (), ())])  # markers only
+@settings(max_examples=400, deadline=None)
+def test_interleave_block_checks_the_floors_like_the_scalar_core(cases):
+    """Rows of one word length with any marker counts, most of them off their
+    floors: the block returns the scalar core's codes for every row, or
+    raises its error for the first row that fails."""
     from gesselwalks import dyck
 
     want = [_scalar_or_error(*case) for case in cases]
-    path, positions, signs = (
-        np.array([case[k] for case in cases], dtype=np.int64).reshape(len(cases), -1) for k in range(3)
-    )
     try:
-        got = [tuple(row) for row in dyck._interleave_block(path, positions, signs).tolist()]
+        got = [tuple(row) for row in dyck._interleave_ragged(*_ragged_block(cases)).tolist()]
     except PathConstraintError as err:
         assert (str(err), err.segment, err.abscissa, err.floor, err.height) == next(
             w for w in want if isinstance(w[0], str)
         )
     else:
         assert got == want
+
+
+OFF_FLOOR_BLOCK = """
+import numpy as np
+from gesselwalks import PathConstraintError, dyck
+
+words = np.array([[1, -1, 2, 2, -2, -2], [2, 2, -1, 1, -2, -2]], dtype=np.int8)
+counts, positions, signs, path = dyck._split_ragged(words)
+path[-4:] = (1, -1, 1, -1)  # the second row's path: height 0 under its floor 1
+try:
+    dyck._interleave_ragged(counts, positions, signs, path)
+except PathConstraintError as exc:
+    print(exc)
+"""
+
+
+def test_off_floor_row_raises_even_under_optimize():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", OFF_FLOOR_BLOCK],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert (out.returncode, out.stdout, out.stderr) == (
+        0, "path at abscissa 2 has height 0 below floor 1 (segment 1)\n", ""
+    )
 
 
 def test_markers_to_word_checks_a_conforming_path_without_the_floor_profile(monkeypatch):

@@ -32,8 +32,8 @@ from gesselwalks import (
 from gesselwalks import formulas
 from gesselwalks.formulas import (
     _as_integer,
+    _even_marker_sums,
     _gbinom,
-    _spread_sum,
     catalan_binomial_identity,
     catalan_convolution_identity,
     gessel_closed_sequence,
@@ -145,7 +145,9 @@ def test_gbinom_is_the_falling_factorial_quotient(r, k):
 
 @pytest.mark.parametrize("reflected", [False, True])
 def test_spread_sum_is_the_literal_quadruple_sum(reflected):
-    for n in range(15):
+    got = _even_marker_sums(20)[reflected]
+    assert len(got) == 21
+    for n in range(21):
         want = 0
         for i in range(1, n - 1):
             for j in range(i + 1, n):
@@ -157,7 +159,82 @@ def test_spread_sum_is_the_literal_quadruple_sum(reflected):
                             * catalan_triangle(2 * n - 2 * j - s, s)
                             * binom(2 * j - 2 * i - 1, low)
                         )
-        assert _spread_sum(n, reflected) == want, n
+        assert got[n] == want, n
+        direct = even_marker_sum_reflected_direct if reflected else even_marker_sum_free_direct
+        assert direct(n) == want, n
+
+
+def test_adjacent_sum_is_the_literal_triple_sum():
+    for n in range(21):
+        want = 0
+        for i in range(1, n):
+            for r in range(1, i + 1):
+                for s in range(1, i + 1):
+                    want += (
+                        catalan_triangle(i - 1 + r, i - r)
+                        * catalan_triangle(n - i + s - 1, n - i - s)
+                        * (binom(0, r - s) - binom(0, r + s - 1))
+                    )
+        assert adjacent_marker_sum_direct(n) == want, n
+
+
+def test_shared_table_grows_without_changing_its_values():
+    free, reflected = _even_marker_sums(40)
+    for n_max in (0, 1, 2, 3, 17):
+        assert _even_marker_sums(n_max) == (free[: n_max + 1], reflected[: n_max + 1])
+
+
+# every public function of n here, with catalan_triangle once per argument
+INTEGER_ARGUMENT_CALLS = [
+    (adjacent_marker_sum_direct, lambda x: (x,)),
+    (adjacent_marker_sum_closed, lambda x: (x,)),
+    (even_marker_sum_free_direct, lambda x: (x,)),
+    (even_marker_sum_free_closed, lambda x: (x,)),
+    (even_marker_sum_reflected_direct, lambda x: (x,)),
+    (even_marker_sum_reflected_closed, lambda x: (x,)),
+    (bar_first_total, lambda x: (x,)),
+    (one_first_total, lambda x: (x,)),
+    (one_pair_closed, lambda x: (x,)),
+    (gessel_closed_form, lambda x: (x,)),
+    (catalan_triangle, lambda x: (x, 19)),
+    (catalan_triangle, lambda x: (57, x)),
+]
+
+
+@pytest.mark.parametrize(
+    "call, args", INTEGER_ARGUMENT_CALLS, ids=lambda value: getattr(value, "__name__", None)
+)
+def test_functions_of_n_take_integral_arguments_of_any_type(call, args):
+    import warnings
+
+    import numpy as np
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an int64 overflow warning fails the test
+        got = call(*args(np.int64(40)))
+    assert type(got) is int
+    assert got == call(*args(40))
+    assert call(*args(3.0)) == call(*args(3))
+    with pytest.raises(ValueError, match="must be (an integer|integers)"):
+        call(*args(2.5))
+
+
+def test_functions_of_n_keep_their_results_below_1():
+    for n in (0, -1, -5):
+        assert adjacent_marker_sum_direct(n) == 0
+        assert even_marker_sum_free_direct(n) == 0
+        assert even_marker_sum_reflected_direct(n) == 0
+        for closed in (
+            adjacent_marker_sum_closed,
+            even_marker_sum_free_closed,
+            even_marker_sum_reflected_closed,
+            bar_first_total,
+            one_first_total,
+        ):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                closed(n)
+    assert catalan_triangle(-1, 0) == catalan_triangle(3, -1) == 0
+    assert catalan_triangle(0, 0) == catalan_triangle(3, 0) == 1
 
 
 def test_bar_first_pair_spot_values():
