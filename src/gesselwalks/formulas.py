@@ -124,6 +124,7 @@ def bar_first_pair_count(i: int, j: int, n: int) -> int:
     Double sum over the path heights flanking the two markers; every term
     is a product of two triangle values and a reflected binomial bracket.
     """
+    i, j, n = checked_ints((i, j, n), "i, j and n must be integers")
     if not 1 <= i < j <= 2 * n:
         raise ValueError(f"need 1 <= i < j <= 2n, got ({i}, {j}, n={n})")
     total = 0
@@ -152,6 +153,7 @@ def bar_first_pair_count(i: int, j: int, n: int) -> int:
 def diamond_equal(i: int, j: int, n: int) -> bool:
     """Equal-block check: the four bar-first counts at rows 2i, 2i+1 and
     columns 2j, 2j+1 coincide (requires 1 <= i < j <= n-1)."""
+    i, j, n = checked_ints((i, j, n), "i, j and n must be integers")
     if not 1 <= i < j <= n - 1:
         raise ValueError(f"need 1 <= i < j <= n-1, got ({i}, {j}, n={n})")
     vals = {

@@ -178,13 +178,7 @@ def test_adjacent_sum_is_the_literal_triple_sum():
         assert adjacent_marker_sum_direct(n) == want, n
 
 
-def test_shared_table_grows_without_changing_its_values():
-    free, reflected = _even_marker_sums(40)
-    for n_max in (0, 1, 2, 3, 17):
-        assert _even_marker_sums(n_max) == (free[: n_max + 1], reflected[: n_max + 1])
-
-
-# every public function of n here, with catalan_triangle once per argument
+# every public function of n here; one of several integers once per argument
 INTEGER_ARGUMENT_CALLS = [
     (adjacent_marker_sum_direct, lambda x: (x,)),
     (adjacent_marker_sum_closed, lambda x: (x,)),
@@ -198,6 +192,12 @@ INTEGER_ARGUMENT_CALLS = [
     (gessel_closed_form, lambda x: (x,)),
     (catalan_triangle, lambda x: (x, 19)),
     (catalan_triangle, lambda x: (57, x)),
+    (bar_first_pair_count, lambda x: (x, 41, 40)),
+    (bar_first_pair_count, lambda x: (1, x, 40)),
+    (bar_first_pair_count, lambda x: (2, 3, x)),
+    (diamond_equal, lambda x: (x, 41, 42)),
+    (diamond_equal, lambda x: (1, x, 41)),
+    (diamond_equal, lambda x: (1, 2, x)),
 ]
 
 
@@ -212,8 +212,8 @@ def test_functions_of_n_take_integral_arguments_of_any_type(call, args):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # an int64 overflow warning fails the test
         got = call(*args(np.int64(40)))
-    assert type(got) is int
-    assert got == call(*args(40))
+    want = call(*args(40))
+    assert (got, type(got)) == (want, type(want))
     assert call(*args(3.0)) == call(*args(3))
     with pytest.raises(ValueError, match="must be (an integer|integers)"):
         call(*args(2.5))
