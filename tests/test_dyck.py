@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from itertools import accumulate, product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -345,7 +349,9 @@ def _mixed_rows(draw):
     ),
     _mixed_rows(),
 ))
-@example([((1, -1), (1, 2), (1, -1)), ((1, 1, -1, -1), (), ()), ((), (1, 2, 3, 4), (1, -1, 1, -1))])
+@example([  # 2, 0 and 4 markers, every row conforming
+    ((1, -1), (1, 2), (1, -1)), ((1, 1, -1, -1), (), ()), ((), (1, 2, 3, 4), (1, -1, 1, -1))
+])
 @example([((1, -1, 1, -1), (), ()), ((1, 1), (1, 2), (-1, 1))])  # second row below floor 1
 @example([((), (1, 2, 3, 4), (1, -1, -1, 1)), ((1, 1, -1, -1), (), ())])  # markers only
 @settings(max_examples=400, deadline=None)
@@ -381,11 +387,6 @@ except PathConstraintError as exc:
 
 
 def test_off_floor_row_raises_even_under_optimize():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
     src = Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
