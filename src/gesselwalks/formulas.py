@@ -16,7 +16,7 @@ in both direct and closed form.  The two even-position sums share one
 table: _even_marker_sums builds the part of their quadruple sum that does
 not depend on n once, and returns both halves for every n up to a bound.
 The public per-n direct functions read it, and verify builds it once per
-identities run.  Every public function of n takes its integer arguments
+identities run.  Every public function takes its integer arguments
 through checked_ints, so integral floats and numpy integers act as ints.
 
 verify checks two families case by case over many cases, so each has a
@@ -175,6 +175,7 @@ def count_words_fixed_markers(
     contraction; it must agree with count_ph_paths on the derived floor
     constraint.  Unbalanced signs give 0.
     """
+    (n,) = checked_ints((n,), "n must be an integer")
     ml = marker_lists(signs, word_positions)
     m = len(ml.signs)
     if m and ml.word_positions[-1] > 2 * n:
@@ -377,6 +378,7 @@ def triangle_ext(m: int, n: int) -> int:
     counting wedge (where it can go negative); the convolution identities
     hold for this extension on their full parameter ranges.
     """
+    m, n = checked_ints((m, n), "m and n must be integers")
     if n < 0:
         return 0
     return _gbinom(m + n, n) - _gbinom(m + n, n - 1)
@@ -388,6 +390,7 @@ def catalan_convolution_identity(a: int, b: int, c: int) -> bool:
     Holds for all a, b, c >= 0.  The clamped catalan_triangle satisfies it
     too, but only where the left side keeps its support (c <= b).
     """
+    a, b, c = checked_ints((a, b, c), "a, b and c must be integers")
     lhs = sum(
         triangle_ext(i + a, i) * triangle_ext(b - i, c - i)
         for i in range(0, c + 1)
@@ -400,6 +403,7 @@ def catalan_binomial_identity(a: int, b: int, c: int) -> bool:
 
     Holds for all a, b >= 0 and 0 <= c <= b over the extended triangle.
     """
+    a, b, c = checked_ints((a, b, c), "a, b and c must be integers")
     lhs = sum(
         triangle_ext(a - j, b - j) * binom(2 * j + 1, j - c)
         for j in range(c, b + 1)
@@ -476,6 +480,7 @@ def split_triangular_sum(f: Callable[[int, int], int], a: int) -> tuple[int, int
     Returns (direct, decomposed); the decomposition walks the u>=s and
     s>=u diagonal bands and removes the double-counted diagonal.
     """
+    (a,) = checked_ints((a,), "a must be an integer")
     direct = sum(f(u, s) for u in range(a + 1) for s in range(a + 1 - u))
     part1 = sum(
         f(u, u - v) for v in range(a + 1) for u in range(v, (a + v) // 2 + 1)

@@ -25,16 +25,42 @@ shape and limb count before the first step.  It refuses a layer that would
 hold more than DEFAULT_MAX_CELLS int64 words (its cells times its limbs),
 and a sweep whose predicted work passes DEFAULT_MAX_WORK.
 
-Counts stay exact in int64 arithmetic: a layer is a list of int64 limb
-arrays of the layer shape, and a cell holds sum(limb[k] * 2^(B*k))
-with B = 62 - bit_length(2d), 2d being the number of steps.  Every limb
-but the top one lies in [0, 2^B).  A step shifts each limb by every
-step's index shift (one numpy slice add per step), appends a zero top
-limb when 2d times the largest top value could pass 2^B - 1, and runs one
-carry pass that moves each limb's bits above B into the next.  No limb
-enters a step at 2^(B+1) or more, so every sum stays below
-2d * 2^(B+1) < 2^63.  Python integers are rebuilt only for the cells that
-are read.
+A layer is stored with its last two axes merged into one contiguous axis:
+each row of the last axis holds `row` cells, the largest size that axis
+takes over the sweep plus one pad cell, and the rows of the axis before it
+follow one another.  A step's shift on those two axes is then one offset
+along the merged axis, so at d=2 every move is one 1-D slice and at d >= 3
+each slice runs over rows of about s^2 cells.  A cell on the wall of the
+last axis that steps down wraps into the pad of the row before; the pad is
+zeroed after each step, so it never carries a count.  _run_dp yields views
+of the live region, so readers see one array per limb of the layer shape.
+The cell cap counts live cells only.  The largest layer of an open or
+origin sweep has the longest rows, so the pad adds 1/s to it for a last
+axis of s cells: 1/6 at d=10 and 5 steps, the largest share among the caps
+that README lists.  Toward an endpoint off the diagonal a middle layer can
+store up to about twice its live cells, because its rows keep the full
+length.
+
+The steps U_(d-1) and U_d (U_k = e_1 + ... + e_k) differ by e_d, so at
+d >= 2 a limb x is stepped by +-U_1, ..., +-U_(d-2) first, then turned in
+place into u = x + (x shifted by e_d), and u is moved by U_(d-1) and by
+-U_d: two slice adds for the four steps +-U_(d-1), +-U_d.  The shift by
+e_d is one cell along the merged axis, and the cell before each row is a
+zero pad, so u fits in x's own buffer.  The first move of a step is
+assigned into an uninitialised array, and only what it does not cover is
+zeroed.
+
+Counts stay exact in int64 arithmetic: a layer is a list of int64 limbs,
+and a cell holds sum(limb[k] * 2^(B*k)) with B = 62 - bit_length(2d), 2d
+being the number of steps.  A limb of at most 2^B - 1 grows at most 2d-fold
+a step, so it stays below 2^63, with the carry it takes in, for
+K = max{k : (2d)^k * 2^B <= 2^63} steps: 3 at d=1, 2 at d=2, 1 at d >= 3.
+A carry pass, which moves each limb's bits above B into the next, runs
+every K steps and on the last step.  After it a top limb of 2^B or more
+moves its high bits into a new top limb, so after every carry each limb
+lies in [0, 2^B) and the limbs are as few as the largest count allows.
+Between carries the limbs hold more than B bits, and _value reads them
+exactly.  Python integers are rebuilt only for the cells that are read.
 
 A single count back to the origin sweeps only half its length.  The steps
 are closed under negation, so a walk from x back to the origin in n steps,
@@ -53,7 +79,7 @@ package does not load it.
 from __future__ import annotations
 
 from itertools import repeat
-from math import ceil, log2
+from math import ceil, log2, prod
 from typing import Sequence
 
 from .exceptions import CapExceededError, checked_ints
@@ -74,6 +100,9 @@ DEFAULT_MAX_WORK = 20_000_000_000
 _CACHED_CELLS = 2**18
 # Cells per float64 Gram product in _sum_of_squares.
 _GRAM_CHUNK = 1024
+# Cells per numpy call when a limb is turned into its paired sums in place
+# (see _add_previous_cell); the pass's one temporary is a copy of a block.
+_PAIR_BLOCK = 2**14
 
 
 def gessel_steps(d: int) -> frozenset[tuple[int, ...]]:
@@ -128,9 +157,11 @@ def _run_dp(d, length, end=None):
     coset holds (r_t, g) per axis, and index i of each limb stands for
     coordinate r_t + g*i.  Layer t is cut per axis to the cells a walk can
     reach in t steps and, with end given, can still leave for end in the
-    remaining length-t.  The same list is updated in place by the next
-    step, so read it first; each old limb is dropped as soon as it is
-    shifted, which keeps about one layer and one limb alive.
+    remaining length-t.  Each limb is a view of that live region in a
+    stored buffer whose rows hold `row` cells, the last a zero pad (see the
+    module docstring).  The same list is refilled by the next step, so read
+    it first; each old limb is dropped as soon as it is stepped, which keeps
+    about one layer and one limb alive.
     """
     import numpy as np
 
@@ -148,12 +179,18 @@ def _run_dp(d, length, end=None):
     # axis by axis, and the pre-pass stops at the first partial product over
     # the cell cap, so a huge shape is never multiplied out; only the first
     # axis can be empty, so no later factor brings the product back under.
-    # Each step makes 2d + 4 numpy calls per limb (a zeroed layer, one slice
-    # add per step, three for the carry), each touching at most the layer's
-    # cells; a call costs about as much as 1,000 cell updates, and a cell
-    # update twice as much once one limb of the layer outgrows _CACHED_CELLS.
+    # The work model counts 2d + 4 numpy calls per limb and step; the count
+    # is fixed so that the caps admit the same requests.  A step makes, per
+    # limb, 2d - 2 slice moves at d >= 2 (2 at d = 1), an allocation, zero
+    # fills around the first move, one call per _PAIR_BLOCK cells of the
+    # paired sums, a pad write and a view, and the three carry calls every
+    # K steps (module docstring); each touches at most the layer's stored
+    # cells.  A call is counted as 1,000 cell updates, and a cell update
+    # twice once one limb of the layer outgrows _CACHED_CELLS.  The pass
+    # also finds the row length: the last axis's largest size, plus the pad.
     bits = _limb_bits(d)
     work = 0
+    row = 2
     for t in range(1, length + 1):
         limbs = ceil((t * log2(2 * d) + 1) / bits)
         cells = 1
@@ -164,6 +201,7 @@ def _run_dp(d, length, end=None):
                     f"DP sweep of {length} steps exceeds the cell cap of "
                     f"{DEFAULT_MAX_CELLS} int64 limb cells at layer {t}"
                 )
+        row = max(row, size + 1)
         if cells > _CACHED_CELLS:
             cells *= 2
         work += limbs * (2 * d + 4) * (cells + 1000)
@@ -173,36 +211,119 @@ def _run_dp(d, length, end=None):
                 f"{DEFAULT_MAX_WORK} cell updates"
             )
 
+    def stored(sizes):
+        # the last two axes merged, each row of the last padded to `row`
+        # cells; at d = 1 no axis precedes the last, so head[-1:] is empty
+        head = sizes[:-1]
+        return head[:-1] + (prod(head[-1:]) * row,)
+
+    def live(buffer):
+        return buffer.reshape(sizes[:-1] + (row,))[..., : sizes[-1]]
+
+    def stored_shifts(steps, t):
+        # each step's index shift into layer t, on the stored axes; it depends
+        # on t only through the parity of the first axis
+        out = []
+        for s in steps:
+            pairs = zip(s, coset_at(t - 1), coset_at(t))
+            *head, last = ((r + x - r2) // g for x, (r, g), (r2, _) in pairs)
+            out.append(tuple(head[:-1]) + (sum(head[-1:]) * row + last,))
+        return out
+
     mask = (1 << bits) - 1
+    # Steps between carries: a limb of at most 2^B - 1 after a carry, and
+    # the carry it takes in, stay below 2^63 for K steps of 2d-fold growth.
+    carry_every = 1
+    while (2 * d) ** (carry_every + 1) << bits <= 1 << 63:
+        carry_every += 1
     coset = coset_at(0)
-    shape = tuple(axis_sizes(0))
-    limbs = [np.zeros(shape, dtype=np.int64)]
-    limbs[0][(0,) * d] = 1
+    sizes = tuple(axis_sizes(0))
+    buffers = [np.zeros(stored(sizes), dtype=np.int64)]
+    buffers[0].flat[0] = 1
+    limbs = [live(buffers[0])]
     yield coset, limbs
+    # The up steps U_1, ..., U_d (U_k = e_1 + ... + e_k) and their negatives,
     # 2d tuples of d coordinates, so O(d^2): built only once both caps have
-    # passed and the first layer exists
-    steps = sorted(gessel_steps(d))
+    # passed and the first layer exists.  U_(d-1) and U_d differ by e_d, so at
+    # d >= 2 the four steps +-U_(d-1), +-U_d are two moves of
+    # u = x + (x shifted by e_d): by U_(d-1) and by -U_d.
+    ups = sorted((s for s in gessel_steps(d) if s[0] > 0), key=sum)
+    downs = [tuple(-x for x in s) for s in ups]
+    n_single = d - 2 if d > 1 else 1
+    single_steps = ups[:n_single] + downs[:n_single]
+    paired_steps = [ups[-2], downs[-1]] if d > 1 else []
+    # indexed by t % 2
+    shifts = [(stored_shifts(single_steps, t), stored_shifts(paired_steps, t)) for t in (2, 1)]
+    shape = stored(sizes)
     for t in range(1, length + 1):
-        grow = int(limbs[-1].max(initial=0)) * len(steps) > mask
         new_coset = coset_at(t)
-        new_shape = tuple(axis_sizes(t))
-        shifts = [
-            tuple((r + x - r2) // g for x, (r, g), (r2, _) in zip(s, coset, new_coset))
-            for s in steps
-        ]
-        moves = _moves(shape, new_shape, shifts)
-        for k in range(len(limbs)):
-            out = np.zeros(new_shape, dtype=np.int64)
-            for src, dst in moves:
-                out[dst] += limbs[k][src]
-            limbs[k] = out
-        if grow:
-            limbs.append(np.zeros(new_shape, dtype=np.int64))
-        for k in range(len(limbs) - 1):
-            limbs[k + 1] += limbs[k] >> bits
-            limbs[k] &= mask
-        coset, shape = new_coset, new_shape
+        new_sizes = tuple(axis_sizes(t))
+        new_shape = stored(new_sizes)
+        single, paired = (_moves(shape, new_shape, s) for s in shifts[t % 2])
+        moves = single + paired
+        blank = _outside(moves[0][1], new_shape) if moves else [()]
+        limbs.clear()
+        for k in range(len(buffers)):
+            buffers[k] = _step_limb(buffers[k], new_shape, moves, len(single), blank, row)
+        if t % carry_every == 0 or t == length:
+            for k in range(len(buffers) - 1):
+                buffers[k + 1] += buffers[k] >> bits
+                buffers[k] &= mask
+            if buffers[-1].max(initial=0) > mask:
+                buffers.append(buffers[-1] >> bits)
+                buffers[-2] &= mask
+        coset, sizes, shape = new_coset, new_sizes, new_shape
+        limbs.extend(map(live, buffers))
         yield coset, limbs
+
+
+def _step_limb(x, shape, moves, n_single, blank, row):
+    """Limb x of one layer, stepped into a new stored buffer of shape.
+
+    moves are (source, target) slice pairs of the stored layouts.  The
+    first is assigned, and blank lists the slabs it does not cover, which
+    are zeroed.  Moves from index n_single on read u = x + (x shifted one
+    cell along its rows), which replaces x in place once the others have
+    read it.  The pad closing each row catches what the wall wraps into it,
+    and is zeroed last.
+    """
+    import numpy as np
+
+    out = np.empty(shape, dtype=np.int64)
+    for slab in blank:
+        out[slab] = 0
+    for i, (src, dst) in enumerate(moves):
+        if i == n_single:
+            _add_previous_cell(x.reshape(-1))
+        if i:
+            out[dst] += x[src]
+        else:
+            out[dst] = x[src]
+    out.reshape(-1, row)[:, -1] = 0
+    return out
+
+
+def _outside(box, shape):
+    """Slabs that cover the cells of an array of shape outside box, a
+    tuple of one slice per axis."""
+    slabs = []
+    for axis, cut in enumerate(box):
+        if cut.start:
+            slabs.append(box[:axis] + (slice(0, cut.start),))
+        if cut.stop < shape[axis]:
+            slabs.append(box[:axis] + (slice(cut.stop, None),))
+    return slabs
+
+
+def _add_previous_cell(flat):
+    """flat[i] += flat[i - 1] for every i >= 1, in place: a block of
+    _PAIR_BLOCK cells at a time from the top down, so each block reads only
+    cells not yet changed and the one temporary is a block's copy."""
+    hi = flat.size
+    while hi > 1:
+        lo = max(1, hi - _PAIR_BLOCK)
+        flat[lo:hi] += flat[lo - 1 : hi - 1]
+        hi = lo
 
 
 def _value(limbs, index, bits) -> int:
@@ -282,7 +403,9 @@ def count_confined_walks(d: int, length: int, *, end: Sequence[int] | None = Non
         return 0
     for _, limbs in _run_dp(d, length // 2):
         pass
-    return _sum_of_squares(limbs, _limb_bits(d))
+    # the last axis of an open sweep is longest at its last layer, so the
+    # stored buffers behind these views hold the live cells and zero pads
+    return _sum_of_squares([limb.base for limb in limbs], _limb_bits(d))
 
 
 def g_sequence(d: int, n_max: int) -> list[int]:

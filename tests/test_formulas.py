@@ -219,6 +219,33 @@ def test_functions_of_n_take_integral_arguments_of_any_type(call, args):
         call(*args(2.5))
 
 
+# the other public functions of integers; 3 once per integer argument
+OTHER_INTEGER_ARGUMENT_CALLS = [
+    (triangle_ext, lambda x: (x, 1)),
+    (triangle_ext, lambda x: (5, x)),
+    (catalan_convolution_identity, lambda x: (x, 2, 1)),
+    (catalan_convolution_identity, lambda x: (1, x, 2)),
+    (catalan_convolution_identity, lambda x: (1, 2, x)),
+    (catalan_binomial_identity, lambda x: (x, 2, 1)),
+    (catalan_binomial_identity, lambda x: (1, x, 2)),
+    (catalan_binomial_identity, lambda x: (1, 4, x)),
+    (split_triangular_sum, lambda x: (lambda u, s: u * u + 3 * s + 1, x)),
+    (count_words_fixed_markers, lambda x: ((1, -1), (1, 2), x)),
+]
+
+
+@pytest.mark.parametrize(
+    "call, args", OTHER_INTEGER_ARGUMENT_CALLS, ids=lambda value: getattr(value, "__name__", None)
+)
+def test_other_functions_take_integral_arguments_of_any_type(call, args):
+    import numpy as np
+
+    want = call(*args(3))
+    assert call(*args(3.0)) == call(*args(np.int64(3))) == want
+    with pytest.raises(ValueError, match="must be (an integer|integers)"):
+        call(*args(2.5))
+
+
 def test_functions_of_n_keep_their_results_below_1():
     for n in (0, -1, -5):
         assert adjacent_marker_sum_direct(n) == 0

@@ -1,7 +1,10 @@
+import tracemalloc
 from collections import Counter, defaultdict
-from itertools import product
+from itertools import islice, product
 from math import ceil, log2
-from operator import add
+from operator import add, le
+
+import numpy as np
 
 import pytest
 from hypothesis import example, given, settings
@@ -330,26 +333,55 @@ def test_sweep_covers_only_the_live_region():
     assert open_end == [(c, {(t // 2 + 1, t + 1)}) for t, c in enumerate(gessel_coset)]
 
 
+def _exact_values(limbs, bits):
+    """The counts a layer's limbs hold, as an object array of Python ints."""
+    return sum(limb.astype(object) << (bits * k) for k, limb in enumerate(limbs))
+
+
 def _origin_sweep_limbs(length):
-    """(limb count, largest top-limb value) after each step of the d=2 origin sweep."""
-    sweep = walks._run_dp(2, length, (0, 0))
-    return [(len(limbs), int(limbs[-1].max())) for _, limbs in sweep]
+    """(limb count, largest count, largest top-limb value) after each step of
+    the d=2 origin sweep."""
+    bits = walks._limb_bits(2)
+    return [
+        (len(limbs), int(_exact_values(limbs, bits).max()), int(limbs[-1].max()))
+        for _, limbs in walks._run_dp(2, length, (0, 0))
+    ]
 
 
 def test_second_limb_follows_the_values():
-    # B = 62 - bit_length(4) = 59: the largest cell of step 33 times |steps|
-    # is the first to pass 2^59 - 1, so step 34 is the first with two limbs
+    # B = 62 - bit_length(4) = 59; d=2 carries on even steps, since a limb
+    # below 2^59 stays below 2^63 for two 4-fold steps.  Step 34 holds the
+    # first count past 2^59 - 1, so it is the first with two limbs
     sweep = _origin_sweep_limbs(80)
-    assert [k for k, _ in sweep[:35]] == [1] * 34 + [2]
-    assert sweep[32][1] * 4 < 2**59 <= sweep[33][1] * 4
+    assert [k for k, _, _ in sweep[:35]] == [1] * 34 + [2]
+    assert sweep[33][1] < 2**59 <= sweep[34][1]
     assert g_sequence(2, 40) == [gessel_closed_form(n) for n in range(41)]
 
 
 def test_multi_limb_sweep_stays_exact():
-    # 2n = 80 ends on three limbs: a third appears at step 65
-    counts = [k for k, _ in _origin_sweep_limbs(80)]
-    assert counts == [1] * 34 + [2] * 31 + [3] * 16
+    # 2n = 80 ends on three limbs.  The counts first pass 2^118 - 1 at step
+    # 65, an odd step with no carry, whose top limb holds them uncarried
+    # past 2^59; the carry of step 66 adds the third limb
+    sweep = _origin_sweep_limbs(80)
+    assert [k for k, _, _ in sweep] == [1] * 34 + [2] * 32 + [3] * 15
+    assert sweep[64][1] < 2**118 <= sweep[65][1]
+    assert sweep[64][2] < 2**59 <= sweep[65][2]
     assert count_confined_walks(2, 80) == gessel_closed_form(40)
+
+
+@pytest.mark.parametrize("d, length", [(1, 130), (2, 80), (3, 30), (4, 16)])
+def test_limbs_grow_only_on_the_carry_steps_that_need_them(d, length):
+    # after each carry, every limb lies below 2^B and the limbs are as few as
+    # the largest count allows; between carries the limb count holds
+    bits = walks._limb_bits(d)
+    due = {1: 3, 2: 2}.get(d, 1)
+    held = 1
+    for t, (_, limbs) in enumerate(walks._run_dp(d, length)):
+        if t % due == 0 or t == length:
+            assert max(int(limb.max()) for limb in limbs) < 2**bits, t
+            largest = int(_exact_values(limbs, bits).max())
+            held = max(1, -(-largest.bit_length() // bits))
+        assert len(limbs) == held, t
 
 
 def test_g_sequence_matches_closed_form_to_200():
@@ -392,10 +424,12 @@ def test_dp_matches_brute_force(case):
     assert _endpoint_counts(d, length) == dict(brute)
 
 
-def _dict_dp(d, length):
-    """Endpoint counts by a layer-by-layer DP over a dict of Python ints."""
+def _dict_layers(d, length):
+    """Endpoint counts after 0..length steps, by a layer-by-layer DP over a
+    dict of Python ints."""
     steps = gessel_steps(d)
     layer = {(0,) * d: 1}
+    yield layer
     for _ in range(length):
         nxt = defaultdict(int)
         for point, count in layer.items():
@@ -403,8 +437,15 @@ def _dict_dp(d, length):
                 q = tuple(map(add, point, s))
                 if min(q) >= 0:
                     nxt[q] += count
-        layer = nxt
-    return dict(layer)
+        layer = dict(nxt)
+        yield layer
+
+
+def _dict_dp(d, length):
+    """Endpoint counts after length steps (see _dict_layers)."""
+    for layer in _dict_layers(d, length):
+        pass
+    return layer
 
 
 @st.composite
@@ -426,6 +467,91 @@ def test_multi_limb_dp_matches_dict_dp(case):
     assert _endpoint_counts(d, length) == want
     end = max(want, key=want.get)
     assert count_confined_walks(d, length, end=end) == want[end]
+
+
+@st.composite
+def _layer_cases(draw):
+    d = draw(st.integers(1, 4))
+    length = draw(st.integers(0, (70, 40, 20, 12)[d - 1]))
+    k = draw(st.integers(0, length + 1))
+    kind = draw(st.sampled_from(["open", "wall", "corner", "off coset", "any"]))
+    if kind == "open":
+        return d, length, None
+    if kind == "wall":
+        axis = draw(st.integers(0, d - 1))
+        return d, length, tuple(k if i == axis else 0 for i in range(d))
+    if kind == "corner":
+        return d, length, (length,) * d
+    end = draw(st.tuples(*[st.integers(0, length + 1)] * d))
+    if kind == "off coset" and (end[0] - length) % 2 == 0:
+        end = (end[0] + 1,) + end[1:]
+    return d, length, end
+
+
+@given(_layer_cases())
+@example((2, 40, None))
+@example((2, 41, (0, 0)))  # an origin wedge that reads layers between carries
+@example((1, 70, (0,)))
+@example((2, 30, (9, 0)))  # on the walls
+@example((2, 30, (0, 9)))
+@example((3, 20, (0, 0, 7)))
+@example((2, 25, (25, 25)))  # far corner
+@example((2, 25, (4, 3)))  # off the x_1 parity coset
+@example((4, 12, (3, 0, 2, 1)))
+@settings(max_examples=40, deadline=None)
+def test_every_layer_matches_the_dict_dp(case):
+    # each yielded layer, carried or not, holds exactly the dict DP's counts
+    # on its live region: x_k <= t, and x_k <= end_k + (length - t) toward an
+    # endpoint, with x_1 = t (mod 2)
+    d, length, end = case
+    bits = walks._limb_bits(d)
+    layers = zip(walks._run_dp(d, length, end), _dict_layers(d, length))
+    for t, ((coset, limbs), want) in enumerate(layers):
+        his = [t if end is None else min(t, x + length - t) for x in end or [0] * d]
+        shape = tuple(max(0, (h - r) // g + 1) for h, (r, g) in zip(his, coset))
+        assert limbs[0].shape == shape and {limb.shape for limb in limbs} == {shape}, t
+        got = {
+            tuple(r + g * i for (r, g), i in zip(coset, cell)): value
+            for cell, value in np.ndenumerate(_exact_values(limbs, bits))
+            if value
+        }
+        assert got == {p: v for p, v in want.items() if all(map(le, p, his))}, t
+    origin = (0,) * d
+    if end == origin and length % 2 == 0:
+        assert g_sequence(d, length // 2) == [
+            layer.get(origin, 0) for layer in islice(_dict_layers(d, length), 0, None, 2)
+        ]
+
+
+def _peak_bytes(run):
+    """run()'s peak traced memory above what was traced when it started."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("d, length", [(2, 200), (6, 8)])
+def test_a_step_holds_one_layer_one_limb_and_one_block(monkeypatch, d, length):
+    # an open sweep grows, so its largest layer is its last; stepping limb by
+    # limb, the peak is that layer, the limb being built and one block of
+    # the paired-sum pass: d=2 ends on 7 limbs of 101 x 202 stored cells,
+    # d=6 on one limb of 5 x 9^4 x (9 x 10)
+    block = 2**10
+    monkeypatch.setattr(walks, "_PAIR_BLOCK", block)
+
+    def sweep():
+        for _, limbs in walks._run_dp(d, length):
+            pass
+        return len(limbs), limbs[0].base.nbytes
+
+    (n_limbs, limb_bytes), peak = _peak_bytes(sweep)
+    assert n_limbs == (7 if d == 2 else 1)
+    # a limb-sized temporary more, or a second copy of x, would pass the bound
+    assert peak < (n_limbs + 1) * limb_bytes + 8 * block + limb_bytes // 4
 
 
 def test_d1_counts_match_ballot_numbers_to_300():
