@@ -490,8 +490,8 @@ def _layer_cases(draw):
 
 @given(_layer_cases())
 @example((2, 40, None))
-@example((2, 41, (0, 0)))  # an origin wedge that reads layers between carries
-@example((1, 70, (0,)))
+@example((2, 41, (0, 0)))  # its last step carries off the even-step grid
+@example((1, 70, (0,)))  # g_sequence reads layers 2, 4, 8, ... between carries
 @example((2, 30, (9, 0)))  # on the walls
 @example((2, 30, (0, 9)))
 @example((3, 20, (0, 0, 7)))
@@ -507,7 +507,7 @@ def test_every_layer_matches_the_dict_dp(case):
     bits = walks._limb_bits(d)
     layers = zip(walks._run_dp(d, length, end), _dict_layers(d, length))
     for t, ((coset, limbs), want) in enumerate(layers):
-        his = [t if end is None else min(t, x + length - t) for x in end or [0] * d]
+        his = [t] * d if end is None else [min(t, x + length - t) for x in end]
         shape = tuple(max(0, (h - r) // g + 1) for h, (r, g) in zip(his, coset))
         assert limbs[0].shape == shape and {limb.shape for limb in limbs} == {shape}, t
         got = {
@@ -523,17 +523,6 @@ def test_every_layer_matches_the_dict_dp(case):
         ]
 
 
-def _peak_bytes(run):
-    """run()'s peak traced memory above what was traced when it started."""
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        result = run()
-        return result, tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("d, length", [(2, 200), (6, 8)])
 def test_a_step_holds_one_layer_one_limb_and_one_block(monkeypatch, d, length):
     # an open sweep grows, so its largest layer is its last; stepping limb by
@@ -542,13 +531,15 @@ def test_a_step_holds_one_layer_one_limb_and_one_block(monkeypatch, d, length):
     # d=6 on one limb of 5 x 9^4 x (9 x 10)
     block = 2**10
     monkeypatch.setattr(walks, "_PAIR_BLOCK", block)
-
-    def sweep():
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
         for _, limbs in walks._run_dp(d, length):
             pass
-        return len(limbs), limbs[0].base.nbytes
-
-    (n_limbs, limb_bytes), peak = _peak_bytes(sweep)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    n_limbs, limb_bytes = len(limbs), limbs[0].base.nbytes
     assert n_limbs == (7 if d == 2 else 1)
     # a limb-sized temporary more, or a second copy of x, would pass the bound
     assert peak < (n_limbs + 1) * limb_bytes + 8 * block + limb_bytes // 4
