@@ -378,7 +378,11 @@ def triangle_ext(m: int, n: int) -> int:
     counting wedge (where it can go negative); the convolution identities
     hold for this extension on their full parameter ranges.
     """
-    m, n = checked_ints((m, n), "m and n must be integers")
+    return _triangle_ext(*checked_ints((m, n), "m and n must be integers"))
+
+
+def _triangle_ext(m: int, n: int) -> int:
+    """triangle_ext on ints, which are not checked."""
     if n < 0:
         return 0
     return _gbinom(m + n, n) - _gbinom(m + n, n - 1)
@@ -392,10 +396,10 @@ def catalan_convolution_identity(a: int, b: int, c: int) -> bool:
     """
     a, b, c = checked_ints((a, b, c), "a, b and c must be integers")
     lhs = sum(
-        triangle_ext(i + a, i) * triangle_ext(b - i, c - i)
+        _triangle_ext(i + a, i) * _triangle_ext(b - i, c - i)
         for i in range(0, c + 1)
     )
-    return lhs == triangle_ext(a + b + 1, c)
+    return lhs == _triangle_ext(a + b + 1, c)
 
 
 def catalan_binomial_identity(a: int, b: int, c: int) -> bool:
@@ -405,7 +409,7 @@ def catalan_binomial_identity(a: int, b: int, c: int) -> bool:
     """
     a, b, c = checked_ints((a, b, c), "a, b and c must be integers")
     lhs = sum(
-        triangle_ext(a - j, b - j) * binom(2 * j + 1, j - c)
+        _triangle_ext(a - j, b - j) * binom(2 * j + 1, j - c)
         for j in range(c, b + 1)
     )
     return lhs == binom(a + b + 2, b - c)
@@ -419,7 +423,7 @@ def _triangle_ext_table(bound: int):
     table = np.empty((3 * bound + 2, bound + 1), dtype=object)
     for m in range(-bound, 2 * bound + 2):
         for k in range(bound + 1):
-            table[m + bound, k] = triangle_ext(m, k)
+            table[m + bound, k] = _triangle_ext(m, k)
     return table
 
 

@@ -25,30 +25,38 @@ shape and limb count before the first step.  It refuses a layer that would
 hold more than DEFAULT_MAX_CELLS int64 words (its cells times its limbs),
 and a sweep whose predicted work passes DEFAULT_MAX_WORK.
 
-A layer is stored with its last two axes merged into one contiguous axis:
-each row of the last axis holds `row` cells, the largest size that axis
-takes over the sweep plus one pad cell, and the rows of the axis before it
-follow one another.  A step's shift on those two axes is then one offset
-along the merged axis, so at d=2 every move is one 1-D slice and at d >= 3
-each slice runs over rows of about s^2 cells.  A cell on the wall of the
-last axis that steps down wraps into the pad of the row before; the pad is
-zeroed after each step, so it never carries a count.  _run_dp yields views
-of the live region, so readers see one array per limb of the layer shape.
-The cell cap counts live cells only.  The largest layer of an open or
-origin sweep has the longest rows, so the pad adds 1/s to it for a last
-axis of s cells: 1/6 at d=10 and 5 steps, the largest share among the caps
-that README lists.  Toward an endpoint off the diagonal a middle layer can
-store up to about twice its live cells, because its rows keep the full
-length.
+A limb is stored in rows: its last axis, padded with at least one cell,
+runs along each row, and the rows follow one another.  Where two layers
+have rows of one length, their last two axes are one contiguous axis and
+a step's shift on them is one offset along it, so at d=2 every move is one
+1-D slice and at d >= 3 each slice runs over about s^2 cells.  A cell on
+the wall of the last axis that steps down wraps into the pad of the row
+before; the pad is zeroed after each step, so it never carries a count.
+Where the row length changes, the step moves whole rows as 2-D slices.
+_run_dp yields views of the live region, so readers see one array per limb
+of the layer shape.
+
+Consecutive layers form runs that share one row length, the shortest
+that holds the last axis of each and a pad cell.  A run takes in the next
+layer while that row adds to none of its layers more than the larger of
+1/16 of their live cells and _ROW_SLACK (2 MiB) past their own pad.  So a
+limb of live shape (h cells ahead of the last axis, s on it) stores at
+most h*(s + 1) + h*s/16 cells, or h*(s + 1) and its share of _ROW_SLACK.
+The runs are found greedily from the first layer on, which makes them as
+few as that bound allows: an open sweep changes rows only where its
+layers are large, and a sweep toward an endpoint shortens them as its
+last axis shrinks.  The cell cap counts live cells, so a layer it admits
+stores at most 1/s + 1/16 more, or 1/s and _ROW_SLACK more: the pad alone
+adds 1/6 at d=10 and 5 steps, the largest share among the caps that
+README lists.
 
 The steps U_(d-1) and U_d (U_k = e_1 + ... + e_k) differ by e_d, so at
 d >= 2 a limb x is stepped by +-U_1, ..., +-U_(d-2) first, then turned in
 place into u = x + (x shifted by e_d), and u is moved by U_(d-1) and by
 -U_d: two slice adds for the four steps +-U_(d-1), +-U_d.  The shift by
-e_d is one cell along the merged axis, and the cell before each row is a
-zero pad, so u fits in x's own buffer.  The first move of a step is
-assigned into an uninitialised array, and only what it does not cover is
-zeroed.
+e_d is one cell along the rows, and the cell before each row is a zero
+pad, so u fits in x's own buffer.  The first move of a step is assigned
+into an uninitialised array, and only what it does not cover is zeroed.
 
 Counts stay exact in int64 arithmetic: a layer is a list of int64 limbs,
 and a cell holds sum(limb[k] * 2^(B*k)) with B = 62 - bit_length(2d), 2d
@@ -78,6 +86,7 @@ package does not load it.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import repeat
 from math import ceil, log2, prod
 from typing import Sequence
@@ -103,6 +112,9 @@ _GRAM_CHUNK = 1024
 # Cells per numpy call when a limb is turned into its paired sums in place
 # (see _add_previous_cell); the pass's one temporary is a copy of a block.
 _PAIR_BLOCK = 2**14
+# int64 limb cells that rows longer than a layer's own last axis may add to
+# it whatever its size (see _run_dp): 2 MiB.
+_ROW_SLACK = 2**18
 
 
 def gessel_steps(d: int) -> frozenset[tuple[int, ...]]:
@@ -158,10 +170,10 @@ def _run_dp(d, length, end=None):
     coordinate r_t + g*i.  Layer t is cut per axis to the cells a walk can
     reach in t steps and, with end given, can still leave for end in the
     remaining length-t.  Each limb is a view of that live region in a
-    stored buffer whose rows hold `row` cells, the last a zero pad (see the
-    module docstring).  The same list is refilled by the next step, so read
-    it first; each old limb is dropped as soon as it is stepped, which keeps
-    about one layer and one limb alive.
+    stored buffer whose rows end in a zero pad (see the module docstring).
+    The same list is refilled by the next step, so read it first; each old
+    limb is dropped as soon as it is stepped, which keeps about one layer
+    and one limb alive.
     """
     import numpy as np
 
@@ -179,29 +191,42 @@ def _run_dp(d, length, end=None):
     # axis by axis, and the pre-pass stops at the first partial product over
     # the cell cap, so a huge shape is never multiplied out; only the first
     # axis can be empty, so no later factor brings the product back under.
-    # The work model counts 2d + 4 numpy calls per limb and step; the count
-    # is fixed so that the caps admit the same requests.  A step makes, per
-    # limb, 2d - 2 slice moves at d >= 2 (2 at d = 1), an allocation, zero
-    # fills around the first move, one call per _PAIR_BLOCK cells of the
-    # paired sums, a pad write and a view, and the three carry calls every
-    # K steps (module docstring); each touches at most the layer's stored
-    # cells.  A call is counted as 1,000 cell updates, and a cell update
-    # twice once one limb of the layer outgrows _CACHED_CELLS.  The pass
-    # also finds the row length: the last axis's largest size, plus the pad.
+    # The work model counts 2d + 4 numpy calls per limb and step, fixed so
+    # that the caps admit the same requests.  A step makes, per limb, 2d - 2
+    # slice moves at d >= 2 (2 at d = 1), an allocation, zero fills around
+    # the first move, one call per _PAIR_BLOCK cells of the paired sums, a
+    # pad write and a view, and the three carry calls every K steps (module
+    # docstring).  A call is counted as 1,000 cell updates, and a cell update
+    # twice once one limb of the layer outgrows _CACHED_CELLS.  The model
+    # counts live cells; the rows a step sweeps hold at most 1/16 more, a pad
+    # cell per row and _ROW_SLACK.
     bits = _limb_bits(d)
     work = 0
-    row = 2
+    # Cells per stored row of each layer (module docstring).  A run of
+    # layers shares the shortest row that holds the last axis of each and a
+    # pad, while that adds to none of them more than the larger of 1/16 of
+    # its live cells and _ROW_SLACK past its own pad; the first layer it
+    # cannot serve starts the next run.  Layer 0 holds one cell.
+    rows = []
+    run_lo, run_hi = 2, 2 + _ROW_SLACK
     for t in range(1, length + 1):
         limbs = ceil((t * log2(2 * d) + 1) / bits)
         cells = 1
         for size in axis_sizes(t):
+            head = cells
             cells *= size
             if limbs * cells > DEFAULT_MAX_CELLS:
                 raise CapExceededError(
                     f"DP sweep of {length} steps exceeds the cell cap of "
                     f"{DEFAULT_MAX_CELLS} int64 limb cells at layer {t}"
                 )
-        row = max(row, size + 1)
+        lo = size + 1
+        hi = lo + max(size // 16, _ROW_SLACK // (limbs * head or 1))
+        if lo > run_hi or hi < run_lo:
+            rows += [run_lo] * (t - len(rows))
+            run_lo, run_hi = lo, hi
+        elif lo > run_lo or hi < run_hi:
+            run_lo, run_hi = max(run_lo, lo), min(run_hi, hi)
         if cells > _CACHED_CELLS:
             cells *= 2
         work += limbs * (2 * d + 4) * (cells + 1000)
@@ -210,25 +235,30 @@ def _run_dp(d, length, end=None):
                 f"DP sweep of {length} steps exceeds the work cap of "
                 f"{DEFAULT_MAX_WORK} cell updates"
             )
+    rows += [run_lo] * (length + 1 - len(rows))
 
-    def stored(sizes):
-        # the last two axes merged, each row of the last padded to `row`
-        # cells; at d = 1 no axis precedes the last, so head[-1:] is empty
-        head = sizes[:-1]
-        return head[:-1] + (prod(head[-1:]) * row,)
-
-    def live(buffer):
-        return buffer.reshape(sizes[:-1] + (row,))[..., : sizes[-1]]
-
-    def stored_shifts(steps, t):
-        # each step's index shift into layer t, on the stored axes; it depends
-        # on t only through the parity of the first axis
+    def index_shifts(steps, t):
+        # each step's index shift into layer t; it depends on t only through
+        # the parity of the first axis
         out = []
         for s in steps:
             pairs = zip(s, coset_at(t - 1), coset_at(t))
-            *head, last = ((r + x - r2) // g for x, (r, g), (r2, _) in pairs)
-            out.append(tuple(head[:-1]) + (sum(head[-1:]) * row + last,))
+            out.append(tuple((r + x - r2) // g for x, (r, g), (r2, _) in pairs))
         return out
+
+    def merged(shape):
+        # the last two axes as one; at d = 1 there is only the last
+        return shape[:-2] + (prod(shape[-2:]),)
+
+    @cache
+    def merged_shifts(parity, row):
+        # the single and the paired shifts for rows of one length
+        return [
+            [s[:-2] + (sum(s[-2:-1]) * row + s[-1],) for s in group] for group in shifts[parity]
+        ]
+
+    def live(buffer):
+        return buffer.reshape(sizes[:-1] + (row,))[..., : sizes[-1]]
 
     mask = (1 << bits) - 1
     # Steps between carries: a limb of at most 2^B - 1 after a carry, and
@@ -238,7 +268,8 @@ def _run_dp(d, length, end=None):
         carry_every += 1
     coset = coset_at(0)
     sizes = tuple(axis_sizes(0))
-    buffers = [np.zeros(stored(sizes), dtype=np.int64)]
+    row = rows[0]
+    buffers = [np.zeros(sizes[:-1] + (row,), dtype=np.int64)]
     buffers[0].flat[0] = 1
     limbs = [live(buffers[0])]
     yield coset, limbs
@@ -253,18 +284,22 @@ def _run_dp(d, length, end=None):
     single_steps = ups[:n_single] + downs[:n_single]
     paired_steps = [ups[-2], downs[-1]] if d > 1 else []
     # indexed by t % 2
-    shifts = [(stored_shifts(single_steps, t), stored_shifts(paired_steps, t)) for t in (2, 1)]
-    shape = stored(sizes)
+    shifts = [(index_shifts(single_steps, t), index_shifts(paired_steps, t)) for t in (2, 1)]
     for t in range(1, length + 1):
-        new_coset = coset_at(t)
-        new_sizes = tuple(axis_sizes(t))
-        new_shape = stored(new_sizes)
-        single, paired = (_moves(shape, new_shape, s) for s in shifts[t % 2])
+        new_coset, new_sizes, new_row = coset_at(t), tuple(axis_sizes(t)), rows[t]
+        shape, new_shape = sizes[:-1] + (row,), new_sizes[:-1] + (new_row,)
+        single, paired = shifts[t % 2]
+        if new_row == row:
+            shape, new_shape = merged(shape), merged(new_shape)
+            single, paired = merged_shifts(t % 2, row)
+        single, paired = _moves(shape, new_shape, single), _moves(shape, new_shape, paired)
         moves = single + paired
         blank = _outside(moves[0][1], new_shape) if moves else [()]
         limbs.clear()
         for k in range(len(buffers)):
-            buffers[k] = _step_limb(buffers[k], new_shape, moves, len(single), blank, row)
+            if buffers[k].shape != shape:
+                buffers[k] = buffers[k].reshape(shape)
+            buffers[k] = _step_limb(buffers[k], new_shape, moves, len(single), blank, new_row)
         if t % carry_every == 0 or t == length:
             for k in range(len(buffers) - 1):
                 buffers[k + 1] += buffers[k] >> bits
@@ -272,7 +307,7 @@ def _run_dp(d, length, end=None):
             if buffers[-1].max(initial=0) > mask:
                 buffers.append(buffers[-1] >> bits)
                 buffers[-2] &= mask
-        coset, sizes, shape = new_coset, new_sizes, new_shape
+        coset, sizes, row = new_coset, new_sizes, new_row
         limbs.extend(map(live, buffers))
         yield coset, limbs
 
@@ -280,12 +315,12 @@ def _run_dp(d, length, end=None):
 def _step_limb(x, shape, moves, n_single, blank, row):
     """Limb x of one layer, stepped into a new stored buffer of shape.
 
-    moves are (source, target) slice pairs of the stored layouts.  The
-    first is assigned, and blank lists the slabs it does not cover, which
-    are zeroed.  Moves from index n_single on read u = x + (x shifted one
-    cell along its rows), which replaces x in place once the others have
-    read it.  The pad closing each row catches what the wall wraps into it,
-    and is zeroed last.
+    moves are (source, target) slice pairs of the stored layouts, whose
+    rows hold `row` cells in the new one.  The first is assigned, and blank
+    lists the slabs it does not cover, which are zeroed.  Moves from index
+    n_single on read u = x + (x shifted one cell along its rows), which
+    replaces x in place once the others have read it.  The pad closing
+    each row catches what the wall wraps into it, and is zeroed last.
     """
     import numpy as np
 

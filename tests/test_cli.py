@@ -489,11 +489,11 @@ def test_identities_failure_digest_names_the_failing_triples(monkeypatch):
 
     # a wrong triangle value makes some triples fail in both identities; the
     # digest, over blocks of 7 triples, is the one the per-case loop gives
-    triangle_ext = formulas.triangle_ext
+    core = formulas._triangle_ext
     def wrong(m, n):
-        return triangle_ext(m, n) + ((m, n) == (3, 1))
+        return core(m, n) + ((m, n) == (3, 1))
 
-    monkeypatch.setattr(formulas, "triangle_ext", wrong)
+    monkeypatch.setattr(formulas, "_triangle_ext", wrong)
     monkeypatch.setattr(dyck, "DP_CHUNK", 7)
     entries = {e.name: e for e in verify.suite_identities(n_max=2, bound=4)}
     convolution = [

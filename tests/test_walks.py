@@ -1,7 +1,7 @@
 import tracemalloc
 from collections import Counter, defaultdict
 from itertools import islice, product
-from math import ceil, log2
+from math import ceil, log2, prod
 from operator import add, le
 
 import numpy as np
@@ -476,46 +476,53 @@ def _layer_cases(draw):
     k = draw(st.integers(0, length + 1))
     kind = draw(st.sampled_from(["open", "wall", "corner", "off coset", "any"]))
     if kind == "open":
-        return d, length, None
-    if kind == "wall":
+        end = None
+    elif kind == "wall":
         axis = draw(st.integers(0, d - 1))
-        return d, length, tuple(k if i == axis else 0 for i in range(d))
-    if kind == "corner":
-        return d, length, (length,) * d
-    end = draw(st.tuples(*[st.integers(0, length + 1)] * d))
-    if kind == "off coset" and (end[0] - length) % 2 == 0:
-        end = (end[0] + 1,) + end[1:]
-    return d, length, end
+        end = tuple(k if i == axis else 0 for i in range(d))
+    elif kind == "corner":
+        end = (length,) * d
+    else:
+        end = draw(st.tuples(*[st.integers(0, length + 1)] * d))
+        if kind == "off coset" and (end[0] - length) % 2 == 0:
+            end = (end[0] + 1,) + end[1:]
+    # with no slack, rows change length wherever 1/16 of a layer allows,
+    # so the sweep also takes the steps that lay its rows out anew
+    return d, length, end, draw(st.sampled_from([0, walks._ROW_SLACK]))
 
 
 @given(_layer_cases())
-@example((2, 40, None))
-@example((2, 41, (0, 0)))  # its last step carries off the even-step grid
-@example((1, 70, (0,)))  # g_sequence reads layers 2, 4, 8, ... between carries
-@example((2, 30, (9, 0)))  # on the walls
-@example((2, 30, (0, 9)))
-@example((3, 20, (0, 0, 7)))
-@example((2, 25, (25, 25)))  # far corner
-@example((2, 25, (4, 3)))  # off the x_1 parity coset
-@example((4, 12, (3, 0, 2, 1)))
+@example((2, 40, None, 0))
+@example((2, 41, (0, 0), 0))  # its last step carries off the even-step grid
+@example((1, 70, (0,), 0))  # g_sequence reads layers 2, 4, 8, ... between carries
+@example((2, 30, (9, 0), 2**18))  # on the walls
+@example((2, 30, (0, 9), 0))
+@example((3, 20, (0, 0, 7), 0))
+@example((2, 25, (25, 25), 2**18))  # far corner
+@example((2, 25, (4, 3), 0))  # off the x_1 parity coset
+@example((4, 12, (3, 0, 2, 1), 0))
 @settings(max_examples=40, deadline=None)
 def test_every_layer_matches_the_dict_dp(case):
     # each yielded layer, carried or not, holds exactly the dict DP's counts
     # on its live region: x_k <= t, and x_k <= end_k + (length - t) toward an
-    # endpoint, with x_1 = t (mod 2)
-    d, length, end = case
+    # endpoint, with x_1 = t (mod 2); its limbs store no more cells than the
+    # module docstring allows
+    d, length, end, slack = case
     bits = walks._limb_bits(d)
-    layers = zip(walks._run_dp(d, length, end), _dict_layers(d, length))
-    for t, ((coset, limbs), want) in enumerate(layers):
-        his = [t] * d if end is None else [min(t, x + length - t) for x in end]
-        shape = tuple(max(0, (h - r) // g + 1) for h, (r, g) in zip(his, coset))
-        assert limbs[0].shape == shape and {limb.shape for limb in limbs} == {shape}, t
-        got = {
-            tuple(r + g * i for (r, g), i in zip(coset, cell)): value
-            for cell, value in np.ndenumerate(_exact_values(limbs, bits))
-            if value
-        }
-        assert got == {p: v for p, v in want.items() if all(map(le, p, his))}, t
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(walks, "_ROW_SLACK", slack)
+        layers = zip(walks._run_dp(d, length, end), _dict_layers(d, length))
+        for t, ((coset, limbs), want) in enumerate(layers):
+            his = [t] * d if end is None else [min(t, x + length - t) for x in end]
+            shape = tuple(max(0, (h - r) // g + 1) for h, (r, g) in zip(his, coset))
+            assert {limb.shape for limb in limbs} == {shape}, t
+            assert limbs[0].base.size <= _stored_limb_cells(shape, len(limbs)), t
+            got = {
+                tuple(r + g * i for (r, g), i in zip(coset, cell)): value
+                for cell, value in np.ndenumerate(_exact_values(limbs, bits))
+                if value
+            }
+            assert got == {p: v for p, v in want.items() if all(map(le, p, his))}, t
     origin = (0,) * d
     if end == origin and length % 2 == 0:
         assert g_sequence(d, length // 2) == [
@@ -523,26 +530,63 @@ def test_every_layer_matches_the_dict_dp(case):
         ]
 
 
-@pytest.mark.parametrize("d, length", [(2, 200), (6, 8)])
-def test_a_step_holds_one_layer_one_limb_and_one_block(monkeypatch, d, length):
-    # an open sweep grows, so its largest layer is its last; stepping limb by
-    # limb, the peak is that layer, the limb being built and one block of
-    # the paired-sum pass: d=2 ends on 7 limbs of 101 x 202 stored cells,
-    # d=6 on one limb of 5 x 9^4 x (9 x 10)
+def _stored_limb_cells(shape, n_limbs):
+    """The most cells one of n_limbs limbs of a layer of live shape may
+    store (module docstring): its rows hold the last axis and a pad cell,
+    and longer rows add at most 1/16 of its live cells or _ROW_SLACK."""
+    head, size = prod(shape[:-1]), shape[-1]
+    return head * (size + 1) + max(head * size / 16, walks._ROW_SLACK / n_limbs)
+
+
+def _peak_and_bound(monkeypatch, d, length, end=None):
+    """The tracemalloc peak of one sweep, and the bound on it in live cells.
+
+    Each limb is bounded by _stored_limb_cells, with _ROW_SLACK patched to
+    0.  Stepping limb k of n old ones holds k + 1 new limbs and n - k old
+    ones, and a carry the new limbs and one temporary; a step also holds
+    one _PAIR_BLOCK, patched to 2^10 cells, and the buffers numpy iterates
+    a strided add through, three of 2^10 cells here (np.setbufsize)."""
     block = 2**10
     monkeypatch.setattr(walks, "_PAIR_BLOCK", block)
+    monkeypatch.setattr(walks, "_ROW_SLACK", 0)
+    layers = []
+    bufsize = np.setbufsize(block)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        for _, limbs in walks._run_dp(d, length):
-            pass
+        for _, limbs in walks._run_dp(d, length, end):
+            layers.append((len(limbs), limbs[0].shape))
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    n_limbs, limb_bytes = len(limbs), limbs[0].base.nbytes
-    assert n_limbs == (7 if d == 2 else 1)
-    # a limb-sized temporary more, or a second copy of x, would pass the bound
-    assert peak < (n_limbs + 1) * limb_bytes + 8 * block + limb_bytes // 4
+        np.setbufsize(bufsize)
+    step = 0
+    for (n, before), (n_new, after) in zip(layers, layers[1:]):
+        old, new = _stored_limb_cells(before, n), _stored_limb_cells(after, n_new)
+        carry = max(n + (n > 1), n_new) * new
+        step = max(step, new + n * old, n * new + old, carry)
+    return peak, 8 * (step + 4 * block) + 2**14, layers
+
+
+@pytest.mark.parametrize("d, length", [(2, 200), (6, 8)])
+def test_a_step_holds_one_layer_one_limb_and_one_block(monkeypatch, d, length):
+    # an open sweep grows, so its largest layer is its last: d=2 ends on 7
+    # limbs of 101 x 201 live cells, d=6 on one limb of 5 x 9^5; a
+    # temporary of one limb more, or of the d=6 layer before the last,
+    # would pass the bound
+    peak, bound, layers = _peak_and_bound(monkeypatch, d, length)
+    assert layers[-1][0] == (7 if d == 2 else 1)
+    assert peak < bound
+
+
+@pytest.mark.parametrize("end", [(30, 30, 30, 0), (0, 0, 0, 30), (30, 0, 30, 0)])
+def test_a_wall_endpoint_sweep_stores_about_its_live_cells(monkeypatch, end):
+    # toward a wall the last axis of a late layer is short while the others
+    # are long (first end), or the other way round early on (second end);
+    # rows of the longest last axis of the sweep would store up to 32 times
+    # the live cells of a layer
+    peak, bound, _ = _peak_and_bound(monkeypatch, 4, 30, end)
+    assert peak < bound
 
 
 def test_d1_counts_match_ballot_numbers_to_300():
