@@ -19,14 +19,16 @@ The public per-n direct functions read it, and verify builds it once per
 identities run.  Every public function takes its integer arguments
 through checked_ints, so integral floats and numpy integers act as ints.
 
-verify checks two families case by case over many cases, so each has a
-private block core beside its public scalar function, which tests pin it
-to: _count_words_fixed_markers_block runs the ballot-product contraction
-for a block of marker configurations at once, and _convolution_identity_block
-and _binomial_identity_block evaluate every triple of the two triangle
-identities from one table of triangle_ext values with one object-dtype
-matmul.  numpy is imported inside them, so importing the package does not
-load it.
+The fixed-marker count has one implementation,
+_count_words_fixed_markers_block, which runs the ballot-product
+contraction for a block of marker configurations at once: verify passes it
+whole blocks, and count_words_fixed_markers checks its arguments and
+passes it one row.  The two triangle identities keep their literal sums as
+the public functions, and verify reads block cores that tests pin to them:
+_convolution_identity_block and _binomial_identity_block evaluate every
+triple from one table of triangle_ext values with one object-dtype matmul.
+numpy is imported inside the block cores, so importing the package does
+not load it.
 """
 
 from __future__ import annotations
@@ -171,80 +173,72 @@ def count_words_fixed_markers(
 
     signs lists the 1/1-bar letters in order (+1 plain, -1 barred) and
     word_positions their 1-based slots.  The count is the nested sum of
-    ballot products over the marker heights, evaluated by sequential
-    contraction; it must agree with count_ph_paths on the derived floor
-    constraint.  Unbalanced signs give 0.
+    ballot products over the marker heights, one row of
+    _count_words_fixed_markers_block; it must agree with count_ph_paths on
+    the derived floor constraint.  Unbalanced signs give 0.
     """
+    import numpy as np
+
     (n,) = checked_ints((n,), "n must be an integer")
     ml = marker_lists(signs, word_positions)
     m = len(ml.signs)
     if m and ml.word_positions[-1] > 2 * n:
         raise ValueError("positions must lie in [1, 2n]")
-    if m == 0:
-        return catalan(n)
     if sum(ml.signs) != 0:
         return 0
-    path_len = 2 * n - m
-    ppos = ml.path_positions
-
-    # heights at each marker abscissa; contract left to right
-    his = [min(pp, path_len - pp) for pp in ppos]
-    vec = {k: _ballot_count(0, k, ppos[0]) for k in range(0, his[0] + 1)}
-    for a in range(1, m):
-        seg = ppos[a] - ppos[a - 1]
-        f = ml.floors[a - 1]
-        nxt = {}
-        for k2 in range(0, his[a] + 1):
-            tot = 0
-            for k1, v in vec.items():
-                if v:
-                    tot += v * _ballot_count(k1 - f, k2 - f, seg)
-            nxt[k2] = tot
-        vec = nxt
-    tail = path_len - ppos[-1]
-    return sum(v * _ballot_count(k, 0, tail) for k, v in vec.items())
+    row = (np.array(v, dtype=np.int64).reshape(1, m) for v in (ml.signs, ml.word_positions))
+    return int(_count_words_fixed_markers_block(*row, n)[0])
 
 
 def _count_words_fixed_markers_block(signs, word_positions, n: int):
     """count_words_fixed_markers on each row of the (R, m) signs and (R, m)
-    1-based word positions arrays, for words of length 2n: an (R,) int64
-    array.
+    1-based word positions arrays, for words of length 2n: an (R,) array.
 
     Trusted: every row's signs are balanced +-1 at strictly increasing
-    positions in 1..2n.  The same left-to-right contraction over the marker
+    positions in 1..2n.  The count contracts left to right over the marker
     heights, on all rows at once: each step gathers every row's ballot
-    matrix, ballot(k1 - f, k2 - f, seg), from one table and multiplies it
-    into the row's vector.  The vectors run over heights up to (2n - m) / 2
-    at every marker, where the scalar loop stops at the marker's own bound
-    min(p, 2n - m - p); a path above that bound cannot return to 0, so its
-    terms vanish and the sums agree.  Every value counts +-1 paths, or path
-    prefixes, of at most 2n - m steps, so it is below 2^(2n - m): under
-    2^14 at verify's cpt cap n <= 7, and inside int64 for any n < 32.
+    matrix, ballot(k1 - f, k2 - f, seg) with f the floor the markers so far
+    leave, from one table and multiplies it into the row's vector.  A path
+    above min(p, 2n - m - p) at a marker's abscissa p cannot have climbed
+    there from 0 or return to 0 in time, so the vectors run over heights up
+    to the largest of the rows' bounds at each marker, and the table holds
+    only the segment lengths the rows use.  Every value counts +-1 paths,
+    or path prefixes, of at most 2n - m steps, so it is below 2^(2n - m):
+    the arrays are int64 while 2n - m < 63, which covers verify's cpt cap
+    n <= 7, and hold Python ints from there on.
     """
     import numpy as np
 
     rows, m = signs.shape
-    if m == 0:
-        return np.full(rows, catalan(n), dtype=np.int64)
     path_len = 2 * n - m
+    dtype = np.int64 if path_len < 63 else object
+    if m == 0:
+        return np.full(rows, catalan(n), dtype=dtype)
     ppos = word_positions - np.arange(1, m + 1)
     floors = np.maximum(-np.cumsum(signs, axis=1), 0)  # marker_floors
-    top, low = path_len // 2, -(m // 2)  # no height above top, no floor above m / 2
-    # ballot[s, a, b] = _ballot_count(a + low, b + low, s)
+    # marker a's heights run up to the largest of the rows' bounds there
+    bounds = np.minimum(ppos, path_len - ppos).max(axis=0).tolist()
+    top, low = max(bounds), -(m // 2)  # no height above top, no floor above m / 2
+    heights = [np.arange(b + 1) for b in bounds]
+    # each row's m + 1 segments: before the first marker, between markers,
+    # after the last; seg[r, a] indexes the table by the segment's length
+    steps = np.hstack([ppos[:, :1], np.diff(ppos, axis=1), path_len - ppos[:, -1:]])
+    used = np.zeros(path_len + 1, dtype=bool)
+    used[steps] = True
+    lengths, seg = np.flatnonzero(used), (np.cumsum(used) - 1)[steps]
+    # ballot[s, a, b] = _ballot_count(a + low, b + low, lengths[s])
     span = range(low, top + 1)
     ballot = np.array(
-        [[[_ballot_count(a, b, s) for b in span] for a in span] for s in range(path_len + 1)],
-        dtype=np.int64,
+        [[[_ballot_count(a, b, s) for b in span] for a in span] for s in lengths.tolist()],
+        dtype=dtype,
     )
-    heights = np.arange(top + 1)
-    vec = ballot[ppos[:, 0, None], -low, heights - low]
+    vec = ballot[seg[:, 0, None], -low, heights[0] - low]
     for a in range(1, m):
-        seg = ppos[:, a] - ppos[:, a - 1]
-        at = heights - floors[:, a - 1, None] - low
-        matrix = ballot[seg[:, None, None], at[:, :, None], at[:, None, :]]
+        f = floors[:, a - 1, None] + low
+        k1, k2 = heights[a - 1] - f, heights[a] - f
+        matrix = ballot[seg[:, a, None, None], k1[:, :, None], k2[:, None, :]]
         vec = np.matmul(vec[:, None, :], matrix)[:, 0]
-    tail = path_len - ppos[:, -1]
-    return (vec * ballot[tail[:, None], heights - low, -low]).sum(axis=1)
+    return (vec * ballot[seg[:, m, None], heights[-1] - low, -low]).sum(axis=1)
 
 
 def adjacent_marker_sum_direct(n: int) -> int:

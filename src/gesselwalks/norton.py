@@ -12,14 +12,14 @@ The statistic n10 counts the maximal number of disjoint 1-before-0 index
 pairs; with m(w) = floor((n1 - n10) / 2) the number of attainable positive
 odd targets equals max(m(w), 0).
 
-The public functions take one word per call and scan it in Python.  The
-counts over all words of a length (norton_count, table_counts and so
-diagonal_columns) and verify's multiplicity check read every word of that
-length instead, as 0/1 arrays of at most CHUNK rows from
-_sign_word_blocks.  The block cores _stats_block, _witness_block and
-_check_witness_block mirror stats, _witness and _check_witness row by row,
-from cumulative sums; tests pin each to its scalar twin.  numpy is imported
-inside them, so importing the package does not load it.
+Each check has one implementation, a block core over 0/1 arrays of sign
+words: _stats_block, _witness_block and _check_witness_block work row by
+row from cumulative sums.  The counts over all words of a length
+(norton_count, table_counts and so diagonal_columns) and verify's
+multiplicity check read every word of that length as blocks of at most
+CHUNK rows from _sign_word_blocks; stats is one row of _stats_block, and
+achievable_odd_sums builds and checks one row per target.  numpy is
+imported inside them, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -66,18 +66,6 @@ class SignWordStats:
     multiplicity: int
 
 
-def _ten_pairs(bits) -> int:
-    open_ones = 0
-    pairs = 0
-    for b in bits:
-        if b:
-            open_ones += 1
-        elif open_ones:
-            open_ones -= 1
-            pairs += 1
-    return pairs
-
-
 def _max_suffix(bits) -> int:
     best = 0
     run = 0
@@ -89,9 +77,9 @@ def _max_suffix(bits) -> int:
 
 
 def stats(w) -> SignWordStats:
-    bits = as_bits(w)
-    n1 = sum(bits)
-    n10 = _ten_pairs(bits)
+    import numpy as np
+
+    n1, n10 = (int(a[0]) for a in _stats_block(np.array([as_bits(w)], dtype=np.int8)))
     return SignWordStats(n1, n10, (n1 - n10) // 2)
 
 
@@ -100,70 +88,23 @@ def max_suffix_balance(w) -> int:
     return _max_suffix(as_bits(w))
 
 
-def _check_witness(bits, nums, scale, target):
-    """Raise unless the signed sum of the witness nums / scale is target."""
-    total = sum(x if b else -x for b, x in zip(bits, nums))
-    if total != target * scale:
-        raise _witness_error(bits, total, scale, target)
-
-
-def _witness_error(bits, total, scale, target):
-    return IntegralityError(
-        f"witness for {''.join(map(str, bits))} sums to {Fraction(total, scale)}, not {target}"
-    )
-
-
-def _witness(bits, target):
-    """(numerators, scale) of exact rationals 0 < a_1 < ... < a_2n < 1 whose
-    signed sum is target, not yet checked against it.
-
-    Start from the threshold configuration attaining the max suffix balance
-    (zeros before the cut, ones after), scale the jump to hit the target,
-    and tilt everything by a small increasing ramp; the denominator is
-    doubled until all strict inequalities verify.  The search runs on the
-    integer numerators over the common denominator denom * best.  Raises
-    ValueError when the target is not attainable.
-    """
-    L = len(bits)
-    best = _max_suffix(bits)
-    if not (0 < target < best):
-        raise ValueError(f"target {target} not attainable for {''.join(map(str, bits))}")
-    # first cut attaining the max suffix balance
-    run = 0
-    cut = L
-    for k in range(L - 1, -1, -1):
-        run += 1 if bits[k] else -1
-        if run == best:
-            cut = k
-    eps = tuple(1 if b else -1 for b in bits)
-    sigma = sum(eps)
-    wsum = sum((i + 1) * e for i, e in enumerate(eps))
-    denom = 4 * (L + 1)
-    while True:
-        # numerators over scale = denom * best: eta = best and
-        # base = (L + 2) * best, so base*sigma + eta*wsum + jump*best ==
-        # target * scale solves to the jump below
-        scale = denom * best
-        jump = target * denom - (L + 2) * sigma - wsum
-        nums = [
-            (L + 2) * best + (i + 1) * best + (jump if i >= cut else 0) for i in range(L)
-        ]
-        if jump > 0 and nums[0] > 0 and nums[-1] < scale and all(
-            x < y for x, y in zip(nums, nums[1:])
-        ):
-            return nums, scale
-        denom *= 2
-
-
 def achievable_odd_sums(w) -> frozenset[int]:
     """Positive odd targets attainable for the sign word, each witnessed."""
+    import numpy as np
+
     bits = as_bits(w)
     best = _max_suffix(bits)
-    out = set()
-    for t in range(1, best, 2):
-        _check_witness(bits, *_witness(bits, t), t)
-        out.add(t)
-    return frozenset(out)
+    targets = np.arange(1, best, 2)
+    # one row per target, in blocks of no more cells than the largest block
+    # of _sign_word_blocks
+    rows = CHUNK * 2 * DEFAULT_MAX_N // max(len(bits), 1) or 1
+    word = np.array(bits, dtype=np.int8)
+    for start in range(0, len(targets), rows):
+        t = targets[start : start + rows]
+        words = np.broadcast_to(word, (len(t), len(bits)))
+        nums, scale = _witness_block(words, np.full(len(t), best), t)
+        _check_witness_block(words, nums, scale, t)
+    return frozenset(targets.tolist())
 
 
 def _sign_word_blocks(length):
@@ -184,9 +125,11 @@ def _sign_word_blocks(length):
 def _stats_block(words):
     """(n1, n10) of stats() for each row of words, an (R, L) 0/1 array.
 
-    The greedy scan of _ten_pairs leaves a 0 unmatched whenever no 1 is
-    open, so the unmatched 0s number the deepest deficit of #0s over #1s
-    among the prefixes, and n10 is the 0s less those."""
+    n10 is the number of 1-before-0 pairs that a greedy left-to-right scan
+    matches, each 0 taking an open 1 if there is one.  The scan leaves a 0
+    unmatched whenever no 1 is open, so the unmatched 0s number the deepest
+    deficit of #0s over #1s among the prefixes, and n10 is the 0s less
+    those."""
     import numpy as np
 
     n1 = words.sum(axis=1, dtype=np.int64)
@@ -195,21 +138,28 @@ def _stats_block(words):
 
 
 def _witness_block(words, best, targets):
-    """_witness on each row of words, an (R, L) 0/1 array whose max suffix
-    balances are best, for its target: an (R, L) int64 array of numerators
+    """(numerators, scale) of exact rationals 0 < a_1 < ... < a_L < 1 whose
+    signed sum is the target, for each row of words, an (R, L) 0/1 array
+    whose max suffix balances are best: an (R, L) int64 array of numerators
     and the (R,) scales, not yet checked.  ValueError unless every target
-    has 0 < target < best, as _witness raises, since no denominator would
-    serve another target.
+    has 0 < target < best, since no denominator would serve another target.
 
-    The same threshold configuration, ramp and jump as _witness, with the
-    first cut read from the suffix sums; each row's denominator is doubled
-    until all of its strict inequalities verify, as _witness doubles it.
+    Start from the threshold configuration attaining the max suffix balance
+    (zeros before the first cut attaining it, ones after, the cut read from
+    the suffix sums), scale the jump to hit the target, and tilt everything
+    by a small increasing ramp.  Over the common denominator
+    scale = denom * best, the ramp is best per position and the base
+    (L + 2) best, so base sigma + ramp wsum + jump best == target scale
+    solves to the jump below.  Each row's denom starts at 4 (L + 1) and is
+    doubled until all of its strict inequalities verify.
+
     The jump is positive once denom > ((L + 2) sigma + wsum) / target, and
     the last numerator falls below scale once denom (best - target) >
     (2L + 2) best - (L + 2) sigma - wsum.  Both right sides are below
     4 (L + 2)^2, so denom < 8 (L + 2)^2 and every value is below
     scale < 8 L (L + 2)^2: under 2^16 at verify's len_max cap of 16, and
-    far inside int64 for any L a block of sign words can have.
+    inside int64 for every L below 2^19, where one word's witnesses would
+    already hold over 2^36 numerators.
     """
     import numpy as np
 
@@ -236,7 +186,7 @@ def _witness_block(words, best, targets):
 
 
 def _check_witness_block(words, nums, scale, targets):
-    """_check_witness on each row: raise for the first row whose witness
+    """Raise IntegralityError for the first row of words whose witness
     nums / scale does not sum to its target."""
     import numpy as np
 
@@ -244,7 +194,9 @@ def _check_witness_block(words, nums, scale, targets):
     bad = np.flatnonzero(total != targets * scale)
     if len(bad):
         r = int(bad[0])
-        raise _witness_error(words[r].tolist(), int(total[r]), int(scale[r]), int(targets[r]))
+        word = "".join(map(str, words[r].tolist()))
+        got = Fraction(int(total[r]), int(scale[r]))
+        raise IntegralityError(f"witness for {word} sums to {got}, not {int(targets[r])}")
 
 
 def _achievable_counts(words, best):

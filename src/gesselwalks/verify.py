@@ -15,10 +15,11 @@ and reads both even-position sums for every n from one table that
 formulas builds once per run.  cpt runs the ballot products on blocks of
 marker configurations, the multiplicity check builds and checks its
 witnesses on blocks of sign words, and the triangle identities evaluate
-all their triples at once, each through a private block core beside the
-public scalar function it mirrors.  The scalar cores
-stay for the public one-case functions, where a one-row block would cost
-far more.  No block handed to _agree holds more than dyck.DP_CHUNK cases;
+all their triples at once, each through a private block core.  The public
+fixed-marker count, stats and witnessed sums are one-row calls of the same
+cores; the triangle identities keep their literal sums, and dyck keeps its
+scalar cores for the public one-word functions, where a one-row block
+would cost far more.  No block handed to _agree holds more than dyck.DP_CHUNK cases;
 the triangle identities compute their (bound + 1)^3 triples or fewer at
 once, at most 68,921 at the bound cap of 40, and hand them over in chunks.
 """

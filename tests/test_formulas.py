@@ -379,7 +379,9 @@ def test_identity_blocks_fail_where_the_scalar_predicates_fail(monkeypatch):
 
 @pytest.mark.parametrize("n, n1_max", [*((n, n) for n in range(6)), (7, 2)])
 def test_fixed_markers_block_is_the_scalar_contraction(n, n1_max):
-    # every balanced configuration with n1 <= n1_max pairs, in one block per n1
+    # every balanced configuration with n1 <= n1_max pairs, in one block per
+    # n1, against the floor DP: a block of many rows catches rows that leak
+    # into each other in the per-row gathers, which a one-row call cannot
     import numpy as np
 
     for n1 in range(n1_max + 1):
@@ -393,7 +395,24 @@ def test_fixed_markers_block_is_the_scalar_contraction(n, n1_max):
             np.array(column, dtype=np.int64).reshape(len(cases), 2 * n1) for column in zip(*cases)
         )
         got = formulas._count_words_fixed_markers_block(signs, positions, n).tolist()
-        assert got == [count_words_fixed_markers(s, p, n) for s, p in cases], (n, n1)
+        want = [count_ph_paths(marker_lists(s, p).constraint(), 2 * (n - n1)) for s, p in cases]
+        assert got == want, (n, n1)
+
+
+@pytest.mark.parametrize("n", [32, 33])
+def test_fixed_markers_exact_across_the_int64_boundary(n):
+    # 2n - 2 path steps: 62 stay in int64, 64 switch to Python ints
+    for signs in ((1, -1), (-1, 1)):
+        for positions in ((1, 2), (1, 2 * n), (n, n + 1), (2, 2 * n - 1)):
+            oracle = count_ph_paths(marker_lists(signs, positions).constraint(), 2 * n - 2)
+            assert count_words_fixed_markers(signs, positions, n) == oracle, (signs, positions)
+
+
+@pytest.mark.parametrize("n", [40, 90])
+def test_fixed_markers_exact_far_past_int64(n):
+    # beyond the floor DP's step cap; a legal-descent pair leaves Catalan(n - 1)
+    for positions in ((1, 2 * n), (n, n + 1)):
+        assert count_words_fixed_markers((1, -1), positions, n) == catalan(n - 1), positions
 
 
 def test_split_triangular_sum_random_tables():

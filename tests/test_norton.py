@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -133,11 +134,13 @@ def test_count_matches_single_pair_closed_form():
 
 
 def witness(word, target):
-    """The witness rationals for target, after the certificate check."""
-    bits = as_bits(word)
-    nums, scale = norton._witness(bits, target)
-    norton._check_witness(bits, nums, scale, target)
-    return tuple(Fraction(x, scale) for x in nums)
+    """The witness rationals for target, one row of _witness_block, after
+    the certificate check."""
+    words = np.array([as_bits(word)], dtype=np.int8)
+    best, targets = np.array([max_suffix_balance(word)]), np.array([target])
+    nums, scale = norton._witness_block(words, best, targets)
+    norton._check_witness_block(words, nums, scale, targets)
+    return tuple(Fraction(x, int(scale[0])) for x in nums[0].tolist())
 
 
 def test_witness_is_exact_and_ordered():
@@ -152,11 +155,11 @@ def test_witness_is_exact_and_ordered():
 
 
 def test_witness_rejects_unachievable_target():
-    with pytest.raises(ValueError, match="not attainable"):
+    with pytest.raises(ValueError, match="strictly between 0"):
         witness("1100", 1)
-    with pytest.raises(ValueError, match="not attainable"):
+    with pytest.raises(ValueError, match="strictly between 0"):
         witness("1111", 4)  # the maximum itself is an open bound
-    with pytest.raises(ValueError, match="not attainable"):
+    with pytest.raises(ValueError, match="strictly between 0"):
         witness("1111", 5)
     # the open bound is why achievable_odd_sums stops below the maximum
     assert achievable_odd_sums("1111") == {1, 3}
@@ -173,13 +176,14 @@ def test_witness_handles_any_interior_target():
 def test_bad_witness_raises_even_under_optimize(monkeypatch):
     # the certificate check is a raise, not an assert, so python -O keeps it
     # on the integer certificate the builder returns: numerators over a scale
-    real = norton._witness
+    real = norton._witness_block
 
-    def perturbed(bits, target):
-        nums, scale = real(bits, target)
-        return [nums[0] + 1, *nums[1:]], scale
+    def perturbed(words, best, targets):
+        nums, scale = real(words, best, targets)
+        nums[:, 0] += 1
+        return nums, scale
 
-    monkeypatch.setattr(norton, "_witness", perturbed)
+    monkeypatch.setattr(norton, "_witness_block", perturbed)
     with pytest.raises(IntegralityError):
         achievable_odd_sums("1111")
     with pytest.raises(IntegralityError):
@@ -286,18 +290,32 @@ def test_sign_word_blocks_hold_every_word_in_order(monkeypatch, chunk):
     assert table_counts(4) == TABLE2
 
 
-def test_block_stats_are_the_scalar_stats():
+def greedy_ten_pairs(bits):
+    """Disjoint 1-before-0 pairs by a left-to-right scan in which each 0
+    takes an open 1 if there is one: the brute-force n10."""
+    open_ones = pairs = 0
+    for b in bits:
+        if b:
+            open_ones += 1
+        elif open_ones:
+            open_ones -= 1
+            pairs += 1
+    return pairs
+
+
+def test_block_stats_are_the_greedy_scan():
     for length in range(13):
         for words, best in norton._sign_word_blocks(length):
             n1, n10 = norton._stats_block(words)
             got = list(zip(n1.tolist(), n10.tolist()))
-            assert got == [(s.n1, s.n10) for s in map(stats, words.tolist())], length
+            assert got == [(sum(w), greedy_ten_pairs(w)) for w in words.tolist()], length
             counts = norton._achievable_counts(words, best).tolist()
             assert counts == [len(achievable_odd_sums(w)) for w in words.tolist()]
 
 
-def test_block_witness_is_the_scalar_witness():
-    # the same numerators and scale for every (word, odd target) pair
+def test_block_witness_is_ordered_and_sums_to_its_target():
+    # every (word, odd target) pair of a length in one block: numerators
+    # strictly increasing inside (0, scale), signed sum target * scale
     for length in range(1, 13):
         pairs = [
             (w, t) for w in _words(length) for t in range(1, max_suffix_balance(w), 2)
@@ -308,9 +326,24 @@ def test_block_witness_is_the_scalar_witness():
         best = np.array([max_suffix_balance(w) for w, _ in pairs])
         targets = np.array([t for _, t in pairs])
         nums, scale = norton._witness_block(words, best, targets)
-        got = list(zip(nums.tolist(), scale.tolist()))
-        assert got == [norton._witness(w, t) for w, t in pairs], length
+        for (w, t), row, q in zip(pairs, nums.tolist(), scale.tolist()):
+            assert 0 < row[0] and row[-1] < q, (w, t)
+            assert all(x < y for x, y in zip(row, row[1:])), (w, t)
+            assert sum(x if b else -x for b, x in zip(w, row)) == t * q, (w, t)
         norton._check_witness_block(words, nums, scale, targets)
+
+
+def test_long_word_witnesses_stay_in_small_blocks():
+    # 1,500 targets of 3,000 numerators each, built in blocks no larger
+    # than those of _sign_word_blocks
+    tracemalloc.start()
+    try:
+        got = achievable_odd_sums("1" * 3000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == frozenset(range(1, 3000, 2))
+    assert peak < 16 * 2**20
 
 
 def test_block_witness_rejects_unattainable_targets():
@@ -330,11 +363,14 @@ def test_verify_multiplicity_check_builds_every_witness(monkeypatch):
         calls.append(len(targets))
         return real(words, best, targets)
 
+    # table-n2 first witnesses each word of length 4 that attains a target,
+    # one row per target
+    table = [max_suffix_balance(w) // 2 for w in _words(4) if max_suffix_balance(w) > 1]
     monkeypatch.setattr(norton, "_witness_block", counted)
     (entry,) = [e for e in verify.suite_norton(n_max=1, len_max=8) if "multiplicity" in e.name]
     assert entry.actual == f"all {4 + 16 + 64 + 256} sign words agree"
-    # one call per length, and one witness per (word, odd target) pair
-    assert calls == [norton_count(n) for n in range(1, 5)]
+    # then one call per length, and one witness per (word, odd target) pair
+    assert calls == table + [norton_count(n) for n in range(1, 5)]
 
 
 PERTURBED_BLOCK_WITNESS = """
@@ -366,8 +402,8 @@ def test_bad_block_witness_raises_even_under_optimize():
         timeout=120,
         env=dict(os.environ, PYTHONPATH=path),
     )
-    _, scale = norton._witness((1,) * 6, 5)
-    total = Fraction(5 * scale + 1, scale)
+    _, (scale,) = norton._witness_block(np.ones((1, 6), dtype=np.int8), np.array([6]), np.array([5]))
+    total = Fraction(5 * int(scale) + 1, int(scale))
     assert (out.returncode, out.stdout, out.stderr) == (
         0, f"witness for 111111 sums to {total}, not 5\n", ""
     )

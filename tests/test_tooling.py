@@ -70,7 +70,8 @@ print(json.dumps({"codes": codes, "complete": gesselwalks.is_complete(word.codes
 
 
 def test_cold_start_leaves_numpy_unloaded():
-    # only the walk DP and the enumeration frontier import numpy, on first use
+    # the import, the fixtures, closed-form counts, the diamond suite and the
+    # word API run without numpy
     out = run_fresh("-c", COLD_START)
     assert out.returncode == 0, out.stderr
     report = json.loads(out.stdout)
@@ -208,6 +209,23 @@ def test_readme_lists_every_environment_variable():
     listed = [line.split("`")[1] for line in section.splitlines() if line.startswith("- `")]
     # the package reads none: a new variable is an option, added here on purpose
     assert sorted(read) == listed == []
+
+
+def test_every_private_function_has_a_caller_in_the_library():
+    # a private twin that only the tests call would be a second implementation
+    defined, read = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+            if isinstance(stmt, ast.FunctionDef) and re.fullmatch(r"_[^_].*", stmt.name):
+                defined.append((path.name, stmt.name))
+            for node in ast.walk(stmt):
+                name = node.name if isinstance(node, ast.alias) else getattr(node, "id", None)
+                name = getattr(node, "attr", name)
+                if name != own:
+                    read.add(name)
+    assert defined
+    assert [f"{module}:{name}" for module, name in defined if name not in read] == []
 
 
 def test_library_imports_no_network_module():
