@@ -4,24 +4,26 @@ Each entry checks one cross-route equality over its cases, or pins a value;
 on failure `actual` lists the first mismatches.  Conjecture entries gate no
 exit code unless the caller promotes them.
 
-A check reads its cases a block at a time: `_agree` compares each block's
-got and want arrays in one pass and renders a case only when it is among
-the first four mismatches.  The bijection and cpt suites read the
-enumerator's word blocks as arrays: dyck's ragged block cores round-trip
-each block in one split and one interleave pass, each word's marker class
-is one integer key, and the floor DP runs on a stack of floor rows built
-from the keys.  The identities suite runs the adjacent sum once per n,
-and reads both even-position sums for every n from one table that
-formulas builds once per run.  cpt runs the ballot products on blocks of
-marker configurations, the multiplicity check builds and checks its
-witnesses on blocks of sign words, and the triangle identities evaluate
-all their triples at once, each through a private block core.  The public
-fixed-marker count, stats and witnessed sums are one-row calls of the same
-cores; the triangle identities keep their literal sums, and dyck keeps its
-scalar cores for the public one-word functions, where a one-row block
-would cost far more.  No block handed to _agree holds more than dyck.DP_CHUNK cases;
-the triangle identities compute their (bound + 1)^3 triples or fewer at
-once, at most 68,921 at the bound cap of 40, and hand them over in chunks.
+A check reads its cases a block at a time: `_agree` confirms a block whose
+got and want arrays are equal in one comparison, scans the rows of one that
+is not, and renders a case only when it is among the first four mismatches.
+The bijection and cpt suites read the enumerator's word blocks as arrays:
+dyck's ragged block cores round-trip each block in one split and one
+interleave pass, each word's marker class is one integer key, the floor
+rows are built from the keys by one segmented max, and the floor DP runs
+once on each distinct row among a chunk of keys.  The identities suite runs
+the adjacent sum once per n, and reads both even-position sums for every n
+from one table that formulas builds once per run.  cpt runs the ballot
+products on blocks of marker configurations, the multiplicity check builds
+and checks its witnesses on blocks of sign words, and the triangle
+identities evaluate all their triples at once, each through a private block
+core.  The public fixed-marker count, stats and witnessed sums are one-row
+calls of the same cores; the triangle identities keep their literal sums,
+and dyck keeps its scalar cores for the public one-word functions, where a
+one-row block would cost far more.  No block handed to _agree holds more
+than dyck.DP_CHUNK cases; the triangle identities compute their
+(bound + 1)^3 triples or fewer at once, at most 68,921 at the bound cap of
+40, and hand them over in chunks.
 """
 
 from __future__ import annotations
@@ -79,11 +81,11 @@ def _agree(name, params, expected, blocks, unit, *, conjecture=False):
     (cases, got, want) read inside the timer: a lazy one times building the
     cases too.
 
-    got and want hold one value per case: numpy arrays, whose rows are
-    compared in one pass, or lists of Python values (see _cases).  cases(i)
-    is the label of case i; it is called, before the next block is drawn,
-    only for the first four mismatches, which the digest shows as
-    (case, got, want) with array rows as tuples.
+    got and want hold one value per case: numpy arrays, compared whole and,
+    unless equal, row by row in one pass, or lists of Python values (see
+    _cases).  cases(i) is the label of case i; it is called, before the next
+    block is drawn, only for the first four mismatches, which the digest
+    shows as (case, got, want) with array rows as tuples.
     """
     def tally():
         shown, bad, total = [], 0, 0
@@ -107,6 +109,10 @@ def _mismatches(got, want) -> list[int]:
         return [i for i, (g, w) in enumerate(zip(got, want)) if g != w]
     import numpy as np
 
+    if np.array_equal(got, want):
+        return []
+    if np.shape(got) != np.shape(want):  # no row can equal a row of another shape
+        return list(range(len(got)))
     diff = np.asarray(got != want)
     return np.flatnonzero(diff.any(axis=tuple(range(1, diff.ndim)))).tolist()
 
@@ -310,39 +316,49 @@ def _class_tally(key_blocks):
 def _floor_rows(n, keys):
     """Yield (indices, floor rows) for the marker class keys of length-2n
     words, one group per marker count m: row r is the floor_profile, over
-    abscissae 0..2n-m, of the PHConstraint of class keys[indices[r]]."""
+    abscissae 0..2n-m, of the PHConstraint of class keys[indices[r]].
+
+    The classes are balanced, as those of complete words are, so the floor
+    after each letter, max(0, -run) over the marker signs so far, holds
+    until the next marker.  Abscissa t is reached at the path's start
+    (t = 0) or at its t-th step letter, and stays until the next step
+    letter: its floor is the largest after any of those letters, one
+    segmented max per group."""
     import numpy as np
 
     length = 2 * n
     bits = np.arange(length)
     marks = (keys[:, None] >> bits & 1).astype(bool)
-    plus = (keys[:, None] >> bits + length & 1).astype(bool)
+    signs = (2 * (keys[:, None] >> bits + length & 1) - 1) * marks
+    floors = np.zeros((len(keys), length + 1), dtype=np.int64)
+    floors[:, 1:] = np.maximum(-np.cumsum(signs, axis=1), 0)
+    opens = np.ones(floors.shape, dtype=bool)
+    opens[:, 1:] = ~marks
     counts = np.count_nonzero(marks, axis=1)
     for m in np.unique(counts).tolist():
         idx = np.flatnonzero(counts == m)
-        mask = marks[idx]
-        # path abscissa of the i-th marker (0-based): word position - (i + 1)
-        abscissae = np.nonzero(mask)[1].reshape(len(idx), m) - np.arange(m)
-        signs = np.where(plus[idx][mask], 1, -1).reshape(len(idx), m)
-        floors = np.maximum(-np.cumsum(signs, axis=1), 0)  # marker_floors
-        t = np.arange(length - m + 1)
-        rows = np.zeros((len(idx), len(t)), dtype=np.int64)
-        for i in range(m - 1):
-            segment = (abscissae[:, i, None] <= t) & (t <= abscissae[:, i + 1, None])
-            rows = np.maximum(rows, segment * floors[:, i, None])
-        yield idx, rows
+        rows = np.maximum.reduceat(floors[idx].ravel(), np.flatnonzero(opens[idx]))
+        yield idx, rows.reshape(len(idx), length - m + 1)
 
 
 def _floor_path_counts(n, keys):
     """The floor DP's path count for each marker class key of length-2n
     words: one batched DP run per marker count in each chunk of
-    dyck.DP_CHUNK keys, so the floor rows never outgrow the DP's own chunks."""
+    dyck.DP_CHUNK keys, so the floor rows never outgrow the DP's own chunks,
+    on the chunk's distinct floor rows only.
+
+    A row is told apart by one base-(n + 1) code: its floors lie in [0, n]
+    and it has at most 2n + 1 of them, so the code fits an int64 while
+    (n + 1)^(2n + 1) < 2^63, for every n up to 8, above both verify caps."""
     import numpy as np
 
     out = np.zeros(len(keys), dtype=np.int64)
     for start in range(0, len(keys), dyck.DP_CHUNK):
         for idx, rows in _floor_rows(n, keys[start : start + dyck.DP_CHUNK]):
-            out[start + idx] = dyck._count_paths(0, 0, rows.shape[1] - 1, rows)
+            codes = rows @ (n + 1) ** np.arange(rows.shape[1], dtype=np.int64)
+            _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+            paths = dyck._count_paths(0, 0, rows.shape[1] - 1, rows[first])
+            out[start + idx] = np.asarray(paths)[inverse]
     return out
 
 

@@ -10,6 +10,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gesselwalks import dyck, enumeration, formulas, norton, oeis, verify, walks
 from gesselwalks.cli import _factorize, main
@@ -437,11 +439,27 @@ def test_a_failing_block_gives_the_per_case_digest(monkeypatch, flips, chunk):
     cases += [(("scalar", i), g[1], w[1]) for i, (g, w) in enumerate(pairs[8:14], start=8)]
     cases += [(("set", i), frozenset(g), frozenset(w)) for i, (g, w) in enumerate(pairs[14:], 14)]
 
+    # then, failing with the flips, a block of 4,096 rows whose only miss is
+    # its last row, and rows of one column against equal-valued rows of two
+    long_want = np.arange(4096)
+    long_got = long_want.copy()
+    long_got[-1] += bool(flips)
+    shaped_want = np.array([[5, 5], [6, 6]])
+    shaped_got = shaped_want[:, : 2 - bool(flips)]
+    long_pairs = zip(long_got.tolist(), long_want.tolist())
+    cases += [(("long", i), g, w) for i, (g, w) in enumerate(long_pairs)]
+    cases += [
+        (("shape", i), tuple(g), tuple(w))
+        for i, (g, w) in enumerate(zip(shaped_got.tolist(), shaped_want.tolist()))
+    ]
+
     def blocks():
         yield (lambda i: ("row", i)), got[:8], want[:8]
         yield (lambda i: ("row", 8 + i)), got[8:8], want[8:8]
         yield (lambda i: ("scalar", 8 + i)), got[8:14, 1], want[8:14, 1]
-        yield from verify._cases(cases[14:])
+        yield from verify._cases(cases[14:20])
+        yield (lambda i: ("long", i)), long_got, long_want
+        yield (lambda i: ("shape", i)), shaped_got, shaped_want
 
     entry = verify._agree("check", {}, "", blocks(), "cases")
     assert entry.actual == _per_case_digest(cases, "cases")
@@ -586,6 +604,64 @@ def test_class_floor_rows_are_the_floor_profiles():
                 assert row == constraint.floor_profile(2 * n - len(signs)), (n, signs, positions)
                 seen.append(key)
         assert sorted(seen) == keys.tolist()
+
+
+@st.composite
+def balanced_classes(draw):
+    """(n, classes, picks): marker classes of length-2n words, n up to the
+    bijection and cpt caps, each with as many plus as minus signs, and
+    indices into them with repeats."""
+    n_max = max(verify.SUITES["bijection"]["len_max"] // 2, verify.SUITES["cpt"]["n_max"])
+    n = draw(st.integers(0, n_max))
+    pairs = st.integers(0, n).flatmap(
+        lambda k: st.tuples(
+            st.permutations([1] * k + [-1] * k),
+            st.permutations(range(1, 2 * n + 1)).map(lambda p: sorted(p[: 2 * k])),
+        )
+    )
+    classes = draw(st.lists(pairs, min_size=1, max_size=12))
+    picks = draw(st.lists(st.integers(0, len(classes) - 1), min_size=1, max_size=30))
+    return n, classes, picks
+
+
+@settings(max_examples=80, deadline=None)
+@given(balanced_classes(), st.integers(1, 9))
+def test_floor_rows_and_counts_are_the_oracle_up_to_the_caps(drawn, chunk):
+    import numpy as np
+
+    n, classes, picks = drawn
+    keys = np.array([verify._class_key(n, *classes[i]) for i in picks], dtype=np.int64)
+    constraints = [dyck.marker_lists(*classes[i]).constraint() for i in picks]
+    lengths = [2 * n - len(classes[i][0]) for i in picks]
+    seen = []
+    for idx, rows in verify._floor_rows(n, keys):
+        for r, row in zip(idx.tolist(), rows.tolist()):
+            assert row == constraints[r].floor_profile(lengths[r]), (n, classes[picks[r]])
+            seen.append(r)
+    assert sorted(seen) == list(range(len(picks)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dyck, "DP_CHUNK", chunk)  # the keys span several chunks
+        got = verify._floor_path_counts(n, keys).tolist()
+    assert got == [dyck.count_ph_paths(c, k) for c, k in zip(constraints, lengths)]
+
+
+def test_floor_dp_runs_once_per_distinct_row_of_a_chunk(monkeypatch):
+    calls = []
+    count_paths = dyck._count_paths
+
+    def recording(i, j, k, floors):
+        calls.append(list(map(tuple, floors.tolist())))
+        return count_paths(i, j, k, floors)
+
+    monkeypatch.setattr(dyck, "_count_paths", recording)
+    totals = []
+    for suite in (lambda: verify.suite_bijection(12), lambda: verify.suite_cpt(5)):
+        calls.clear()
+        assert all(e.status == "pass" for e in suite())
+        assert all(len(set(rows)) == len(rows) <= dyck.DP_CHUNK for rows in calls)
+        totals.append((len(calls), sum(map(len, calls))))
+    # one row per marker class would be 30,945 and 1,966 rows
+    assert totals == [(63, 949), (9, 536)]
 
 
 def test_fiber_counts_report_every_class_of_a_wrong_constraint(capsys, monkeypatch):

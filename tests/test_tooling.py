@@ -94,6 +94,45 @@ def test_numpy_routes_from_a_fresh_interpreter(argv, expected):
     assert (out.returncode, out.stdout, out.stderr) == (0, expected, "")
 
 
+def _tracer_layers():
+    """The benchmark tracer's LAYERS, read from its source without importing it."""
+    path = SRC.parent.parent / "perfbench" / "tracing.py"
+    (value,) = [
+        node.value
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]
+    ]
+    return ast.literal_eval(value)
+
+
+def test_cli_import_loads_every_traced_layer():
+    # the tracer imports only gesselwalks.cli, then wraps the functions of
+    # each layer module it finds in sys.modules: a layer that cli stopped
+    # importing up front would fail the traced benchmark in a fresh process
+    layers = _tracer_layers()
+    out = run_fresh("-c", "import json, sys, gesselwalks.cli; print(json.dumps([*sys.modules]))")
+    assert out.returncode == 0, out.stderr
+    loaded = set(json.loads(out.stdout))
+    assert layers
+    assert [layer for layer in layers if f"gesselwalks.{layer}" not in loaded] == []
+
+
+def _row_code_fits(n):
+    """Whether verify's base-(n + 1) code of a floor row of length-2n words,
+    at most 2n + 1 floors in [0, n], fits an int64."""
+    return (n + 1) ** (2 * n + 1) < 2**63
+
+
+def test_floor_row_codes_fit_an_int64_at_the_suite_caps():
+    assert _row_code_fits(8) and not _row_code_fits(9)
+    caps = {
+        "bijection": verify.SUITES["bijection"]["len_max"] // 2,
+        "cpt": verify.SUITES["cpt"]["n_max"],
+    }
+    assert {suite: n for suite, n in caps.items() if not _row_code_fits(n)} == {}
+
+
 def test_suite_table_bounds_are_the_suite_parameters():
     # defaults live only in the signatures, and every parameter has a route
     for name, caps in verify.SUITES.items():
