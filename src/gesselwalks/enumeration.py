@@ -9,18 +9,21 @@ row of a block is one word prefix that already passed its tests, so a
 one-letter extension can only break the tests its own letter moves.  The
 block is tested once per axis, on three per-row quantities (the suffix
 sums of the letter differences, their running minimum and the imbalance),
-and that decides all 2d extensions of every row; only the surviving
-children are then gathered from their parent rows with 1-D takes, and they
-go back on a stack in chunks of at most :data:`CHUNK` rows.  Every letter
-but the last is tested this way; the last is forced.  Each letter moves
-the imbalance sum(|diff|) by +-1, so a prefix of odd length 2n-1 that
-passed has imbalance exactly 1, and the one letter cancelling it is
-written in without a test.  Rows are never merged: every complete word
+and that decides all 2d extensions of every row; only the indices of the
+surviving children are kept.  The children are then gathered from their
+parent rows with 1-D takes, one chunk of at most :data:`CHUNK` rows at a
+time, and each chunk is grown to the end before the next is built, so the
+recursion order is the word order.  Every letter but the last is tested
+this way; the last is forced.  Each letter moves the imbalance
+sum(|diff|) by +-1, so a prefix of odd length 2n-1 that passed has
+imbalance exactly 1, and the one letter cancelling it is written in
+without a test.  Rows are never merged: every complete word
 is its own row up to its last tested letter, and is tallied on its own.
 The tests of a block hold O(d) values per parent row, and only a
 surviving child gets its own d letter differences; no array holds them
-for all 2d candidates of a row.  The stack holds at most about
-length * 2d * CHUNK rows.
+for all 2d candidates of a row.  Each level of the recursion holds about
+one chunk and its survivor indices, so the frontier holds about
+length * CHUNK rows and length * 2d * CHUNK indices.
 
 Callers that read letters (:func:`iter_complete_words`, the marker position
 triangle, the bijection checks in ``verify``) get blocks of whole words.
@@ -47,7 +50,7 @@ from .exceptions import CapExceededError, checked_ints
 DEFAULT_MAX_LENGTH = 14
 
 # Rows per frontier block.  Smaller blocks spend more time in per-block
-# Python overhead; larger ones raise the peak memory of the stack.
+# Python overhead; larger ones raise the peak memory of every level.
 CHUNK = 4096
 
 
@@ -106,28 +109,21 @@ def _word_blocks(d: int, n: int, marker_cap: int | None, tally: int | None = Non
     # 0 <= S_i <= n, so the sum lies in 0..d*n.
     sum_dtype = np.min_scalar_type(-(d * n + 1))
 
-    # diff holds one row per axis, so the tests below run on contiguous
-    # arrays instead of reducing along a short axis.  In a tally run,
-    # words holds each row's tally count, at most n for a feasible row.
-    if tally is None:
-        root = np.zeros((1, length), codes.dtype)
-    else:
-        root = np.zeros(1, np.min_scalar_type(n))
-    stack = [(0, root, np.zeros((d, 1), delta.dtype), np.zeros(1, sum_dtype))]
-    while stack:
-        pos, words, diff, total = stack.pop()
+    def grow(pos, words, diff, total):
+        # Yield the blocks under one parent block; each level holds its
+        # block, its survivor indices and one chunk of children at a time.
         if pos == length:  # n = 0: the empty word
             yield words
-            continue
+            return
         if pos == length - 1:
             # With imbalance 1, diff is +-1 on one axis i and the code sum
             # is +-(i + 1), so -total is the letter that zeroes it.  It goes
-            # into the chunk in place: the chunk is a fresh array the stack
-            # owns.  It needs no marker_cap test: a closing 1 or -1 brings
-            # its count up to its twin's, which the cap bounds.
+            # into the chunk in place: the chunk is a fresh array no other
+            # level reads.  It needs no marker_cap test: a closing 1 or -1
+            # brings its count up to its twin's, which the cap bounds.
             words[:, pos] = -total
             yield words
-            continue
+            return
         # A parent row already passed, so a child can only break a test its
         # letter moves.  A letter on axis a moves the suffix sums S_0..S_a by
         # its sign, and the imbalance I by +1 when it pushes diff[a] away
@@ -149,27 +145,24 @@ def _word_blocks(d: int, n: int, marker_cap: int | None, tally: int | None = Non
             np.logical_and(low_ok, slack | (row > 0), out=ok[d - 1 - a])
         if tally is not None and pos == length - 2:
             yield total, words, ok
-            continue
+            return
         if marker_cap is not None:
             placed = words[:, :pos]
             ok[plain] &= np.count_nonzero(placed == 1, axis=1) < marker_cap
             ok[barred] &= np.count_nonzero(placed == -1, axis=1) < marker_cap
         # Child r * k + c is row r extended by letter c; flatnonzero is
-        # ascending, so the children stay in order.  Row r has
-        # per_row[r] children, so repeat gives each child's parent.
+        # ascending, so the children stay in order.  Only these indices
+        # outlive the tests while the level below runs.
         by_row = np.empty((rows, k), dtype=bool)
         for c, col in enumerate(ok):
             by_row[:, c] = col
-        keep = np.flatnonzero(by_row)
-        per_row = ok.view(np.uint8).sum(axis=0, dtype=np.min_scalar_type(k))
-        parent = np.repeat(np.arange(rows), per_row)
-        letter = keep - parent * k
+        keep = np.flatnonzero(by_row).astype(np.min_scalar_type(rows * k))
+        del ok, by_row, slack, suffix, low_ok
         if tally is None:
             # one void item per word row, so a row gather is a 1-D take
             flat = words.view(np.dtype((np.void, words.itemsize * length))).ravel()
-        # The first chunk is popped first, so the order stays lexicographic.
-        for start in reversed(range(0, len(keep), CHUNK)):
-            p, c = parent[start:start + CHUNK], letter[start:start + CHUNK]
+        for start in range(0, len(keep), CHUNK):
+            p, c = np.divmod(keep[start:start + CHUNK], k)
             added = codes.take(c)
             if tally is None:
                 kids = flat.take(p).view(codes.dtype).reshape(-1, length)
@@ -178,7 +171,16 @@ def _word_blocks(d: int, n: int, marker_cap: int | None, tally: int | None = Non
                 kids = words.take(p) + (added == tally)
             # rows one letter short of complete need only their code sum
             kid_diff = diff.take(p, 1) + delta.take(c, 1) if pos + 2 < length else None
-            stack.append((pos + 1, kids, kid_diff, total.take(p) + added))
+            yield from grow(pos + 1, kids, kid_diff, total.take(p) + added)
+
+    # diff holds one row per axis, so the tests run on contiguous arrays
+    # instead of reducing along a short axis.  In a tally run, words holds
+    # each row's tally count, at most n for a feasible row.
+    if tally is None:
+        root = np.zeros((1, length), codes.dtype)
+    else:
+        root = np.zeros(1, np.min_scalar_type(n))
+    yield from grow(0, root, np.zeros((d, 1), delta.dtype), np.zeros(1, sum_dtype))
 
 
 def iter_complete_words(d: int, n: int) -> Iterator[tuple[int, ...]]:

@@ -16,8 +16,8 @@ Each check has one implementation, a block core over 0/1 arrays of sign
 words: _stats_block, _witness_block and _check_witness_block work row by
 row from cumulative sums.  The counts over all words of a length
 (norton_count, table_counts and so diagonal_columns) and verify's
-multiplicity check read every word of that length as blocks of at most
-CHUNK rows from _sign_word_blocks; stats is one row of _stats_block, and
+multiplicity check and n = 2 table read every word of that length as
+blocks of at most CHUNK rows from _sign_word_blocks; stats is one row of _stats_block, and
 achievable_odd_sums builds and checks one row per target.  numpy is
 imported inside them, so importing the package does not load it.
 """

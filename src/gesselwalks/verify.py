@@ -10,20 +10,21 @@ is not, and renders a case only when it is among the first four mismatches.
 The bijection and cpt suites read the enumerator's word blocks as arrays:
 dyck's ragged block cores round-trip each block in one split and one
 interleave pass, each word's marker class is one integer key, the floor
-rows are built from the keys by one segmented max, and the floor DP runs
-once on each distinct row among a chunk of keys.  The identities suite runs
-the adjacent sum once per n, and reads both even-position sums for every n
-from one table that formulas builds once per run.  cpt runs the ballot
-products on blocks of marker configurations, the multiplicity check builds
-and checks its witnesses on blocks of sign words, and the triangle
-identities evaluate all their triples at once, each through a private block
-core.  The public fixed-marker count, stats and witnessed sums are one-row
-calls of the same cores; the triangle identities keep their literal sums,
-and dyck keeps its scalar cores for the public one-word functions, where a
-one-row block would cost far more.  No block handed to _agree holds more
-than dyck.DP_CHUNK cases; the triangle identities compute their
-(bound + 1)^3 triples or fewer at once, at most 68,921 at the bound cap of
-40, and hand them over in chunks.
+rows are built from the keys by one segmented max, a chunk of keys at a
+time, and the floor DP runs once per marker count of a length, on the
+distinct rows among all its keys.  The identities suite runs the adjacent
+sum once per n, and reads both even-position sums for every n from one
+table that formulas builds once per run.  cpt runs the ballot products on
+blocks of marker configurations, the multiplicity check and the published
+table for n = 2 build and check their witnesses on blocks of sign words,
+and the triangle identities evaluate all their triples at once, each
+through a private block core.  The public fixed-marker count, stats and
+witnessed sums are one-row calls of the same cores; the triangle
+identities keep their literal sums, and dyck keeps its scalar cores for
+the public one-word functions, where a one-row block would cost far more.  No block handed to
+_agree holds more than dyck.DP_CHUNK cases; the triangle identities compute
+their (bound + 1)^3 triples or fewer at once, at most 68,921 at the bound
+cap of 40, and hand them over in chunks.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import random
 import time
 from dataclasses import asdict, dataclass, field
 from functools import cache
-from itertools import combinations, islice, product
+from itertools import combinations, islice
 
 from . import dyck, enumeration, formulas, norton, walks
 from .exceptions import CapExceededError
@@ -343,22 +344,28 @@ def _floor_rows(n, keys):
 
 def _floor_path_counts(n, keys):
     """The floor DP's path count for each marker class key of length-2n
-    words: one batched DP run per marker count in each chunk of
-    dyck.DP_CHUNK keys, so the floor rows never outgrow the DP's own chunks,
-    on the chunk's distinct floor rows only.
+    words: one batched DP run per marker count, on the distinct floor rows
+    of all the keys.  Rows are built a chunk of dyck.DP_CHUNK keys at a
+    time and kept as codes, which are decoded back into the distinct rows.
 
     A row is told apart by one base-(n + 1) code: its floors lie in [0, n]
     and it has at most 2n + 1 of them, so the code fits an int64 while
     (n + 1)^(2n + 1) < 2^63, for every n up to 8, above both verify caps."""
     import numpy as np
 
-    out = np.zeros(len(keys), dtype=np.int64)
+    base = (n + 1) ** np.arange(2 * n + 1, dtype=np.int64)
+    codes = np.zeros(len(keys), dtype=np.int64)
+    widths = np.zeros(len(keys), dtype=np.int64)  # 2n + 1 - marker count
     for start in range(0, len(keys), dyck.DP_CHUNK):
         for idx, rows in _floor_rows(n, keys[start : start + dyck.DP_CHUNK]):
-            codes = rows @ (n + 1) ** np.arange(rows.shape[1], dtype=np.int64)
-            _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-            paths = dyck._count_paths(0, 0, rows.shape[1] - 1, rows[first])
-            out[start + idx] = np.asarray(paths)[inverse]
+            codes[start + idx] = rows @ base[: rows.shape[1]]
+            widths[start + idx] = rows.shape[1]
+    out = np.zeros(len(keys), dtype=np.int64)
+    for width in np.unique(widths).tolist():
+        at = np.flatnonzero(widths == width)
+        distinct, inverse = np.unique(codes[at], return_inverse=True)
+        rows = distinct[:, None] // base[:width] % (n + 1)
+        out[at] = np.asarray(dyck._count_paths(0, 0, width - 1, rows))[inverse]
     return out
 
 
@@ -523,13 +530,18 @@ def suite_norton(n_max: int = 6, len_max: int = 12):
         return got == 7, str(got)
 
     def table1_rows():
-        for word in map("".join, product("01", repeat=4)):
-            ach = norton.achievable_odd_sums(word)
-            st = norton.stats(word)
-            if word in TABLE1_EXPECTED:
-                yield word, (ach, (st.n1, st.n10, st.multiplicity)), TABLE1_EXPECTED[word]
-            else:  # a row the table leaves out attains no odd sum
-                yield word, ach, frozenset()
+        # the 16 words in one block; _achievable_counts builds and checks a
+        # witness for every odd target below each word's best
+        for words, best in norton._sign_word_blocks(4):
+            n1, n10 = norton._stats_block(words)
+            norton._achievable_counts(words, best)
+            for bits, top, ones, tens in zip(*(a.tolist() for a in (words, best, n1, n10))):
+                word = "".join(map(str, bits))
+                ach = frozenset(range(1, top, 2))
+                if word in TABLE1_EXPECTED:
+                    yield word, (ach, (ones, tens, (ones - tens) // 2)), TABLE1_EXPECTED[word]
+                else:  # a row the table leaves out attains no odd sum
+                    yield word, ach, frozenset()
 
     def table2_cells():
         got = norton.table_counts(4)

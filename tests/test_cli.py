@@ -645,23 +645,30 @@ def test_floor_rows_and_counts_are_the_oracle_up_to_the_caps(drawn, chunk):
     assert got == [dyck.count_ph_paths(c, k) for c, k in zip(constraints, lengths)]
 
 
-def test_floor_dp_runs_once_per_distinct_row_of_a_chunk(monkeypatch):
-    calls = []
-    count_paths = dyck._count_paths
+def test_floor_dp_runs_once_per_distinct_row_of_a_length(monkeypatch):
+    calls, lengths = [], []
+    count_paths, floor_path_counts = dyck._count_paths, verify._floor_path_counts
 
     def recording(i, j, k, floors):
-        calls.append(list(map(tuple, floors.tolist())))
+        calls.append([(lengths[-1], row) for row in map(tuple, floors.tolist())])
         return count_paths(i, j, k, floors)
 
+    def per_length(n, keys):
+        lengths.append(n)
+        return floor_path_counts(n, keys)
+
     monkeypatch.setattr(dyck, "_count_paths", recording)
+    monkeypatch.setattr(verify, "_floor_path_counts", per_length)
     totals = []
     for suite in (lambda: verify.suite_bijection(12), lambda: verify.suite_cpt(5)):
         calls.clear()
         assert all(e.status == "pass" for e in suite())
-        assert all(len(set(rows)) == len(rows) <= dyck.DP_CHUNK for rows in calls)
-        totals.append((len(calls), sum(map(len, calls))))
-    # one row per marker class would be 30,945 and 1,966 rows
-    assert totals == [(63, 949), (9, 536)]
+        rows = [row for call in calls for row in call]
+        assert len(set(rows)) == len(rows)  # no row repeated within one length
+        totals.append((len(calls), len(rows)))
+    # one row per marker class would be 30,945 and 1,966 rows; one DP run per
+    # marker count in each chunk of 4,096 classes ran 63 calls on 949 rows
+    assert totals == [(28, 611), (9, 536)]
 
 
 def test_fiber_counts_report_every_class_of_a_wrong_constraint(capsys, monkeypatch):

@@ -200,6 +200,22 @@ def test_frontier_memory_grows_as_d_not_d_squared():
     assert peak < 40 * 2**20
 
 
+def test_frontier_holds_one_chunk_of_children_per_level():
+    # each level keeps its block, its survivor indices and one chunk of
+    # children; holding every child of a block with its d letter
+    # differences peaks near 17 MiB here
+    import tracemalloc
+
+    count_complete_words(1, 1)  # numpy's import is not the frontier's
+    tracemalloc.start()
+    try:
+        assert count_complete_words(200, 2) == 139700
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 def test_marker_cap_filters_letter_one_pairs():
     # words with at most one 1/1-bar pair
     capped = block_words(2, 3, 1)

@@ -363,9 +363,9 @@ def test_verify_multiplicity_check_builds_every_witness(monkeypatch):
         calls.append(len(targets))
         return real(words, best, targets)
 
-    # table-n2 first witnesses each word of length 4 that attains a target,
-    # one row per target
-    table = [max_suffix_balance(w) // 2 for w in _words(4) if max_suffix_balance(w) > 1]
+    # table-n2 first witnesses every (word, odd target) pair of length 4 in
+    # one block
+    table = [sum(max_suffix_balance(w) // 2 for w in _words(4))]
     monkeypatch.setattr(norton, "_witness_block", counted)
     (entry,) = [e for e in verify.suite_norton(n_max=1, len_max=8) if "multiplicity" in e.name]
     assert entry.actual == f"all {4 + 16 + 64 + 256} sign words agree"
