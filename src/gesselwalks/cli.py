@@ -24,9 +24,6 @@ EXIT_CAP = 3
 EXIT_FIXTURE = 4
 
 
-# Every bound a verify suite takes, in table order, is a flag of `verify`.
-VERIFY_BOUNDS = tuple(dict.fromkeys(key for caps in verify.SUITES.values() for key in caps))
-
 # Trial division stops here, so --factor does bounded work on any count.
 FACTOR_TRIAL_BOUND = 10**6
 
@@ -172,9 +169,14 @@ def cmd_triangle(args, parser) -> int:
     return EXIT_OK
 
 
+def _verify_bounds() -> tuple[str, ...]:
+    """Every bound a verify suite takes, in table order; each is a flag of `verify`."""
+    return tuple(dict.fromkeys(key for caps in verify.SUITES.values() for key in caps))
+
+
 def cmd_verify(args, parser) -> int:
     bounds = {
-        key: getattr(args, key) for key in VERIFY_BOUNDS if getattr(args, key) is not None
+        key: getattr(args, key) for key in _verify_bounds() if getattr(args, key) is not None
     }
     entries = verify.run_suite(args.suite, **bounds)
 
@@ -263,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", choices=(*verify.SUITES, "all"), default="all")
-    for key in VERIFY_BOUNDS:
+    for key in _verify_bounds():
         readers = [
             f"{suite} (any integer)" if caps[key] is None else f"{suite} (cap {caps[key]})"
             for suite, caps in verify.SUITES.items()

@@ -13,11 +13,10 @@ network.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from stat import S_ISREG
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .exceptions import CapExceededError, FixtureError
 
@@ -34,8 +33,7 @@ MAX_INDEX = 8_000
 MAX_BFILE_BYTES = 40_000_000
 
 
-@dataclass(frozen=True)
-class BFile:
+class BFile(NamedTuple):
     seq_id: str
     offset: int
     terms: dict[int, int]

@@ -118,6 +118,90 @@ def test_cli_import_loads_every_traced_layer():
     assert [layer for layer in layers if f"gesselwalks.{layer}" not in loaded] == []
 
 
+TRACED = """
+import contextlib, importlib.util, io, json, sys
+
+import gesselwalks.cli
+
+spec = importlib.util.spec_from_file_location("tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+tracer.install()
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = gesselwalks.cli.main(["count", "--d", "2", "--n", "5"])
+word = gesselwalks.GesselWord.parse("2 -1 2 1 -2 -2", 2)
+tracer.uninstall()
+print(json.dumps({
+    "code": code, "out": out.getvalue(), "codes": word.codes(), "layers": tracing.LAYERS,
+    "wrapped": sorted(set(tracer.layers)),
+    "spanned": sorted({tracer.layers[i] for i in tracer.name}),
+}))
+"""
+
+
+def test_benchmark_tracer_wraps_every_layer_after_a_bare_cli_import():
+    # the tracer as the traced benchmark runs it, in a fresh process: it
+    # imports gesselwalks.cli only, then reads every layer from sys.modules
+    path = SRC.parent.parent / "perfbench" / "tracing.py"
+    out = run_fresh("-c", TRACED, str(path))
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout)
+    assert (report["code"], report["out"], report["codes"]) == (0, "8004\n", [2, -1, 2, 1, -2, -2])
+    assert report["layers"] == list(_tracer_layers())
+    assert report["wrapped"] == sorted(report["layers"])
+    assert report["spanned"] == ["cli", "walks", "words"]
+
+
+IMPORT_RUNS = """
+import json, sys
+
+bare = set(sys.modules)
+layers = json.loads(sys.argv[1])
+
+
+def ran():
+    # a layer that has not run holds only the dunders its spec set; reading
+    # the dict through object.__getattribute__ does not run it
+    out = []
+    for layer in layers:
+        module = sys.modules.get(f"gesselwalks.{layer}")
+        names = () if module is None else object.__getattribute__(module, "__dict__")
+        if any(not key.startswith("__") for key in names):
+            out.append(layer)
+    return out
+
+
+import gesselwalks
+report = {"package": ran()}
+import gesselwalks.cli
+from gesselwalks import oeis
+for s in oeis.SEQUENCE_IDS:
+    oeis.load_fixture(s)
+report["probe"] = ran()
+report["stdlib"] = sorted({"dataclasses", "fractions"} & (set(sys.modules) - bare))
+print(json.dumps(report))
+"""
+
+
+def test_import_and_fixture_load_run_no_route():
+    # the benchmark's setup probe: `import gesselwalks.cli` runs cli itself
+    # and the fixture load runs oeis; every route stays unrun
+    out = run_fresh("-c", IMPORT_RUNS, json.dumps(_tracer_layers()))
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == {"package": [], "probe": ["cli", "oeis"], "stdlib": []}
+
+
+def test_package_namespace_lists_and_binds_every_public_name():
+    assert set(gesselwalks.__all__) <= set(dir(gesselwalks))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gesselwalks.no_such_name
+    star = {}
+    exec("from gesselwalks import *", star)
+    assert [name for name in gesselwalks.__all__ if name not in star] == []
+    assert all(star[name] is getattr(gesselwalks, name) for name in gesselwalks.__all__)
+
+
 def _row_code_fits(n):
     """Whether verify's base-(n + 1) code of a floor row of length-2n words,
     at most 2n + 1 floors in [0, n], fits an int64."""
