@@ -48,6 +48,9 @@ from typing import Iterator
 from .exceptions import CapExceededError, checked_ints
 
 DEFAULT_MAX_LENGTH = 14
+# The largest d: _word_blocks builds 2d codes and a (d, 2d) delta table
+# (2d^2 bytes, 2 MiB here) first.  It bounds memory, not work.
+DEFAULT_MAX_D = 1024
 
 # Rows per frontier block.  Smaller blocks spend more time in per-block
 # Python overhead; larger ones raise the peak memory of every level.
@@ -66,6 +69,8 @@ def _check_cap(d, n) -> tuple[int, int]:
         raise CapExceededError(
             f"word length {2 * n} exceeds enumeration cap {DEFAULT_MAX_LENGTH}"
         )
+    if d > DEFAULT_MAX_D:
+        raise CapExceededError(f"d = {d} exceeds enumeration cap d <= {DEFAULT_MAX_D}")
     return d, n
 
 

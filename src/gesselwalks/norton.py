@@ -17,9 +17,9 @@ words: _stats_block, _witness_block and _check_witness_block work row by
 row from cumulative sums.  The counts over all words of a length
 (norton_count, table_counts and so diagonal_columns) and verify's
 multiplicity check and n = 2 table read every word of that length as
-blocks of at most CHUNK rows from _sign_word_blocks; stats is one row of _stats_block, and
-achievable_odd_sums builds and checks one row per target.  numpy is
-imported inside them, so importing the package does not load it.
+blocks of at most CHUNK rows from _sign_word_blocks; stats is one row of
+_stats_block, and achievable_odd_sums one row of _achievable_counts.  numpy
+is imported inside them, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from .exceptions import CapExceededError, IntegralityError, checked_ints
 
 DEFAULT_MAX_N = 10
 
-# Rows per block of sign words: no more than verify's other blocks, which
-# hold at most dyck.DP_CHUNK rows (a test pins it; this module imports no
-# other route).
+# Rows per block of sign words; _achievable_counts witnesses its (word,
+# target) pairs in slices of no more cells than such a block of the
+# longest words.
 CHUNK = 4096
 
 
@@ -94,17 +94,8 @@ def achievable_odd_sums(w) -> frozenset[int]:
 
     bits = as_bits(w)
     best = _max_suffix(bits)
-    targets = np.arange(1, best, 2)
-    # one row per target, in blocks of no more cells than the largest block
-    # of _sign_word_blocks
-    rows = CHUNK * 2 * DEFAULT_MAX_N // max(len(bits), 1) or 1
-    word = np.array(bits, dtype=np.int8)
-    for start in range(0, len(targets), rows):
-        t = targets[start : start + rows]
-        words = np.broadcast_to(word, (len(t), len(bits)))
-        nums, scale = _witness_block(words, np.full(len(t), best), t)
-        _check_witness_block(words, nums, scale, t)
-    return frozenset(targets.tolist())
+    _achievable_counts(np.array([bits], dtype=np.int8), np.array([best]))
+    return frozenset(range(1, best, 2))
 
 
 def _sign_word_blocks(length):
@@ -202,18 +193,21 @@ def _check_witness_block(words, nums, scale, targets):
 def _achievable_counts(words, best):
     """len(achievable_odd_sums) of each row of words, whose max suffix
     balances are best: every odd target below best is witnessed and
-    checked, all pairs of the block at once, and counted per row."""
+    checked, a slice of (word, target) pairs at a time, and counted per
+    row.  A slice holds no more cells than a block of CHUNK words of
+    length 2 DEFAULT_MAX_N, so one long word's witnesses stay small."""
     import numpy as np
 
     half = best // 2
     rows = np.repeat(np.arange(len(words)), half)
-    if not len(rows):
-        return half  # all 0: no word attains a target
     # the odd targets 1, 3, ..., best - 1 of each row, rows in order
     targets = 2 * (np.arange(len(rows)) - np.repeat(np.cumsum(half) - half, half)) + 1
-    pairs = words[rows]
-    nums, scale = _witness_block(pairs, best[rows], targets)
-    _check_witness_block(pairs, nums, scale, targets)
+    step = max(CHUNK * 2 * DEFAULT_MAX_N // max(words.shape[1], 1), 1)
+    for start in range(0, len(rows), step):
+        at = slice(start, start + step)
+        pairs = words[rows[at]]
+        nums, scale = _witness_block(pairs, best[rows[at]], targets[at])
+        _check_witness_block(pairs, nums, scale, targets[at])
     return np.bincount(rows, minlength=len(words))
 
 

@@ -4,7 +4,9 @@ Three sequences are vendored under data/ as b<digits>.txt: the d=2
 origin-return counts (A135404), the single-pair counts (A000531), and the
 threefold convolution of binom(2k+1, k+1) that the free even-position sum
 reproduces (A045720).  Each b-file is "index value" lines, no index below
-the sequence's offset in OFFSETS.
+the sequence's offset in OFFSETS.  The package's own routes wrote them
+(the walk DP, enumeration with the pair-position assembly, the binomial
+convolution), so they are no outside check.
 
 compare reads the vendored b-file, or with path given a b-file the user
 supplies, such as one saved from oeis.org.  Nothing here touches the

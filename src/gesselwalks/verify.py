@@ -4,27 +4,25 @@ Each entry checks one cross-route equality over its cases, or pins a value;
 on failure `actual` lists the first mismatches.  Conjecture entries gate no
 exit code unless the caller promotes them.
 
-A check reads its cases a block at a time: `_agree` confirms a block whose
-got and want arrays are equal in one comparison, scans the rows of one that
-is not, and renders a case only when it is among the first four mismatches.
-The bijection and cpt suites read the enumerator's word blocks as arrays:
-dyck's ragged block cores round-trip each block in one split and one
-interleave pass, each word's marker class is one integer key, the floor
-rows are built from the keys by one segmented max, a chunk of keys at a
-time, and the floor DP runs once per marker count of a length, on the
-distinct rows among all its keys.  The identities suite runs the adjacent
-sum once per n, and reads both even-position sums for every n from one
-table that formulas builds once per run.  cpt runs the ballot products on
-blocks of marker configurations, the multiplicity check and the published
-table for n = 2 build and check their witnesses on blocks of sign words,
-and the triangle identities evaluate all their triples at once, each
-through a private block core.  The public fixed-marker count, stats and
+A check hands `_agree` its cases whole: one list block for a scalar check,
+one array block per length for the fiber counts and one of at most
+(bound + 1)^3 = 68,921 triples for a triangle identity.  `_agree` confirms
+equal got and want in one comparison, scans the rows only of a block that
+differs, and renders only the first four mismatches.  Only the cores that
+allocate per row cut their input into chunks: the marker configurations,
+the floor rows, the floor DP and the enumerator's and norton's word blocks.
+
+The bijection and cpt suites read the enumerator's word blocks: dyck's
+ragged cores round-trip a block in one split and one interleave, a word's
+marker class is one integer key, a class's floor row comes from one
+segmented max over its key, and the floor DP runs once per marker count of
+a length on the distinct rows.  The identities suite reads both
+even-position sums from one table built once per run.  cpt's ballot
+products, norton's witnesses and the triangle identities run on blocks
+through private block cores, and the public fixed-marker count, stats and
 witnessed sums are one-row calls of the same cores; the triangle
-identities keep their literal sums, and dyck keeps its scalar cores for
-the public one-word functions, where a one-row block would cost far more.  No block handed to
-_agree holds more than dyck.DP_CHUNK cases; the triangle identities compute
-their (bound + 1)^3 triples or fewer at once, at most 68,921 at the bound
-cap of 40, and hand them over in chunks.
+identities keep their literal sums, and dyck keeps scalar cores for its
+public one-word functions, where a one-row block would cost far more.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ import random
 import time
 from dataclasses import asdict, dataclass, field
 from functools import cache
-from itertools import combinations, islice
+from itertools import combinations
 
 from . import dyck, enumeration, formulas, norton, walks
 from .exceptions import CapExceededError
@@ -127,26 +125,15 @@ def _value(values, i):
 
 
 def _cases(triples):
-    """The (case, got, want) triples of a scalar check, as blocks of lists of
-    at most dyck.DP_CHUNK cases; a generator, so the triples are built
-    inside the entry's timer."""
-    triples = iter(triples)
-    while block := list(islice(triples, dyck.DP_CHUNK)):
-        cases, got, want = map(list, zip(*block))
-        yield cases.__getitem__, got, want
+    """The (case, got, want) triples of a scalar check as one block of lists;
+    a generator, so the triples are built inside the entry's timer."""
+    block = list(triples)
+    yield (lambda i: block[i][0]), [got for _, got, _ in block], [want for _, _, want in block]
 
 
 def _rows(values):
     """The label function of a block whose case labels are the rows of values."""
     return lambda i: tuple(values[i].tolist())
-
-
-def _blocks(cases, got, want):
-    """One block's got and want arrays, with cases(i) the label of case i,
-    as blocks of at most dyck.DP_CHUNK cases."""
-    for start in range(0, len(got), dyck.DP_CHUNK):
-        at = slice(start, start + dyck.DP_CHUNK)
-        yield (lambda i: cases(start + i)), got[at], want[at]
 
 
 def suite_theorem(n_max: int = 30):
@@ -214,9 +201,8 @@ def suite_identities(n_max: int = 30, bound: int = 15, seed: int = 20260826):
     def holds(identity_block):
         import numpy as np
 
-        # one block of (bound + 1)^3 triples or fewer, checked a chunk at a time
         triples, ok = identity_block(bound)
-        yield from _blocks(_rows(triples), ok, np.ones_like(ok))
+        yield _rows(triples), ok, np.ones_like(ok)
 
     def split_tables():
         rng = random.Random(seed)
@@ -387,8 +373,7 @@ def suite_bijection(len_max: int = 12):
 
     def fibers():
         for n, keys, sizes in tallies:
-            paths = _floor_path_counts(n, keys)
-            yield from _blocks(lambda r: _class_of(n, int(keys[r])), paths, sizes)
+            yield (lambda r: _class_of(n, int(keys[r]))), _floor_path_counts(n, keys), sizes
 
     return [
         _agree(
@@ -461,7 +446,9 @@ def suite_cpt(n_max: int = 5):
 
     def three_routes():
         for n in range(1, n_max + 1):
-            blocks = enumeration._word_blocks(2, n, None)
+            # a complete word holds as many 1s as 1-bars, so the marker cap
+            # keeps exactly the words of the classes looked up below
+            blocks = enumeration._word_blocks(2, n, CPT_N1_MAX)
             keys, sizes = _class_tally(map(_class_keys, blocks))
             for n1 in range(1, min(CPT_N1_MAX, n) + 1):
                 for signs, positions in _configurations(n, _balanced_signs(n1)):

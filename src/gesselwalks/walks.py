@@ -23,7 +23,8 @@ an axis's residue and stride, a step s shifts the index on that axis by
 (r_t + s - r_{t+1}) / g, an integer.  One pre-pass predicts every layer's
 shape and limb count before the first step.  It refuses a layer that would
 hold more than DEFAULT_MAX_CELLS int64 words (its cells times its limbs),
-and a sweep whose predicted work passes DEFAULT_MAX_WORK.
+and a sweep whose predicted work passes DEFAULT_MAX_WORK or whose d passes
+MAX_DIMENSION; it builds nothing of size d.
 
 A limb is stored in rows: its last axis, padded with at least one cell,
 runs along each row, and the rows follow one another.  Where two layers
@@ -66,9 +67,10 @@ K = max{k : (2d)^k * 2^B <= 2^63} steps: 3 at d=1, 2 at d=2, 1 at d >= 3.
 A carry pass, which moves each limb's bits above B into the next, runs
 every K steps and on the last step.  After it a top limb of 2^B or more
 moves its high bits into a new top limb, so after every carry each limb
-lies in [0, 2^B) and the limbs are as few as the largest count allows.
-Between carries the limbs hold more than B bits, and _value reads them
-exactly.  Python integers are rebuilt only for the cells that are read.
+lies in [0, 2^B) and the limbs are as few as the largest count allows (at
+d=2, B = 59, the origin sweep of 80 steps grows to 2 and 3 limbs at steps
+34 and 66).  Between carries the limbs hold more than B bits, and _value
+reads them exactly.  Python integers are rebuilt only for the cells read.
 
 A single count back to the origin sweeps only half its length.  The steps
 are closed under negation, so a walk from x back to the origin in n steps,
@@ -93,6 +95,8 @@ from typing import Sequence
 
 from .exceptions import CapExceededError, checked_ints
 
+# The most axes a layer may have: numpy's `flat` writes refuse more.
+MAX_DIMENSION = 32
 # int64 words one layer may hold: its cells times its predicted limbs (see
 # _run_dp).  The d=4 half sweep of `count --n 65` holds 37,949,472 in its
 # last layer and peaked at 421.5 MB; that of `--n 66` would hold 40,903,768.
@@ -130,8 +134,9 @@ def gessel_steps(d: int) -> frozenset[tuple[int, ...]]:
 
 
 def _limb_bits(d) -> int:
-    """Bits B held by each limb below the top; 2d * 2^(B+1) < 2^63."""
-    return 62 - (2 * d).bit_length()
+    """Bits B held by each limb below the top; 2d * 2^(B+1) < 2^63 (no B
+    serves d >= 2^60, where 1 only sizes the pre-pass's refusal)."""
+    return max(62 - (2 * d).bit_length(), 1)
 
 
 def _moves(in_shape, out_shape, shifts):
@@ -169,8 +174,9 @@ def _run_dp(d, length, end=None):
     coset holds (r_t, g) per axis, and index i of each limb stands for
     coordinate r_t + g*i.  Layer t is cut per axis to the cells a walk can
     reach in t steps and, with end given, can still leave for end in the
-    remaining length-t.  Each limb is a view of that live region in a
-    stored buffer whose rows end in a zero pad (see the module docstring).
+    remaining length-t (end is read afresh per layer, d coordinates, so an
+    endless repeat(0) is the origin).  Each limb is a view of that live
+    region in a stored buffer whose rows end in a zero pad (module docstring).
     The same list is refilled by the next step, so read it first; each old
     limb is dropped as soon as it is stepped, which keeps about one layer
     and one limb alive.
@@ -181,10 +187,11 @@ def _run_dp(d, length, end=None):
         return ((t % 2, 2),) + ((0, 1),) * (d - 1)
 
     def axis_sizes(t):
-        # 0 <= r < g and hi >= 0, so an axis whose residue lies above hi gets
-        # 0; only the first axis has r > 0, so only the first can be empty
-        his = repeat(t, d) if end is None else (min(t, x + length - t) for x in end)
-        return ((h - r) // g + 1 for h, (r, g) in zip(his, coset_at(t)))
+        # lazily, so the pre-pass builds nothing of size d (coset_at: axis 1
+        # holds x_1 = t mod 2 at stride 2, so only it can be empty)
+        his = repeat(t) if end is None else (min(t, x + length - t) for x in end)
+        for k, h in zip(range(d), his):
+            yield (h - t % 2) // 2 + 1 if k == 0 else h + 1
 
     # A count after t steps is below (2d)^t, which needs at most
     # ceil((t*log2(2d) + 1) / B) limbs.  A layer's cells are multiplied in
@@ -236,6 +243,8 @@ def _run_dp(d, length, end=None):
                 f"{DEFAULT_MAX_WORK} cell updates"
             )
     rows += [run_lo] * (length + 1 - len(rows))
+    if d > MAX_DIMENSION:
+        raise CapExceededError(f"DP sweep in d = {d} exceeds the cap of {MAX_DIMENSION} dimensions")
 
     def index_shifts(steps, t):
         # each step's index shift into layer t; it depends on t only through
@@ -420,22 +429,22 @@ def count_confined_walks(d: int, length: int, *, end: Sequence[int] | None = Non
     origin) that stay in the orthant.
 
     A count back to the origin runs one open sweep of length/2 steps and
-    returns the sum of its squared counts; an odd length returns 0 without
-    a sweep.  Any other end runs one sweep of length steps toward end.
+    returns the sum of its squared counts; an odd length or 0 needs no
+    sweep.  Any other end in the orthant runs one sweep of length steps.
     """
     d, length = _checked(d, length, "length")
     if end is not None:
         end = checked_ints(end, "end must be integers")
         if len(end) != d:
             raise ValueError("end must have dimension d")
-        if any(x < 0 for x in end):
-            return 0
         if any(end):
+            if min(end) < 0 or not length:
+                return 0
             for coset, limbs in _run_dp(d, length, end):
                 pass
             return _read(coset, limbs, end, _limb_bits(d))
-    if length % 2:
-        return 0
+    if length % 2 or not length:
+        return int(not length)
     for _, limbs in _run_dp(d, length // 2):
         pass
     # the last axis of an open sweep is longest at its last layer, so the
@@ -446,15 +455,16 @@ def count_confined_walks(d: int, length: int, *, end: Sequence[int] | None = Non
 def g_sequence(d: int, n_max: int) -> list[int]:
     """Origin-to-origin Gessel walk counts [G(0), ..., G(n_max)] (2n steps each).
 
-    One DP sweep of 2*n_max steps, reading the origin after each even step.
-    The sweep is bounded by the origin as endpoint: every origin it reads
-    lies at or before the last step, so no walk it counts is cut.
+    One DP sweep of 2*n_max steps (none for n_max = 0), reading the origin
+    after each even step.  The sweep is bounded by the origin as endpoint:
+    every origin it reads lies at or before the last step, so no walk it
+    counts is cut.
     """
     d, n_max = _checked(d, n_max, "n_max")
-    origin = (0,) * d
-    bits = _limb_bits(d)
+    if not n_max:
+        return [1]
     out = []
-    for t, (coset, limbs) in enumerate(_run_dp(d, 2 * n_max, origin)):
+    for t, (coset, limbs) in enumerate(_run_dp(d, 2 * n_max, repeat(0))):
         if t % 2 == 0:
-            out.append(_read(coset, limbs, origin, bits))
+            out.append(_read(coset, limbs, (0,) * d, _limb_bits(d)))
     return out

@@ -424,12 +424,11 @@ def _per_case_digest(cases, unit):
     return f"{len(bad)}/{total} {unit} disagree: {'; '.join(map(str, bad[:4]))}{more}"
 
 
-@pytest.mark.parametrize("chunk", [3, dyck.DP_CHUNK])
+@pytest.mark.parametrize("size", [3, 4096])
 @pytest.mark.parametrize("flips", [(), (3,), (0, 9, 15), (1, 2, 3, 4, 11, 17), tuple(range(20))])
-def test_a_failing_block_gives_the_per_case_digest(monkeypatch, flips, chunk):
+def test_a_failing_block_gives_the_per_case_digest(flips, size):
     import numpy as np
 
-    monkeypatch.setattr(dyck, "DP_CHUNK", chunk)  # the list cases, in one block or two
     # 20 cases: array rows, an empty block, array scalars, then list blocks
     want = np.arange(40).reshape(20, 2)
     got = want.copy()
@@ -457,33 +456,14 @@ def test_a_failing_block_gives_the_per_case_digest(monkeypatch, flips, chunk):
         yield (lambda i: ("row", i)), got[:8], want[:8]
         yield (lambda i: ("row", 8 + i)), got[8:8], want[8:8]
         yield (lambda i: ("scalar", 8 + i)), got[8:14, 1], want[8:14, 1]
-        yield from verify._cases(cases[14:20])
+        for start in range(14, 20, size):  # the list cases, in one block or two
+            yield from verify._cases(cases[start : min(start + size, 20)])
         yield (lambda i: ("long", i)), long_got, long_want
         yield (lambda i: ("shape", i)), shaped_got, shaped_want
 
     entry = verify._agree("check", {}, "", blocks(), "cases")
     assert entry.actual == _per_case_digest(cases, "cases")
     assert entry.failed == bool(flips)
-
-
-def test_verify_blocks_hold_at_most_a_dp_chunk(monkeypatch):
-    sizes = Counter()
-    agree = verify._agree
-
-    def recording(name, params, expected, blocks, unit, **kwargs):
-        def seen():
-            for block in blocks:
-                sizes[name] = max(sizes[name], len(block[1]))
-                yield block
-
-        return agree(name, params, expected, seen(), unit, **kwargs)
-
-    monkeypatch.setattr(verify, "_agree", recording)
-    # 9,261 triples, and 26,968 marker classes of length 12: each more than one chunk
-    entries = verify.run_suite("all", bound=20)
-    assert all(e.status.endswith("pass") for e in entries)
-    assert max(sizes.values()) == dyck.DP_CHUNK
-    assert sizes["identities/triangle-convolution"] == sizes["bijection/fiber-counts"]
 
 
 def test_cpt_configurations_are_every_marker_configuration_in_order(monkeypatch):
@@ -506,13 +486,12 @@ def test_identities_failure_digest_names_the_failing_triples(monkeypatch):
     from itertools import product
 
     # a wrong triangle value makes some triples fail in both identities; the
-    # digest, over blocks of 7 triples, is the one the per-case loop gives
+    # digest, over one block of every triple, is the one the per-case loop gives
     core = formulas._triangle_ext
     def wrong(m, n):
         return core(m, n) + ((m, n) == (3, 1))
 
     monkeypatch.setattr(formulas, "_triangle_ext", wrong)
-    monkeypatch.setattr(dyck, "DP_CHUNK", 7)
     entries = {e.name: e for e in verify.suite_identities(n_max=2, bound=4)}
     convolution = [
         (t, formulas.catalan_convolution_identity(*t), True) for t in product(range(5), repeat=3)
@@ -529,6 +508,10 @@ def test_identities_failure_digest_names_the_failing_triples(monkeypatch):
 
 
 def test_verify_reports_do_not_depend_on_the_block_size(monkeypatch):
+    # every suite passes at bound 20, where each triangle identity checks its
+    # 9,261 triples in one block
+    assert all(e.status.endswith("pass") for e in verify.run_suite("all", bound=20))
+
     def report():
         entries = verify.run_suite("all", n_max=4, len_max=8, bound=4)
         return [(e.name, e.status, e.actual) for e in entries]
@@ -871,20 +854,86 @@ def test_negative_n_names_the_flag(capsys, method):
 
 @pytest.mark.parametrize(
     "flag, value, code",
-    [("--n", "1", 3), ("--n", "0", 2), ("--length", "0", 2), ("--n-max", "0", 2)],
+    [("--n", "1", 3), ("--n", "0", 0), ("--length", "0", 0), ("--n-max", "0", 0)],
 )
 def test_count_at_a_huge_d_exits_before_the_steps_are_built(
     capsys, monkeypatch, flag, value, code
 ):
-    # a cap, or numpy's limit on array dimensions for the first layer,
-    # fires before the 2d steps of d coordinates each are built
+    # the cell cap refuses the first layer, or length 0 is answered without a
+    # sweep, before the 2d steps of d coordinates each are built
     def no_steps(d):
         raise AssertionError(f"built the steps of d = {d}")
 
     monkeypatch.setattr(walks, "gessel_steps", no_steps)
     got, out, err = run_cli(capsys, "count", "--d", "20000", flag, value)
-    assert (got, out) == (code, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
+    if code:
+        assert (got, out) == (code, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert (got, out, err) == (0, "1\n", "")
+
+
+HUGE_D = "99999999999999999999"
+WALL_40 = ",".join(["1"] + ["0"] * 39)
+
+
+@pytest.mark.parametrize(
+    "argv, code, text",
+    [
+        # numpy writes at most 32 axes and builds at most 64; G(0) = 1 for any d
+        (("--d", "33", "--n", "0"), 0, "1\n"),
+        (("--d", "33", "--n-max", "0"), 0, "1\n"),
+        (("--d", "33", "--length", "0"), 0, "1\n"),
+        (("--d", "65", "--n", "0"), 0, "1\n"),
+        (("--d", HUGE_D, "--n", "0"), 0, "1\n"),
+        (("--d", "40", "--length", "0", "--endpoint", WALL_40), 0, "0\n"),
+        # past the layer-1 cell cap, which every d >= 27 is; no int64 limb
+        # holds a count at d >= 2^60
+        (("--d", HUGE_D, "--n", "2"), 3, "cell cap of"),
+        (("--d", str(2**60), "--n", "1"), 3, "cell cap of"),
+        (("--d", HUGE_D, "--n-max", "2"), 3, "cell cap of"),
+        # one cell per layer, so only the dimension cap refuses it
+        (("--d", "40", "--length", "1", "--endpoint", WALL_40), 3, "cap of 32 dimensions"),
+    ],
+)
+def test_count_at_any_d_exits_with_a_documented_code(capsys, argv, code, text):
+    # text is the count printed, or a part of the error message
+    got, out, err = run_cli(capsys, "count", *argv)
+    assert got == code and "Traceback" not in err
+    if code:
+        assert out == "" and err.startswith("error: ") and text in err
+    else:
+        assert (out, err) == (text, "")
+
+
+@pytest.mark.parametrize("d", ["1025", "1000000000", HUGE_D])
+def test_enumeration_refuses_a_huge_d_before_building_its_tables(capsys, monkeypatch, d):
+    # the frontier builds 2d codes and a (d, 2d) table before any test
+    def no_tables(*args):
+        raise AssertionError("entered _word_blocks")
+
+    monkeypatch.setattr(enumeration, "_word_blocks", no_tables)
+    code, out, err = run_cli(capsys, "count", "--d", d, "--n", "1", "--method", "enum")
+    assert (code, out) == (3, "")
+    assert err == f"error: d = {d} exceeds enumeration cap d <= {enumeration.DEFAULT_MAX_D}\n"
+
+
+def test_cpt_tallies_only_the_classes_it_looks_up():
+    import numpy as np
+
+    # the marker cap bounds 1s and 1-bars alike, and a complete word holds
+    # as many of each, so it keeps the words of classes with <= 2 pairs
+    for n in range(7):
+        capped = verify._class_tally(
+            map(verify._class_keys, enumeration._word_blocks(2, n, verify.CPT_N1_MAX))
+        )
+        keys, sizes = verify._class_tally(
+            map(verify._class_keys, enumeration._word_blocks(2, n, None))
+        )
+        pairs = np.array([bin(key & (1 << 2 * n) - 1).count("1") // 2 for key in keys.tolist()])
+        kept = pairs <= verify.CPT_N1_MAX
+        assert capped[0].tolist() == keys[kept].tolist()
+        assert capped[1].tolist() == sizes[kept].tolist()
 
 
 def test_oeis_n_max_below_offset_exit_usage(capsys):

@@ -231,6 +231,15 @@ def test_cap_raises():
         next(iter_complete_words(2, 8))
 
 
+def test_d_cap_admits_its_bound_and_refuses_the_next_d():
+    # length 2 has d complete words, one per axis: a letter and its bar
+    assert count_complete_words(enumeration.DEFAULT_MAX_D, 1) == enumeration.DEFAULT_MAX_D
+    assert count_complete_words(200, 2) == 139700
+    for n in (0, 1):
+        with pytest.raises(CapExceededError, match="d = 1025 exceeds enumeration cap d <= 1024"):
+            count_complete_words(enumeration.DEFAULT_MAX_D + 1, n)
+
+
 def test_cap_reads_the_module_constant(monkeypatch):
     monkeypatch.setattr(enumeration, "DEFAULT_MAX_LENGTH", 4)
     assert count_complete_words(2, 2) == GESSEL_D2[2]

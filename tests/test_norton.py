@@ -21,7 +21,7 @@ from gesselwalks import (
     stats,
     table_counts,
 )
-from gesselwalks import dyck, norton
+from gesselwalks import norton
 from gesselwalks.norton import as_bits
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -272,7 +272,7 @@ def _block_rows(length):
     """(rows as tuples, best per row) of every block of _sign_word_blocks."""
     rows, bests = [], []
     for words, best in norton._sign_word_blocks(length):
-        assert words.shape == (len(best), length) and len(words) <= dyck.DP_CHUNK
+        assert words.shape == (len(best), length) and len(words) <= norton.CHUNK
         rows += map(tuple, words.tolist())
         bests += best.tolist()
     return rows, bests
@@ -310,7 +310,26 @@ def test_block_stats_are_the_greedy_scan():
             got = list(zip(n1.tolist(), n10.tolist()))
             assert got == [(sum(w), greedy_ten_pairs(w)) for w in words.tolist()], length
             counts = norton._achievable_counts(words, best).tolist()
-            assert counts == [len(achievable_odd_sums(w)) for w in words.tolist()]
+            assert counts == [max_suffix_balance(w) // 2 for w in words.tolist()]
+
+
+def test_achievable_counts_witness_a_slice_of_pairs_at_a_time(monkeypatch):
+    # with CHUNK 3, a slice of (word, target) pairs holds at most 3 * 2 * 10
+    # cells: 7 pairs of the 187 of length 8
+    cells = []
+    real = norton._witness_block
+
+    def counted(words, best, targets):
+        cells.append(words.size)
+        return real(words, best, targets)
+
+    monkeypatch.setattr(norton, "_witness_block", counted)
+    monkeypatch.setattr(norton, "CHUNK", 3)
+    words = np.array(_words(8), dtype=np.int8)
+    best = np.array([max_suffix_balance(w) for w in _words(8)])
+    counts = norton._achievable_counts(words, best).tolist()
+    assert counts == [b // 2 for b in best.tolist()]
+    assert max(cells) == 7 * 8 and sum(cells) == 8 * norton_count(4)
 
 
 def test_block_witness_is_ordered_and_sums_to_its_target():

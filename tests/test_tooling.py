@@ -391,3 +391,25 @@ def test_readme_cap_table_is_the_tested_one():
         d, n, _, n_max, _ = (cell.strip() for cell in line.strip("|").split("|"))
         rows.append((int(d), *_bound(n), *_bound(n_max)))
     assert rows == CAP_TABLE
+
+
+VERIFY_TABLE_HEADER = "| suite | flag | default | cap | time at the cap |"
+
+
+def test_readme_verify_bounds_are_the_suite_table():
+    readme = (SRC.parent.parent / "README.md").read_text()
+    lines = readme.split(f"\n{VERIFY_TABLE_HEADER}\n")[1].splitlines()[1:]
+    rows = []
+    for line in lines:
+        if not line.startswith("|"):
+            break
+        suite, flag, default, cap, _ = (cell.strip() for cell in line.strip("|").split("|"))
+        key = re.fullmatch(r"`--([a-z-]+)`", flag).group(1).replace("-", "_")
+        leading = re.match(r"\d+", cap)
+        rows.append((suite, key, int(default), leading and int(leading.group())))
+    want = [
+        (suite, key, inspect.signature(getattr(verify, f"suite_{suite}")).parameters[key].default, cap)
+        for suite, caps in verify.SUITES.items()
+        for key, cap in caps.items()
+    ]
+    assert rows == want

@@ -257,6 +257,31 @@ def test_huge_d_exits_with_a_one_line_message():
     )
 
 
+def test_a_huge_d_is_refused_before_anything_of_size_d_is_built():
+    count_confined_walks(2, 2)  # numpy and the module load outside the trace
+    tracemalloc.start()
+    try:
+        for run in (lambda: count_confined_walks(10**7, 2), lambda: g_sequence(10**7, 1)):
+            with pytest.raises(CapExceededError, match="cell cap of"):
+                run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_length_zero_needs_no_sweep_and_a_sweep_past_32_axes_is_refused():
+    for d in (33, 65, 10**20):
+        assert count_confined_walks(d, 0) == 1 and g_sequence(d, 0) == [1]
+    wall = (1,) + (0,) * 39
+    assert count_confined_walks(40, 0, end=wall) == 0
+    assert count_confined_walks(40, 0, end=(0,) * 40) == 1
+    assert count_confined_walks(walks.MAX_DIMENSION, 1, end=wall[: walks.MAX_DIMENSION]) == 1
+    # layer 1 of this sweep is one cell, so the cell cap admits it
+    with pytest.raises(CapExceededError, match="exceeds the cap of 32 dimensions"):
+        count_confined_walks(40, 1, end=wall)
+
+
 # The largest --n and --n-max that `count` admits per d, and the cap that
 # refuses the next one; README lists the same rows with one timed run each.
 # --n N sweeps N steps with no endpoint, --n-max N sweeps 2N toward the origin.
