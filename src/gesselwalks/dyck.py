@@ -294,8 +294,10 @@ def _interleave_ragged(counts, word_positions, signs, path):
     letters[~marks] = path
     letters.ravel()[at] = signs
     steps = letters * ~marks
-    height = np.cumsum(steps, axis=1, dtype=np.int8)
-    total = np.cumsum(letters, axis=1, dtype=np.int8)  # height + run
+    height, total = steps.copy(), letters.copy()  # total = height + run
+    for t in range(1, length):  # prefix sums, one add per column
+        height[:, t] += height[:, t - 1]
+        total[:, t] += total[:, t - 1]
     if height.min(initial=0) < 0 or total.min(initial=0) < 0 or height[:, -1:].any():
         low = (height < 0) | (total < 0)
         r = int(np.argmax(low.any(axis=1) | height[:, -1:].any(axis=1)))

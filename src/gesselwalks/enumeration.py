@@ -21,17 +21,20 @@ without a test.  Rows are never merged: every complete word
 is its own row up to its last tested letter, and is tallied on its own.
 The tests of a block hold O(d) values per parent row, and only a
 surviving child gets its own d letter differences; no array holds them
-for all 2d candidates of a row.  Each level of the recursion holds about
-one chunk and its survivor indices, so the frontier holds about
-length * CHUNK rows and length * 2d * CHUNK indices.
+for all 2d candidates of a row.  Each level of the recursion holds one
+block and its survivor indices while the levels below it run, so the
+frontier holds at most length blocks; the bytes per level are given at
+:func:`_word_blocks`.
 
 Callers that read letters (:func:`iter_complete_words`, the marker position
 triangle, the bijection checks in ``verify``) get blocks of whole words.
 The word count and the profile triangle only tally, so their runs spell no
-letters: a row carries its letter differences, code sum and, for the
-profile, its count of 2s, and the run stops at the last tested letter.
-There each survivor bit of a parent row is one complete word, since the
-letter after it is forced; the tallies read the bits, not the words.
+letters: a row carries its letter differences and, for the profile, its
+count of 2s, and the run stops at the last tested letter.  There each
+survivor bit of a parent row is one complete word, since the letter after
+it is forced; the tallies read the bits, not the words.  A tally row is
+small, so a tally block holds as many rows as fit in
+:data:`_TALLY_BLOCK_BYTES`, and never fewer than :data:`CHUNK`.
 
 Enumeration order is deterministic: words are produced in ascending
 lexicographic order of their code tuples, with codes ordered numerically
@@ -55,6 +58,9 @@ DEFAULT_MAX_D = 1024
 # Rows per frontier block.  Smaller blocks spend more time in per-block
 # Python overhead; larger ones raise the peak memory of every level.
 CHUNK = 4096
+# Bytes per block of a tally run, whose rows spell no letters; a tally
+# block never holds fewer than CHUNK rows.
+_TALLY_BLOCK_BYTES = 2**18
 
 
 def _check_cap(d, n) -> tuple[int, int]:
@@ -91,13 +97,22 @@ def _word_blocks(d: int, n: int, marker_cap: int | None, tally: int | None = Non
 
     A tally run (tally set to a code) spells no words and builds no row
     past its last tested letter.  A row carries, in place of its letters,
-    how often the code tally occurs in it (always 0 for tally 0, which is
-    no letter).  Each block of prefixes of length 2n-2 comes out as
-    (code sums, tally counts, ok), where the (2d, rows) mask ok[c, r] says
-    whether row r extended by letter c passed.  Each set bit is one
-    complete word: its last letter is forced, -(code sum + code c).  Tally
-    runs need n >= 1 and marker_cap None.
+    how often the code tally occurs in it; tally 0 is no letter, and its
+    rows carry no count.  Each block of prefixes of length 2n-2 comes out
+    as (tally counts, ok), the counts None for tally 0, where the (2d,
+    rows) mask ok[c, r] says whether row r extended by letter c passed.
+    Each set bit is one complete word, since its last letter is forced.
+    Tally runs need n >= 1 and marker_cap None.
     Callers check n, d and the length cap first.
+
+    Memory: each level keeps its block and its survivor indices while the
+    levels below it run.  A row holds d one-byte letter differences, 4d
+    bytes of survivor bits while it is tested and then up to 2d survivor
+    indices of 2 or 4 bytes.  A word row adds its length letters and a
+    code sum, about length + 9d bytes in all; a tally row adds a one-byte
+    count, about 8d + 2 bytes.  Word blocks hold CHUNK rows and tally
+    blocks _TALLY_BLOCK_BYTES // (8d + 2), never fewer than CHUNK: at d = 2,
+    4,096 and 14,563 rows.
     """
     import numpy as np
 
@@ -109,8 +124,8 @@ def _word_blocks(d: int, n: int, marker_cap: int | None, tally: int | None = Non
     delta = np.zeros((d, k), dtype=np.min_scalar_type(-(length + 2)))
     delta[np.abs(codes) - 1, np.arange(k)] = np.sign(codes)
     plain, barred = d, d - 1  # letter indices of codes 1 and -1
-    # A row also carries the sum of its codes, sum((i + 1) * diff[i]) =
-    # S_0 + ... + S_{d-1} for the suffix sums S_i; a feasible row has
+    # A word row also carries the sum of its codes, sum((i + 1) * diff[i])
+    # = S_0 + ... + S_{d-1} for the suffix sums S_i; a feasible row has
     # 0 <= S_i <= n, so the sum lies in 0..d*n.
     sum_dtype = np.min_scalar_type(-(d * n + 1))
 
@@ -137,7 +152,7 @@ def _word_blocks(d: int, n: int, marker_cap: int | None, tally: int | None = Non
         # raises I survives iff slack = I < 2n - pos.  Hence +(a + 1)
         # survives iff slack or diff[a] < 0, and -(a + 1) iff
         # min(S_0..S_a) >= 1 and (slack or diff[a] > 0).
-        rows = len(total)
+        rows = diff.shape[1]
         ok = np.empty((k, rows), dtype=bool)  # ok[c, r]: row r extended by c
         slack = np.abs(diff).sum(axis=0, dtype=diff.dtype) < length - pos
         suffix = diff.sum(axis=0, dtype=diff.dtype)  # S_0
@@ -149,7 +164,7 @@ def _word_blocks(d: int, n: int, marker_cap: int | None, tally: int | None = Non
             np.logical_or(slack, row < 0, out=ok[d + a])
             np.logical_and(low_ok, slack | (row > 0), out=ok[d - 1 - a])
         if tally is not None and pos == length - 2:
-            yield total, words, ok
+            yield words, ok
             return
         if marker_cap is not None:
             placed = words[:, :pos]
@@ -166,33 +181,40 @@ def _word_blocks(d: int, n: int, marker_cap: int | None, tally: int | None = Non
         if tally is None:
             # one void item per word row, so a row gather is a 1-D take
             flat = words.view(np.dtype((np.void, words.itemsize * length))).ravel()
-        for start in range(0, len(keep), CHUNK):
-            p, c = np.divmod(keep[start:start + CHUNK], k)
-            added = codes.take(c)
+        for start in range(0, len(keep), chunk):
+            p, c = np.divmod(keep[start:start + chunk], k)
+            kids = sums = None
             if tally is None:
+                added = codes.take(c)
                 kids = flat.take(p).view(codes.dtype).reshape(-1, length)
                 kids[:, pos] = added
-            else:
-                kids = words.take(p) + (added == tally)
+                sums = total.take(p) + added
+            elif tally:
+                kids = words.take(p) + (c == counted)
             # rows one letter short of complete need only their code sum
             kid_diff = diff.take(p, 1) + delta.take(c, 1) if pos + 2 < length else None
-            yield from grow(pos + 1, kids, kid_diff, total.take(p) + added)
+            yield from grow(pos + 1, kids, kid_diff, sums)
 
     # diff holds one row per axis, so the tests run on contiguous arrays
-    # instead of reducing along a short axis.  In a tally run, words holds
-    # each row's tally count, at most n for a feasible row.
+    # instead of reducing along a short axis.  A word run carries the code
+    # sums its forced letters need; a tally run carries none, and in place
+    # of words each row's tally count, at most n for a feasible row.
+    diff = np.zeros((d, 1), delta.dtype)
     if tally is None:
-        root = np.zeros((1, length), codes.dtype)
+        chunk = CHUNK
+        yield from grow(0, np.zeros((1, length), codes.dtype), diff, np.zeros(1, sum_dtype))
     else:
-        root = np.zeros(1, np.min_scalar_type(n))
-    yield from grow(0, root, np.zeros((d, 1), delta.dtype), np.zeros(1, sum_dtype))
+        chunk = max(CHUNK, _TALLY_BLOCK_BYTES // (8 * d + 2))
+        counted = tally + d - (tally > 0)  # letter index of code tally
+        counts = np.zeros(1, np.min_scalar_type(n)) if tally else None
+        yield from grow(0, counts, diff, None)
 
 
 def iter_complete_words(d: int, n: int) -> Iterator[tuple[int, ...]]:
-    """Yield the code tuples of all complete words of length 2n, in order."""
+    """Iterate over the code tuples of all complete words of length 2n, in
+    order.  d and n are checked at the call, not at the first word."""
     d, n = _check_cap(d, n)
-    for block in _word_blocks(d, n, None):
-        yield from map(tuple, block.tolist())
+    return (word for block in _word_blocks(d, n, None) for word in map(tuple, block.tolist()))
 
 
 def count_complete_words(d: int, n: int) -> int:
@@ -202,8 +224,8 @@ def count_complete_words(d: int, n: int) -> int:
     d, n = _check_cap(d, n)
     if not n:
         return 1  # the empty word
-    # tally 0 is no letter: only the survivor bits are read
-    return sum(int(np.count_nonzero(ok)) for _, _, ok in _word_blocks(d, n, None, 0))
+    # tally 0 is no letter: the run carries no counts, only survivor bits
+    return sum(int(np.count_nonzero(ok)) for _, ok in _word_blocks(d, n, None, 0))
 
 
 def profile_triangle_row(n: int) -> tuple[int, ...]:
@@ -224,7 +246,7 @@ def profile_triangle_row(n: int) -> tuple[int, ...]:
     # row is binned by (prefix 2s, survivors 0..4, whether 2 survived),
     # where ok[3] is letter 2.
     bins = np.zeros((n + 1) * 5 * 2, dtype=np.int64)
-    for _, twos, ok in _word_blocks(2, n, None, 2):
+    for twos, ok in _word_blocks(2, n, None, 2):
         survivors = ok.view(np.uint8).sum(axis=0, dtype=np.uint8)
         bins += np.bincount((twos * 5 + survivors) * 2 + ok[3], minlength=len(bins))
     hist = [0] * (n + 1)

@@ -318,7 +318,10 @@ def _floor_rows(n, keys):
     marks = (keys[:, None] >> bits & 1).astype(bool)
     signs = (2 * (keys[:, None] >> bits + length & 1) - 1) * marks
     floors = np.zeros((len(keys), length + 1), dtype=np.int64)
-    floors[:, 1:] = np.maximum(-np.cumsum(signs, axis=1), 0)
+    floors[:, 1:] = -signs
+    for t in range(2, length + 1):  # -run, one add per column
+        floors[:, t] += floors[:, t - 1]
+    np.maximum(floors, 0, out=floors)
     opens = np.ones(floors.shape, dtype=bool)
     opens[:, 1:] = ~marks
     counts = np.count_nonzero(marks, axis=1)

@@ -520,6 +520,7 @@ def test_verify_reports_do_not_depend_on_the_block_size(monkeypatch):
     monkeypatch.setattr(dyck, "DP_CHUNK", 7)
     monkeypatch.setattr(norton, "CHUNK", 5)
     monkeypatch.setattr(enumeration, "CHUNK", 6)
+    monkeypatch.setattr(enumeration, "_TALLY_BLOCK_BYTES", 0)
     assert report() == want
 
 

@@ -132,7 +132,9 @@ def test_tallies_match_the_spelled_words_property(case, profile_n):
     # tally runs take no marker_cap; at d=2, n=3 the 4^6 candidate words
     # of brute_force_profile fill BRUTE_FORCE_BUDGET
     d, n, _, chunk = case
-    with mock.patch.object(enumeration, "CHUNK", chunk):
+    # with no byte budget, tally blocks hold CHUNK rows as word blocks do
+    with mock.patch.object(enumeration, "CHUNK", chunk), \
+            mock.patch.object(enumeration, "_TALLY_BLOCK_BYTES", 0):
         assert count_complete_words(d, n) == spelled_count(d, n)
         assert profile_triangle_row(profile_n) == brute_force_profile(profile_n)
 
@@ -167,6 +169,7 @@ def test_triangles_match_brute_force():
 
 def test_small_chunks_keep_results_and_order(monkeypatch):
     monkeypatch.setattr(enumeration, "CHUNK", 3)
+    monkeypatch.setattr(enumeration, "_TALLY_BLOCK_BYTES", 0)
     assert count_complete_words(2, 4) == GESSEL_D2[4]
     assert block_words(2, 3, 1) == brute_force_words(2, 3, 1)
     for n in range(5):
@@ -216,6 +219,74 @@ def test_frontier_holds_one_chunk_of_children_per_level():
     assert peak < 8 * 2**20
 
 
+def block_rows(d, n, tally):
+    """The row count of every block _word_blocks yields."""
+    blocks = enumeration._word_blocks(d, n, None, tally)
+    return [len(block) if tally is None else block[1].shape[1] for block in blocks]
+
+
+@pytest.mark.parametrize("d, n", [(2, 7), (3, 5), (8, 3), (200, 2)])
+def test_tally_blocks_fill_a_byte_budget_and_word_blocks_keep_chunk_rows(d, n):
+    # a tally row costs about 8d + 2 bytes; from d = 8 on the budget is
+    # below CHUNK rows, so tally blocks keep CHUNK rows too.  Each case has
+    # more rows on its last tested level than one block holds.
+    rows = max(enumeration.CHUNK, enumeration._TALLY_BLOCK_BYTES // (8 * d + 2))
+    assert rows > enumeration.CHUNK or d >= 8
+    for tally in (0, 2):
+        assert max(block_rows(d, n, tally)) == rows, (d, n, tally)
+    assert max(block_rows(d, n, None)) == enumeration.CHUNK
+
+
+def test_tally_blocks_shrink_to_chunk_rows_without_a_byte_budget(monkeypatch):
+    monkeypatch.setattr(enumeration, "CHUNK", 5)
+    monkeypatch.setattr(enumeration, "_TALLY_BLOCK_BYTES", 0)
+    for tally in (0, 2):
+        assert set(block_rows(2, 4, tally)) == {1, 2, 3, 4, 5}
+    assert count_complete_words(2, 4) == GESSEL_D2[4]
+
+
+def test_a_count_run_at_small_d_stays_small():
+    # the tally blocks of d = 2 hold about 14.5K rows each, one per level:
+    # about 1.4 MiB in all
+    import tracemalloc
+
+    count_complete_words(1, 1)  # numpy's import is not the frontier's
+    tracemalloc.start()
+    try:
+        assert count_complete_words(2, 7) == 1020162
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+# sha256 over the (shape, dtype) and bytes of every block of word runs with
+# marker_cap None, 0, 1 and 2 in turn, at the default CHUNK
+WORD_BLOCK_DIGESTS = {
+    (1, 7): "374a17bdc63472b359b3282106b7bfe2e16cc0a5f5cb170d8a18a472a8ade225",
+    (2, 5): "c9d9d7008d816c511f773ff14370c711ab4eb1f5e6c7167c29e0ed879ec2e817",
+    (2, 6): "dd9b7b6166e188fd538498db9eead344e32157f7f4ce6293c0a8ddf8b3769b73",
+    (2, 7): "20f4681eb7203b18ae73fdeb069c643f57a8a0a5f9b3522f39d61cb0b42498a2",
+    (3, 4): "e406f96097500c79a37abc3679a07cda43f46b06321a4d36fdd08d9a0ef7a3a8",
+    (3, 5): "57a3dbb27497017b9e3afbc2bb778cba92659bd7b94b7baf7f76764420c73a97",
+    (4, 4): "b94db4e2cf35e08e6891767e8e6167d033c4a4fe67f453a9a3c5fe0d772d5713",
+}
+
+
+@pytest.mark.parametrize("d, n", sorted(WORD_BLOCK_DIGESTS))
+def test_word_run_blocks_are_pinned_byte_for_byte(d, n):
+    # verify's consumers read these blocks whole, so their split, dtype and
+    # layout are part of what the frontier promises
+    import hashlib
+
+    digest = hashlib.sha256()
+    for marker_cap in (None, 0, 1, 2):
+        for block in enumeration._word_blocks(d, n, marker_cap):
+            digest.update(repr((block.shape, block.dtype.str)).encode())
+            digest.update(block.tobytes())
+    assert digest.hexdigest() == WORD_BLOCK_DIGESTS[d, n]
+
+
 def test_marker_cap_filters_letter_one_pairs():
     # words with at most one 1/1-bar pair
     capped = block_words(2, 3, 1)
@@ -229,6 +300,13 @@ def test_cap_raises():
         count_complete_words(2, 9)
     with pytest.raises(CapExceededError):
         next(iter_complete_words(2, 8))
+
+
+def test_iter_complete_words_checks_its_arguments_at_the_call():
+    with pytest.raises(CapExceededError):
+        iter_complete_words(2, 100)
+    with pytest.raises(ValueError, match="d and n must be integers"):
+        iter_complete_words(2.5, 1)
 
 
 def test_d_cap_admits_its_bound_and_refuses_the_next_d():
