@@ -20,8 +20,10 @@ pass that builds the word.  _split_ragged and _interleave_ragged do the
 same on a whole (R, 2n) array of words at once, for verify's exhaustive
 check: one pass each per block, whatever the marker counts of its rows,
 which they hold as ragged arrays (each row's marker count, then every
-row's positions, signs and path steps laid end to end).  The two pairs
-share no logic on purpose: a one-row block round trip costs about ten
+row's positions, signs and path steps laid end to end).  The block
+detects, _interleave reports: _interleave_ragged tests a whole block and
+hands its first failing row to _interleave for the error.  The pairs are
+otherwise separate on purpose: a one-row block round trip costs about ten
 times a scalar one, and the public functions take one word or path per
 call.
 
@@ -277,11 +279,11 @@ def _interleave_ragged(counts, word_positions, signs, path):
     its input: the (R, L) int8 codes of the words.
 
     After each letter the height must reach max(0, -run), where run sums
-    the marker signs so far: the floor _interleave tracks.  On the first
-    row that breaks it or ends above 0, the PathConstraintError that
-    _interleave raises for that row.  Heights and runs are summed as int8,
-    which is exact for words up to length 127, far above the enumeration
-    cap of 14.
+    the marker signs so far: the floor _interleave tracks.  The first row
+    that breaks it or ends above 0 goes to _interleave, which raises its
+    PathConstraintError; RuntimeError if _interleave passes it.  Heights
+    and runs are summed as int8, which is exact for words up to length 127,
+    far above the enumeration cap of 14.
     """
     import numpy as np
 
@@ -299,25 +301,20 @@ def _interleave_ragged(counts, word_positions, signs, path):
         height[:, t] += height[:, t - 1]
         total[:, t] += total[:, t - 1]
     if height.min(initial=0) < 0 or total.min(initial=0) < 0 or height[:, -1:].any():
-        low = (height < 0) | (total < 0)
-        r = int(np.argmax(low.any(axis=1) | height[:, -1:].any(axis=1)))
-        row_path = tuple(steps[r, ~marks[r]].tolist())
-        if not low[r].any():
-            raise PathConstraintError(f"path ends at height {sum(row_path)}, expected 0")
-        p = int(np.argmax(low[r]))  # the letter at word position p + 1
-        raise _floor_error(
-            row_path,
+        off = (height < 0) | (total < 0) | (height[:, -1:] != 0)
+        r = int(np.argmax(off.any(axis=1)))  # the first failing row
+        _interleave(
+            tuple(steps[r, ~marks[r]].tolist()),
             tuple((np.flatnonzero(marks[r]) + 1).tolist()),
             tuple(letters[r, marks[r]].tolist()),
-            p + 1 - int(np.count_nonzero(marks[r, : p + 1])),
-            int(height[r, p]),
         )
+        raise RuntimeError(f"row {r} fails the block's floor test but passes _interleave")
     return steps + letters
 
 
 def word_to_markers(word: GesselWord) -> MarkerLists:
     """Extract the marker lists of a complete word over letters 1 and 2."""
-    if word.d > 2 or any(l.index > 2 for l in word.letters):
+    if any(l.index > 2 for l in word.letters):
         raise MalformedWordError("marker extraction needs letters 1 and 2 only")
     if not is_complete(word):
         raise MalformedWordError("word must be a complete Gessel word")

@@ -13,12 +13,12 @@ and that decides all 2d extensions of every row; only the indices of the
 surviving children are kept.  The children are then gathered from their
 parent rows with 1-D takes, one chunk of at most :data:`CHUNK` rows at a
 time, and each chunk is grown to the end before the next is built, so the
-recursion order is the word order.  Every letter but the last is tested
-this way; the last is forced.  Each letter moves the imbalance
-sum(|diff|) by +-1, so a prefix of odd length 2n-1 that passed has
-imbalance exactly 1, and the one letter cancelling it is written in
-without a test.  Rows are never merged: every complete word
-is its own row up to its last tested letter, and is tallied on its own.
+recursion order is the word order.  Every run stops at its last tested
+letter, at position 2n-1: each letter moves the imbalance sum(|diff|) by
++-1, so a prefix of odd length 2n-1 that passed has imbalance exactly 1,
+and the one letter cancelling it, the last, is forced.  Rows are never
+merged: every complete word is its own row up to its last tested letter,
+and is tallied on its own.
 The tests of a block hold O(d) values per parent row, and only a
 surviving child gets its own d letter differences; no array holds them
 for all 2d candidates of a row.  Each level of the recursion holds one
@@ -27,12 +27,12 @@ frontier holds at most length blocks; the bytes per level are given at
 :func:`_word_blocks`.
 
 Callers that read letters (:func:`iter_complete_words`, the marker position
-triangle, the bijection checks in ``verify``) get blocks of whole words.
-The word count and the profile triangle only tally, so their runs spell no
-letters: a row carries its letter differences and, for the profile, its
-count of 2s, and the run stops at the last tested letter.  There each
-survivor bit of a parent row is one complete word, since the letter after
-it is forced; the tallies read the bits, not the words.  A tally row is
+triangle, the bijection checks in ``verify``) get blocks of whole words:
+each survivor of the last tested level gets its tested letter and its
+forced one.  The word count and the profile triangle only tally, so their
+runs spell no letters: a row carries its letter differences and, for the
+profile, its count of 2s.  There each survivor bit of a parent row is one
+complete word; the tallies read the bits, not the words.  A tally row is
 small, so a tally block holds as many rows as fit in
 :data:`_TALLY_BLOCK_BYTES`, and never fewer than :data:`CHUNK`.
 
@@ -90,17 +90,18 @@ def _word_blocks(d: int, n: int, marker_cap: int | None, tally: int | None = Non
     tested once per axis, and the outcome for each of the 2d letters is
     read off the row's suffix sums, their running minimum and its
     imbalance.  marker_cap, when given, bounds the occurrences of letter 1
-    and of its barred twin separately.  The last letter is not tested:
-    every letter moves the imbalance by +-1, so a prefix of odd length
-    2n-1 that passed has imbalance exactly 1, and only the letter
-    cancelling that one unit completes the word.
+    and of its barred twin separately.  Every run ends at the last tested
+    letter: each letter moves the imbalance by +-1, so a prefix of odd
+    length 2n-1 that passed has imbalance exactly 1, and only the letter
+    cancelling that one unit completes the word.  A word run writes it
+    next to the tested letter, read off the survivor's letter differences.
 
-    A tally run (tally set to a code) spells no words and builds no row
-    past its last tested letter.  A row carries, in place of its letters,
-    how often the code tally occurs in it; tally 0 is no letter, and its
-    rows carry no count.  Each block of prefixes of length 2n-2 comes out
-    as (tally counts, ok), the counts None for tally 0, where the (2d,
-    rows) mask ok[c, r] says whether row r extended by letter c passed.
+    A tally run (tally set to a code) spells no words.  A row carries, in
+    place of its letters, how often the code tally occurs in it; tally 0 is
+    no letter, and its rows carry no count.  Each block of prefixes of
+    length 2n-2 comes out as (tally counts, ok), the counts None for tally
+    0, where the (2d, rows) mask ok[c, r] says whether row r extended by
+    letter c passed.
     Each set bit is one complete word, since its last letter is forced.
     Tally runs need n >= 1 and marker_cap None.
     Callers check n, d and the length cap first.
@@ -108,11 +109,11 @@ def _word_blocks(d: int, n: int, marker_cap: int | None, tally: int | None = Non
     Memory: each level keeps its block and its survivor indices while the
     levels below it run.  A row holds d one-byte letter differences, 4d
     bytes of survivor bits while it is tested and then up to 2d survivor
-    indices of 2 or 4 bytes.  A word row adds its length letters and a
-    code sum, about length + 9d bytes in all; a tally row adds a one-byte
-    count, about 8d + 2 bytes.  Word blocks hold CHUNK rows and tally
-    blocks _TALLY_BLOCK_BYTES // (8d + 2), never fewer than CHUNK: at d = 2,
-    4,096 and 14,563 rows.
+    indices of 2 or 4 bytes.  A word row adds its length letters, about
+    length + 9d bytes in all; a tally row adds a one-byte count, about
+    8d + 2 bytes.  Word blocks hold CHUNK rows and tally blocks
+    _TALLY_BLOCK_BYTES // (8d + 2), never fewer than CHUNK: at d = 2, 4,096
+    and 14,563 rows.
     """
     import numpy as np
 
@@ -124,24 +125,11 @@ def _word_blocks(d: int, n: int, marker_cap: int | None, tally: int | None = Non
     delta = np.zeros((d, k), dtype=np.min_scalar_type(-(length + 2)))
     delta[np.abs(codes) - 1, np.arange(k)] = np.sign(codes)
     plain, barred = d, d - 1  # letter indices of codes 1 and -1
-    # A word row also carries the sum of its codes, sum((i + 1) * diff[i])
-    # = S_0 + ... + S_{d-1} for the suffix sums S_i; a feasible row has
-    # 0 <= S_i <= n, so the sum lies in 0..d*n.
-    sum_dtype = np.min_scalar_type(-(d * n + 1))
 
-    def grow(pos, words, diff, total):
+    def grow(pos, words, diff):
         # Yield the blocks under one parent block; each level holds its
         # block, its survivor indices and one chunk of children at a time.
         if pos == length:  # n = 0: the empty word
-            yield words
-            return
-        if pos == length - 1:
-            # With imbalance 1, diff is +-1 on one axis i and the code sum
-            # is +-(i + 1), so -total is the letter that zeroes it.  It goes
-            # into the chunk in place: the chunk is a fresh array no other
-            # level reads.  It needs no marker_cap test: a closing 1 or -1
-            # brings its count up to its twin's, which the cap bounds.
-            words[:, pos] = -total
             yield words
             return
         # A parent row already passed, so a child can only break a test its
@@ -163,7 +151,8 @@ def _word_blocks(d: int, n: int, marker_cap: int | None, tally: int | None = Non
                 low_ok &= suffix >= 1
             np.logical_or(slack, row < 0, out=ok[d + a])
             np.logical_and(low_ok, slack | (row > 0), out=ok[d - 1 - a])
-        if tally is not None and pos == length - 2:
+        last = pos == length - 2  # the letter after this one is forced
+        if tally is not None and last:
             yield words, ok
             return
         if marker_cap is not None:
@@ -181,33 +170,39 @@ def _word_blocks(d: int, n: int, marker_cap: int | None, tally: int | None = Non
         if tally is None:
             # one void item per word row, so a row gather is a 1-D take
             flat = words.view(np.dtype((np.void, words.itemsize * length))).ravel()
+            if last:
+                # A child has imbalance 1, diff +-1 on one axis i, so its code
+                # sum (1..d) @ diff is +-(i + 1) and one letter zeroes it.  A
+                # parent has imbalance <= 2, so its sum lies in -2d..2d: int16
+                # up to DEFAULT_MAX_D.
+                parent_sums = np.einsum("a,ar->r", np.arange(1, d + 1, dtype=np.int16), diff)
         for start in range(0, len(keep), chunk):
             p, c = np.divmod(keep[start:start + chunk], k)
-            kids = sums = None
             if tally is None:
-                added = codes.take(c)
                 kids = flat.take(p).view(codes.dtype).reshape(-1, length)
-                kids[:, pos] = added
-                sums = total.take(p) + added
-            elif tally:
-                kids = words.take(p) + (c == counted)
-            # rows one letter short of complete need only their code sum
-            kid_diff = diff.take(p, 1) + delta.take(c, 1) if pos + 2 < length else None
-            yield from grow(pos + 1, kids, kid_diff, sums)
+                kids[:, pos] = codes.take(c)
+                if last:
+                    # no marker_cap test: a closing 1 or -1 brings its count
+                    # up to its twin's, which the cap bounds
+                    kids[:, pos + 1] = -parent_sums.take(p) - kids[:, pos]
+                    yield kids
+                    continue
+            else:
+                kids = words.take(p) + (c == counted) if tally else None
+            yield from grow(pos + 1, kids, diff.take(p, 1) + delta.take(c, 1))
 
     # diff holds one row per axis, so the tests run on contiguous arrays
-    # instead of reducing along a short axis.  A word run carries the code
-    # sums its forced letters need; a tally run carries none, and in place
-    # of words each row's tally count, at most n for a feasible row.
+    # instead of reducing along a short axis.  A tally run carries, in
+    # place of words, each row's tally count, at most n for a feasible row.
     diff = np.zeros((d, 1), delta.dtype)
     if tally is None:
         chunk = CHUNK
-        yield from grow(0, np.zeros((1, length), codes.dtype), diff, np.zeros(1, sum_dtype))
+        yield from grow(0, np.zeros((1, length), codes.dtype), diff)
     else:
         chunk = max(CHUNK, _TALLY_BLOCK_BYTES // (8 * d + 2))
         counted = tally + d - (tally > 0)  # letter index of code tally
         counts = np.zeros(1, np.min_scalar_type(n)) if tally else None
-        yield from grow(0, counts, diff, None)
+        yield from grow(0, counts, diff)
 
 
 def iter_complete_words(d: int, n: int) -> Iterator[tuple[int, ...]]:

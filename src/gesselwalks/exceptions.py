@@ -1,4 +1,4 @@
-"""Exception types and the integer check shared across the package."""
+"""Exception types and the integer checks shared across the package."""
 
 
 class GesselError(Exception):
@@ -50,3 +50,12 @@ def checked_ints(values, rule) -> tuple[int, ...]:
     if out != values:
         raise ValueError(f"{rule}, got {values!r}")
     return out
+
+
+def checked_positive(n) -> int:
+    """n as an int; ValueError if int() would change it or it is below 1.
+    The one statement of the n >= 1 rule of the closed forms and norton."""
+    (n,) = checked_ints((n,), "n must be an integer")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return n

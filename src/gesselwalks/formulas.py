@@ -17,7 +17,8 @@ table: _even_marker_sums builds the part of their quadruple sum that does
 not depend on n once, and returns both halves for every n up to a bound.
 The public per-n direct functions read it, and verify builds it once per
 identities run.  Every public function takes its integer arguments
-through checked_ints, so integral floats and numpy integers act as ints.
+through checked_ints, or checked_positive where n must be >= 1, so
+integral floats and numpy integers act as ints.
 
 The fixed-marker count has one implementation,
 _count_words_fixed_markers_block, which runs the ballot-product
@@ -38,7 +39,7 @@ from math import comb, factorial
 from typing import Callable, Sequence
 
 from .dyck import _ballot_count, binom, catalan, marker_lists
-from .exceptions import CapExceededError, IntegralityError, checked_ints
+from .exceptions import CapExceededError, IntegralityError, checked_ints, checked_positive
 
 # gessel_closed_sequence, gessel_closed_form and so `count --method closed` stop
 # at this n: printing G(0..n_max) grows as n_max^3, and `count --method closed
@@ -93,9 +94,7 @@ def _gessel_terms(n_max: int):
 
 def one_pair_closed(n: int) -> int:
     """Complete d=2 words of length 2n with a single 1/1-bar pair."""
-    (n,) = checked_ints((n,), "n must be an integer")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = checked_positive(n)
     val = Fraction(2 * n + 1, 2) * comb(2 * n, n) - 2 ** (2 * n - 1)
     return _as_integer(val, "single-pair count")
 
@@ -257,9 +256,7 @@ def adjacent_marker_sum_direct(n: int) -> int:
 
 
 def adjacent_marker_sum_closed(n: int) -> int:
-    (n,) = checked_ints((n,), "n must be an integer")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = checked_positive(n)
     return (n - 1) * catalan(n - 1)
 
 
@@ -317,17 +314,13 @@ def even_marker_sum_reflected_direct(n: int) -> int:
 
 
 def even_marker_sum_free_closed(n: int) -> int:
-    (n,) = checked_ints((n,), "n must be an integer")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = checked_positive(n)
     val = Fraction(n + 2, 4) * comb(2 * n, n) - 3 * Fraction(2) ** (2 * n - 3)
     return _as_integer(val, "even-position free sum")
 
 
 def even_marker_sum_reflected_closed(n: int) -> int:
-    (n,) = checked_ints((n,), "n must be an integer")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = checked_positive(n)
     val = (
         Fraction(n, 2) * binom(2 * n - 2, n - 4)
         - Fraction(2) ** (2 * n - 2)
@@ -338,9 +331,7 @@ def even_marker_sum_reflected_closed(n: int) -> int:
 
 def bar_first_total(n: int) -> int:
     """All bar-first single-pair words of length 2n, closed form."""
-    (n,) = checked_ints((n,), "n must be an integer")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = checked_positive(n)
     poly = n**3 + 4 * n**2 + 5 * n + 2
     val = Fraction(poly * factorial(2 * n), 2 * factorial(n) * factorial(n + 2)) - 2 ** (
         2 * n - 1
@@ -350,9 +341,7 @@ def bar_first_total(n: int) -> int:
 
 def one_first_total(n: int) -> int:
     """All one-first single-pair words: Catalan(n-1) per position pair."""
-    (n,) = checked_ints((n,), "n must be an integer")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = checked_positive(n)
     return (2 * n - 1) * binom(2 * n - 2, n - 1)
 
 

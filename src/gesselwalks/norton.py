@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .exceptions import CapExceededError, IntegralityError, checked_ints
+from .exceptions import CapExceededError, IntegralityError, checked_positive
 
 DEFAULT_MAX_N = 10
 
@@ -214,9 +214,7 @@ def _achievable_counts(words, best):
 def _check_n(n) -> int:
     """n as an int, once it is known to be in 1..DEFAULT_MAX_N; ValueError
     if int() would change it."""
-    (n,) = checked_ints((n,), "n must be an integer")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = checked_positive(n)
     if n > DEFAULT_MAX_N:
         raise CapExceededError(f"2^{2 * n} sign words exceed cap n <= {DEFAULT_MAX_N}")
     return n

@@ -4,7 +4,7 @@ Three sequences are vendored under data/ as b<digits>.txt: the d=2
 origin-return counts (A135404), the single-pair counts (A000531), and the
 threefold convolution of binom(2k+1, k+1) that the free even-position sum
 reproduces (A045720).  Each b-file is "index value" lines, no index below
-the sequence's offset in OFFSETS.  The package's own routes wrote them
+the sequence's offset in OFFSETS and none twice.  The package's own routes wrote them
 (the walk DP, enumeration with the pair-position assembly, the binomial
 convolution), so they are no outside check.
 
@@ -53,6 +53,8 @@ def _read_bfile_text(text: str, seq_id: str, offset: int) -> BFile:
             raise FixtureError(f"bad b-file line for {seq_id}: {line!r}") from None
         if index < offset:
             raise FixtureError(f"b-file index below the offset {offset} of {seq_id}: {line!r}")
+        if index in terms:
+            raise FixtureError(f"repeated b-file index for {seq_id}: {line!r}")
         terms[index] = value
     if not terms:
         raise FixtureError(f"empty b-file for {seq_id}")

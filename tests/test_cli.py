@@ -986,6 +986,20 @@ def test_oeis_fetch_rejects_a_bad_cached_bfile_line(capsys, bfile_cache, seq_id,
     assert (code, err) == (4, message)
 
 
+@pytest.mark.parametrize(
+    "bfile, line",
+    [("0 1\n1 999\n1 2\n2 11\n", "1 2"), ("0 1\n1 2\n1 999\n2 11\n", "1 999")],
+)
+def test_oeis_rejects_a_repeated_bfile_index_in_either_order(capsys, bfile_cache, bfile, line):
+    # a later line must not overwrite the value an earlier one gave
+    path = bfile_cache / "b135404.txt"
+    path.write_text(bfile)
+    code, out, err = run_cli(
+        capsys, "oeis", "--sequence", "A135404", "--n-max", "2", "--bfile", str(path)
+    )
+    assert (code, out, err) == (4, "", f"error: repeated b-file index for A135404: {line!r}\n")
+
+
 def _unreadable(path, monkeypatch):
     path.write_text("0 1\n")
     real = Path.read_text

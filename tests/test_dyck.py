@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from gesselwalks import (
     MalformedWordError,
     GesselWord,
+    MarkerLists,
     PathConstraintError,
     PHConstraint,
     ballot_count,
@@ -401,6 +402,26 @@ def test_off_floor_row_raises_even_under_optimize():
     )
 
 
+@pytest.mark.parametrize(
+    "words",
+    [
+        [[1, -1, 2, -2], [2, -2, -1, 1]],  # second row at height 0 under its floor 1
+        [[2, -2, 1, -1], [2, 1, -1, 2]],  # second row ends at height 2
+    ],
+)
+def test_a_flagged_row_raises_even_when_the_scalar_core_passes_it(monkeypatch, words):
+    # the block detects and _interleave reports; a report that never comes
+    # must not let the block through
+    import numpy as np
+
+    from gesselwalks import dyck
+
+    block = dyck._split_ragged(np.array(words, dtype=np.int8))
+    monkeypatch.setattr(dyck, "_interleave", lambda path, positions, signs: ())
+    with pytest.raises(RuntimeError, match="row 1 fails the block's floor test"):
+        dyck._interleave_ragged(*block)
+
+
 def test_markers_to_word_checks_a_conforming_path_without_the_floor_profile(monkeypatch):
     from gesselwalks import iter_complete_words
 
@@ -469,6 +490,18 @@ def test_word_to_markers_builds_its_lists_without_revalidating(monkeypatch):
 def test_word_to_markers_needs_small_alphabet():
     with pytest.raises(MalformedWordError):
         word_to_markers(GesselWord.parse("3 2 1 -3 -2 -1"))
+
+
+def test_word_to_markers_reads_a_word_over_letters_1_and_2_at_any_d():
+    # such a word is complete at d >= 3 exactly when it is at d = 2
+    from gesselwalks import iter_complete_words
+
+    assert word_to_markers(GesselWord.parse("2 -2", 3)) == MarkerLists((), (), (), ())
+    for codes in iter_complete_words(2, 3):
+        want = word_to_markers(GesselWord.from_codes(codes, 2))
+        assert [word_to_markers(GesselWord.from_codes(codes, d)) for d in (3, 5)] == [want] * 2
+    with pytest.raises(MalformedWordError, match="letters 1 and 2 only"):
+        word_to_markers(GesselWord.parse("3 -3", 3))
 
 
 def test_word_to_markers_rejects_incomplete():

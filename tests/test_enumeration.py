@@ -287,6 +287,20 @@ def test_word_run_blocks_are_pinned_byte_for_byte(d, n):
     assert digest.hexdigest() == WORD_BLOCK_DIGESTS[d, n]
 
 
+def test_forced_letters_past_an_int8_code_sum():
+    # at d = 64 a row one letter from the end can have code sum 2d = 128,
+    # past int8; the last level sums codes in int16, which holds 2d up to
+    # the d cap
+    import numpy as np
+
+    assert 2 * enumeration.DEFAULT_MAX_D <= np.iinfo(np.int16).max
+    words = list(iter_complete_words(64, 2))
+    assert len(words) == count_complete_words(64, 2)
+    high = [w for w in words if w[0] + w[1] > 127]
+    assert (64, 64, -64, -64) in high
+    assert all(is_complete(w, 64) for w in high)
+
+
 def test_marker_cap_filters_letter_one_pairs():
     # words with at most one 1/1-bar pair
     capped = block_words(2, 3, 1)

@@ -1,6 +1,8 @@
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gesselwalks import (
     CapExceededError,
@@ -113,6 +115,52 @@ def test_bad_bfile_line_names_the_sequence_and_the_line(bfile_cache, seq_id, lin
     path.write_text(f"{line}\n2 11\n")
     with pytest.raises(FixtureError, match=f"{seq_id}: {line!r}"):
         compare(seq_id, 3, path=path)
+
+
+_SPACE = st.sampled_from(["", " ", "\t", "  "])
+_LINES = st.one_of(
+    # index -2..6 reaches below every offset and repeats often
+    st.tuples(st.just("pair"), st.integers(-2, 6), st.integers(-(10**25), 10**25)),
+    st.tuples(st.just("comment"), st.text("ab 12#.-", max_size=8).map("#".__add__)),
+    st.tuples(st.just("blank"), _SPACE),
+    st.tuples(st.just("bad"), st.one_of(
+        st.lists(st.integers(-9, 99).map(str), max_size=4).filter(lambda t: len(t) not in (0, 2)),
+        st.lists(st.text("ab.,x-", min_size=1, max_size=3), min_size=1, max_size=3),
+    ).map(" ".join)),
+)
+
+
+@given(
+    st.sampled_from(sorted(oeis.OFFSETS.items())),
+    st.lists(st.tuples(_LINES, _SPACE, _SPACE), max_size=12),
+)
+@settings(max_examples=150, deadline=None)
+def test_read_bfile_text_gives_its_pairs_or_a_fixture_error(seq, lines):
+    # valid, comment, blank, malformed, below-offset and repeated-index lines
+    # in any mix: the terms are the pairs, or the first bad line is named
+    seq_id, offset = seq
+    text, terms, error = [], {}, None
+    for (kind, *body), left, right in lines:
+        line = f"{body[0]} {body[1]}" if kind == "pair" else body[0]
+        text.append(left + line + right)
+        if error or kind in ("comment", "blank"):
+            continue
+        if kind == "bad":
+            error = f"bad b-file line for {seq_id}: {line!r}"
+        elif body[0] < offset:
+            error = f"b-file index below the offset {offset} of {seq_id}: {line!r}"
+        elif body[0] in terms:
+            error = f"repeated b-file index for {seq_id}: {line!r}"
+        else:
+            terms[body[0]] = body[1]
+    if not (error or terms):
+        error = f"empty b-file for {seq_id}"
+    try:
+        got = oeis._read_bfile_text("\n".join(text), seq_id, offset)
+    except FixtureError as exc:
+        assert str(exc) == error
+    else:
+        assert (error, got) == (None, (seq_id, offset, terms))
 
 
 def test_compare_no_overlap(bfile_cache):

@@ -351,6 +351,21 @@ def test_every_private_function_has_a_caller_in_the_library():
     assert [f"{module}:{name}" for module, name in defined if name not in read] == []
 
 
+def test_only_exceptions_states_the_n_at_least_1_rule():
+    # checked_positive is its one statement; a pasted copy would drift from it
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Raise)
+        and any(
+            isinstance(part, ast.Constant) and str(part.value).startswith("n must be >= 1")
+            for part in ast.walk(node)
+        )
+    ]
+    assert [line.split(":")[0] for line in found] == ["exceptions.py"]
+
+
 def test_library_imports_no_network_module():
     # b-files come from the package data or a path the user names
     found = []
