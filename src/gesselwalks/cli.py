@@ -15,7 +15,7 @@ import sys
 from functools import cache
 
 from . import enumeration, formulas, oeis, verify, walks
-from .exceptions import CapExceededError, FixtureError
+from .exceptions import CapExceededError, FixtureError, checked_at_least
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -108,8 +108,8 @@ def cmd_count(args, parser) -> int:
     if args.length is not None and args.method != "dp":
         parser.error(f"--length counts walks with --method dp only, not --method {args.method}")
     for flag, value in (("--n", args.n), ("--length", args.length), ("--n-max", args.n_max)):
-        if value is not None and value < 0:
-            raise ValueError(f"{flag} must be >= 0, got {value}")
+        if value is not None:
+            checked_at_least(value, 0, flag)
 
     if args.length is not None:
         end = None

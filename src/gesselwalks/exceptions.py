@@ -1,4 +1,9 @@
-"""Exception types and the integer checks shared across the package."""
+"""Exception types and the integer checks shared across the package.
+
+checked_at_least states every lower bound on an integer argument: no other
+module raises a range error of its own, bar oeis's offset rule, which names
+the sequence.  The checks live here so no module imports a route for them.
+"""
 
 
 class GesselError(Exception):
@@ -41,7 +46,7 @@ class FixtureError(GesselError, ValueError):
 def checked_ints(values, rule) -> tuple[int, ...]:
     """values as a tuple of ints; ValueError stating rule if int() would
     change any of them.  Integral values of other types (1.0, numpy ints)
-    pass as ints.  It lives here so no module imports a route to reach it."""
+    pass as ints."""
     values = tuple(values)
     try:
         out = tuple(map(int, values))
@@ -52,10 +57,10 @@ def checked_ints(values, rule) -> tuple[int, ...]:
     return out
 
 
-def checked_positive(n) -> int:
-    """n as an int; ValueError if int() would change it or it is below 1.
-    The one statement of the n >= 1 rule of the closed forms and norton."""
-    (n,) = checked_ints((n,), "n must be an integer")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return n
+def checked_at_least(value, low, name) -> int:
+    """value as an int; ValueError if int() would change it, or
+    "<name> must be >= <low>, got <value>" if it is below low."""
+    (value,) = checked_ints((value,), f"{name} must be an integer")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value

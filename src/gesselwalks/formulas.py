@@ -17,8 +17,9 @@ table: _even_marker_sums builds the part of their quadruple sum that does
 not depend on n once, and returns both halves for every n up to a bound.
 The public per-n direct functions read it, and verify builds it once per
 identities run.  Every public function takes its integer arguments
-through checked_ints, or checked_positive where n must be >= 1, so
-integral floats and numpy integers act as ints.
+through exceptions.checked_ints, or checked_at_least where n has a lower
+bound (n >= 0 for G(n), n >= 1 for the single-pair sums), so integral
+floats and numpy integers act as ints.
 
 The fixed-marker count has one implementation,
 _count_words_fixed_markers_block, which runs the ballot-product
@@ -39,7 +40,7 @@ from math import comb, factorial
 from typing import Callable, Sequence
 
 from .dyck import _ballot_count, binom, catalan, marker_lists
-from .exceptions import CapExceededError, IntegralityError, checked_ints, checked_positive
+from .exceptions import CapExceededError, IntegralityError, checked_at_least, checked_ints
 
 # gessel_closed_sequence, gessel_closed_form and so `count --method closed` stop
 # at this n: printing G(0..n_max) grows as n_max^3, and `count --method closed
@@ -58,9 +59,7 @@ def gessel_closed_form(n: int) -> int:
 
     Runs the recurrence of gessel_closed_sequence keeping only the last term.
     """
-    (n,) = checked_ints((n,), "n must be an integer")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    n = checked_at_least(n, 0, "n")
     for g in _gessel_terms(n):
         pass
     return g
@@ -73,9 +72,7 @@ def gessel_closed_sequence(n_max: int) -> list[int]:
     term ratio G(k+1) = G(k) * 4(6k+5)(2k+1) / ((k+2)(3k+5)), which stays
     integral.
     """
-    (n_max,) = checked_ints((n_max,), "n_max must be an integer")
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    n_max = checked_at_least(n_max, 0, "n_max")
     return list(_gessel_terms(n_max))
 
 
@@ -94,7 +91,7 @@ def _gessel_terms(n_max: int):
 
 def one_pair_closed(n: int) -> int:
     """Complete d=2 words of length 2n with a single 1/1-bar pair."""
-    n = checked_positive(n)
+    n = checked_at_least(n, 1, "n")
     val = Fraction(2 * n + 1, 2) * comb(2 * n, n) - 2 ** (2 * n - 1)
     return _as_integer(val, "single-pair count")
 
@@ -256,7 +253,7 @@ def adjacent_marker_sum_direct(n: int) -> int:
 
 
 def adjacent_marker_sum_closed(n: int) -> int:
-    n = checked_positive(n)
+    n = checked_at_least(n, 1, "n")
     return (n - 1) * catalan(n - 1)
 
 
@@ -314,13 +311,13 @@ def even_marker_sum_reflected_direct(n: int) -> int:
 
 
 def even_marker_sum_free_closed(n: int) -> int:
-    n = checked_positive(n)
+    n = checked_at_least(n, 1, "n")
     val = Fraction(n + 2, 4) * comb(2 * n, n) - 3 * Fraction(2) ** (2 * n - 3)
     return _as_integer(val, "even-position free sum")
 
 
 def even_marker_sum_reflected_closed(n: int) -> int:
-    n = checked_positive(n)
+    n = checked_at_least(n, 1, "n")
     val = (
         Fraction(n, 2) * binom(2 * n - 2, n - 4)
         - Fraction(2) ** (2 * n - 2)
@@ -331,7 +328,7 @@ def even_marker_sum_reflected_closed(n: int) -> int:
 
 def bar_first_total(n: int) -> int:
     """All bar-first single-pair words of length 2n, closed form."""
-    n = checked_positive(n)
+    n = checked_at_least(n, 1, "n")
     poly = n**3 + 4 * n**2 + 5 * n + 2
     val = Fraction(poly * factorial(2 * n), 2 * factorial(n) * factorial(n + 2)) - 2 ** (
         2 * n - 1
@@ -341,7 +338,7 @@ def bar_first_total(n: int) -> int:
 
 def one_first_total(n: int) -> int:
     """All one-first single-pair words: Catalan(n-1) per position pair."""
-    n = checked_positive(n)
+    n = checked_at_least(n, 1, "n")
     return (2 * n - 1) * binom(2 * n - 2, n - 1)
 
 

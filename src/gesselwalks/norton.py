@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .exceptions import CapExceededError, IntegralityError, checked_positive
+from .exceptions import CapExceededError, IntegralityError, checked_at_least
 
 DEFAULT_MAX_N = 10
 
@@ -214,7 +214,7 @@ def _achievable_counts(words, best):
 def _check_n(n) -> int:
     """n as an int, once it is known to be in 1..DEFAULT_MAX_N; ValueError
     if int() would change it."""
-    n = checked_positive(n)
+    n = checked_at_least(n, 1, "n")
     if n > DEFAULT_MAX_N:
         raise CapExceededError(f"2^{2 * n} sign words exceed cap n <= {DEFAULT_MAX_N}")
     return n

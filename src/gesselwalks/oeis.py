@@ -20,7 +20,7 @@ from pathlib import Path
 from stat import S_ISREG
 from typing import Iterable, NamedTuple
 
-from .exceptions import CapExceededError, FixtureError
+from .exceptions import CapExceededError, FixtureError, checked_at_least
 
 OFFSETS = {"A135404": 0, "A000531": 1, "A045720": 0}
 SEQUENCE_IDS = tuple(OFFSETS)
@@ -93,23 +93,27 @@ def load_fixture(seq_id: str) -> BFile:
 
 
 def computed_terms(seq_id: str, indices: Iterable[int]) -> dict[int, int]:
-    """Library-side values at the given indices of the sequence."""
+    """Library-side values at the given indices of the sequence, each an
+    integer at or above the sequence's offset."""
+    if seq_id not in OFFSETS:
+        raise FixtureError(f"unsupported sequence id {seq_id}")
+    return _terms(seq_id, [checked_at_least(i, OFFSETS[seq_id], "n") for i in indices])
+
+
+def _terms(seq_id: str, indices: list[int]) -> dict[int, int]:
+    """computed_terms of a sequence in OFFSETS at int indices that are known
+    to lie at or above its offset."""
     from .formulas import (
         even_marker_sum_free_closed,
         gessel_closed_sequence,
         one_pair_closed,
     )
 
-    if seq_id not in OFFSETS:
-        raise FixtureError(f"unsupported sequence id {seq_id}")
-    indices = list(indices)
     top = max(indices, default=0)
     if top > MAX_INDEX:
         raise CapExceededError(f"b-file index {top} of {seq_id} exceeds cap {MAX_INDEX}")
     if seq_id == "A135404":
         # one pass of the closed form's ratio recurrence, up to the largest index
-        if any(i < 0 for i in indices):
-            raise ValueError("n must be >= 0")
         closed = gessel_closed_sequence(top)
         return {i: closed[i] for i in indices}
     if seq_id == "A000531":
@@ -122,12 +126,12 @@ def compare(seq_id: str, n_max: int, *, path: str | Path | None = None) -> list[
 
     The b-file is the vendored one, or the one at path when given.
     """
-    if n_max < 0:  # rejected before the b-file is read
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    n_max = checked_at_least(n_max, 0, "n_max")  # before the b-file is read
     bfile = _read_bfile(seq_id, path)
     if n_max < bfile.offset:
         raise ValueError(f"n_max must be >= {bfile.offset}, the offset of {seq_id}, got {n_max}")
-    ours = computed_terms(seq_id, sorted(i for i in bfile.terms if i <= n_max))
+    # _read_bfile checked seq_id, and its indices against the offset
+    ours = _terms(seq_id, sorted(i for i in bfile.terms if i <= n_max))
     if not ours:
         raise FixtureError(f"no index of the {seq_id} fixture lies in [{bfile.offset}, {n_max}]")
     return [

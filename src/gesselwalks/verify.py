@@ -34,7 +34,7 @@ from functools import cache
 from itertools import combinations
 
 from . import dyck, enumeration, formulas, norton, walks
-from .exceptions import CapExceededError
+from .exceptions import CapExceededError, checked_at_least
 
 # theorem checks the walk DP and enumeration up to these n; cpt pins <= 2 pairs
 THEOREM_DP_N_MAX = 10
@@ -620,8 +620,8 @@ def run_suite(name: str, **bounds: int) -> list[ReportEntry]:
         caps = [c[key] for c in selected.values() if key in c]
         if not caps:
             raise ValueError(f"suite {name} takes no bound {key}")
-        if value < 0 and None not in caps:
-            raise ValueError(f"{key} must be >= 0, got {value}")
+        if None not in caps:
+            checked_at_least(value, 0, key)
     for suite, caps in selected.items():
         for key, cap in caps.items():
             if cap is not None and bounds.get(key, 0) > cap:

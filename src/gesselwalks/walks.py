@@ -82,8 +82,10 @@ cut into w-bit pieces whose products are summed as float64 over chunks of
 cells and then as int64 over the layer, with w derived so that neither sum
 can reach 2^53 or 2^63 respectively (see _sum_of_squares).
 
-numpy is imported inside the functions that use it, so importing the
-package does not load it.
+The public functions take d >= 1 and a length or n_max >= 0, as ints or
+integral values of other types; a range error comes from
+exceptions.checked_at_least.  numpy is imported inside the functions that
+use it, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ from itertools import repeat
 from math import ceil, log2, prod
 from typing import Sequence
 
-from .exceptions import CapExceededError, checked_ints
+from .exceptions import CapExceededError, checked_at_least, checked_ints
 
 # The most axes a layer may have: numpy's `flat` writes refuse more.
 MAX_DIMENSION = 32
@@ -123,9 +125,7 @@ _ROW_SLACK = 2**18
 
 def gessel_steps(d: int) -> frozenset[tuple[int, ...]]:
     """The 2d Gessel steps in dimension d."""
-    (d,) = checked_ints((d,), "d must be an integer")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    d = checked_at_least(d, 1, "d")
     ups = []
     for k in range(1, d + 1):
         ups.append(tuple([1] * k + [0] * (d - k)))
@@ -414,16 +414,6 @@ def _sum_of_squares(limbs, bits) -> int:
     return total
 
 
-def _checked(d, length, what):
-    """d and length as ints, once d >= 1 and length >= 0; what names length."""
-    d, length = checked_ints((d, length), f"d and {what} must be integers")
-    if length < 0:
-        raise ValueError(f"{what} must be >= 0")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    return d, length
-
-
 def count_confined_walks(d: int, length: int, *, end: Sequence[int] | None = None) -> int:
     """Gessel walks of the given length from the origin to end (default the
     origin) that stay in the orthant.
@@ -432,7 +422,8 @@ def count_confined_walks(d: int, length: int, *, end: Sequence[int] | None = Non
     returns the sum of its squared counts; an odd length or 0 needs no
     sweep.  Any other end in the orthant runs one sweep of length steps.
     """
-    d, length = _checked(d, length, "length")
+    d, length = checked_ints((d, length), "d and length must be integers")
+    length, d = checked_at_least(length, 0, "length"), checked_at_least(d, 1, "d")
     if end is not None:
         end = checked_ints(end, "end must be integers")
         if len(end) != d:
@@ -460,7 +451,8 @@ def g_sequence(d: int, n_max: int) -> list[int]:
     every origin it reads lies at or before the last step, so no walk it
     counts is cut.
     """
-    d, n_max = _checked(d, n_max, "n_max")
+    d, n_max = checked_ints((d, n_max), "d and n_max must be integers")
+    n_max, d = checked_at_least(n_max, 0, "n_max"), checked_at_least(d, 1, "d")
     if not n_max:
         return [1]
     out = []

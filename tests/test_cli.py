@@ -1,3 +1,4 @@
+import argparse
 import csv
 import errno
 import io
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gesselwalks import dyck, enumeration, formulas, norton, oeis, verify, walks
+from gesselwalks import cli
 from gesselwalks.cli import _factorize, main
 
 
@@ -233,6 +235,9 @@ CLOSED_ABOVE = str(formulas.CLOSED_MAX_N + 1)
         # 2^999999 cells: the pre-pass stops multiplying them past the cap
         (("count", "--d", "4", "--n", "66"), "cell cap"),
         (("count", "--d", "1000000", "--n", "1"), "cell cap"),
+        # 533,638,364,926 words, hours at tens of millions of words a second
+        (("count", "--method", "enum", "--d", "8", "--n", "7"), "enumeration work cap"),
+        (("count", "--method", "enum", "--d", "8", "--n-max", "7"), "enumeration work cap"),
     ],
 )
 def test_each_route_exits_at_its_cap_before_any_work(capsys, argv, cap):
@@ -1112,3 +1117,85 @@ def test_a_reader_closing_stdout_early_ends_the_command_quietly():
         code = proc.wait(timeout=120)
     assert "Traceback" not in err
     assert (code, err) == (0, "")
+
+
+# The fuzz test's caps: the caps that admit slow requests are patched
+# down, most to FUZZ_CAP, so that each admitted request runs in milliseconds.
+FUZZ_CAP = 5
+FUZZ_INTS = ("-1", "0", "1", str(FUZZ_CAP), str(FUZZ_CAP + 1), str(10**6), str(10**20))
+FUZZ_STRINGS = ("1.5", "x", "")
+
+
+def _fuzz_caps(monkeypatch):
+    for module, name, value in (
+        (enumeration, "DEFAULT_MAX_LENGTH", 2 * FUZZ_CAP),
+        (enumeration, "DEFAULT_MAX_D", FUZZ_CAP),
+        (enumeration, "DEFAULT_MAX_WORK", 10**5),
+        (oeis, "MAX_INDEX", FUZZ_CAP),
+        (walks, "DEFAULT_MAX_CELLS", 10**4),
+        (walks, "DEFAULT_MAX_WORK", 10**6),
+    ):
+        monkeypatch.setattr(module, name, value)
+    suites = {
+        suite: {key: None if cap is None else FUZZ_CAP for key, cap in caps.items()}
+        for suite, caps in verify.SUITES.items()
+    }
+    monkeypatch.setattr(verify, "SUITES", suites)
+
+
+@st.composite
+def fuzz_argv(draw, commands, bfiles):
+    """An argv over the flags of one of the subparsers commands, in parser
+    order, each present or not, with values from the edge sets: one value
+    in five is malformed."""
+    name = draw(st.sampled_from(sorted(commands)))
+    argv = [name]
+    for action in commands[name]._actions:
+        if not action.option_strings or action.option_strings[0] == "-h" or not draw(st.booleans()):
+            continue
+        argv.append(action.option_strings[0])
+        if action.nargs == 0:  # a switch
+            continue
+        if action.dest == "bfile":
+            values = bfiles
+        elif not draw(st.integers(0, 4)):
+            values = FUZZ_STRINGS
+        elif action.choices:
+            values = action.choices
+        elif action.dest == "endpoint":
+            values = ("0,0", "1,0", "-1,0", "0,0,0")
+        else:
+            values = FUZZ_INTS
+        argv.append(draw(st.sampled_from(values)))
+    return argv
+
+
+def test_fuzzed_argv_exits_with_a_documented_code(capsys, monkeypatch, tmp_path):
+    # argv drawn from the parser itself, so a new flag is fuzzed unasked
+    (commands,) = [
+        action.choices
+        for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    _fuzz_caps(monkeypatch)
+    bfiles = {"good": "0 1\n1 2\n2 11\n3 85\n", "bad": "0 1\nx y\n", "empty": ""}
+    for stem, text in bfiles.items():
+        (tmp_path / stem).write_text(text)
+    paths = tuple(str(tmp_path / stem) for stem in (*bfiles, "missing")) + (str(tmp_path),)
+
+    @settings(max_examples=150, deadline=None)
+    @given(argv=fuzz_argv(commands, paths))
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error, and only that
+            err = capsys.readouterr().err
+            assert exc.code == 2 and err.startswith("usage: gesselwalks"), (argv, err)
+            return
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3, 4), argv
+        assert "Traceback" not in err
+        if code in (2, 3, 4):
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+    run()

@@ -351,19 +351,26 @@ def test_every_private_function_has_a_caller_in_the_library():
     assert [f"{module}:{name}" for module, name in defined if name not in read] == []
 
 
-def test_only_exceptions_states_the_n_at_least_1_rule():
-    # checked_positive is its one statement; a pasted copy would drift from it
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(SRC.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Raise)
-        and any(
-            isinstance(part, ast.Constant) and str(part.value).startswith("n must be >= 1")
-            for part in ast.walk(node)
-        )
+def test_only_exceptions_states_an_integer_range_rule():
+    # checked_at_least is the one statement of "<name> must be >= <low>"; a
+    # pasted copy would drift from it.  oeis's offset rule names the
+    # sequence, so it keeps its own message.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not (
+                isinstance(node, ast.Raise)
+                and isinstance(node.exc, ast.Call)
+                and getattr(node.exc.func, "id", None) == "ValueError"
+            ):
+                continue
+            text = "".join(str(c.value) for c in ast.walk(node) if isinstance(c, ast.Constant))
+            if "must be >=" in text:
+                found.append(f"{path.name}:{text}")
+    assert found == [
+        "exceptions.py: must be >= , got ",
+        "oeis.py:n_max must be >= , the offset of , got ",
     ]
-    assert [line.split(":")[0] for line in found] == ["exceptions.py"]
 
 
 def test_library_imports_no_network_module():
