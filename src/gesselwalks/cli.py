@@ -305,6 +305,14 @@ def main(argv=None) -> int:
         # counts are printed in full: G(3579) already has 4,301 digits
         sys.set_int_max_str_digits(0)
     parser = _parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a value that starts with '-' and is no plain number for an
+    # option, so `count --endpoint -1,0` (or --endp -1,0) is joined with '='
+    for k in range(len(argv) - 1, 1, -1):
+        flag, value = argv[k - 1], argv[k]
+        if argv[0] == "count" and len(flag) > 2 and "--endpoint".startswith(flag):
+            if value[:1] == "-" and value[1:2].isdigit():
+                argv[k - 1 : k + 1] = [f"{flag}={value}"]
     args = parser.parse_args(argv)
     handlers = {
         "count": cmd_count,

@@ -27,10 +27,11 @@ otherwise separate on purpose: a one-row block round trip costs about ten
 times a scalar one, and the public functions take one word or path per
 call.
 
-The floor DP, _count_paths, runs over a stack of floor rows at once;
-ballot_count_dp and count_ph_paths pass it one row.  numpy is imported
-inside the functions that use it, so importing the package does not load
-it.
+The floor DP, _count_paths, runs over a stack of floor rows in one pass;
+ballot_count_dp and count_ph_paths pass it one row.  Its cells are int64:
+under DEFAULT_MAX_STEPS = 64 a cell holds at most comb(64, 32) < 2^63
+paths.  numpy is imported inside the functions that use it, so importing
+the package does not load it.
 """
 
 from __future__ import annotations
@@ -372,44 +373,34 @@ def _check_steps(k):
         raise CapExceededError(f"{k} steps exceeds DP cap {DEFAULT_MAX_STEPS}")
 
 
-# Rows of floors per pass of the batched DP: a few chunks' cells stay small
-# next to the rows they are cut from.
-DP_CHUNK = 4096
-
-
 def _count_paths(i: int, j: int, k: int, floors) -> list[int]:
     """For each row of floors, an (R, k+1) array of per-abscissa floors,
     the number of paths of k +-1 steps from height i to height j that stay
     >= 0 and on or above that row.
 
-    Direct DP over (abscissa, height), run on DP_CHUNK rows at a time.  A
+    Direct DP over (abscissa, height), one pass over all the rows.  A
     path at abscissa t sits at height <= i + t and must still reach j in
     k - t steps, so each layer is cut to heights <= min(i + t, j + k - t):
     no higher cell can be counted.  A cell counts paths of t <= k steps,
-    at most comb(k, k // 2) of them, so cells are int64 while that fits
-    and Python ints above it.
+    at most comb(k, k // 2) of them, so the step cap keeps the int64 cells
+    exact.
     """
     import numpy as np
 
     _check_steps(k)
     if min(i, j, k) < 0 or (i + j + k) % 2 or j > i + k:
         return [0] * len(floors)
-    floors = np.asarray(floors, dtype=np.int64)
-    dtype = np.int64 if comb(k, k // 2) < 2**63 else object
+    rows = np.asarray(floors, dtype=np.int64)
     heights = np.arange(i + k + 2)
-    out = []
-    for start in range(0, len(floors), DP_CHUNK):
-        rows = floors[start : start + DP_CHUNK]
-        # heights 0..i+k, then one cell that stays 0, read as height top + 1
-        cur = np.zeros((len(rows), i + k + 2), dtype=dtype)
-        cur[:, i] = 1
-        cur[heights < rows[:, 0, None]] = 0
-        for t in range(1, k + 1):
-            top = min(i + t, j + k - t)
-            nxt = np.zeros_like(cur)
-            nxt[:, 0] = cur[:, 1]
-            nxt[:, 1 : top + 1] = cur[:, : top] + cur[:, 2 : top + 2]
-            nxt[heights < rows[:, t, None]] = 0
-            cur = nxt
-        out += cur[:, j].tolist()
-    return out
+    # heights 0..i+k, then one cell that stays 0, read as height top + 1
+    cur = np.zeros((len(rows), i + k + 2), dtype=np.int64)
+    cur[:, i] = 1
+    cur[heights < rows[:, 0, None]] = 0
+    for t in range(1, k + 1):
+        top = min(i + t, j + k - t)
+        nxt = np.zeros_like(cur)
+        nxt[:, 0] = cur[:, 1]
+        nxt[:, 1 : top + 1] = cur[:, : top] + cur[:, 2 : top + 2]
+        nxt[heights < rows[:, t, None]] = 0
+        cur = nxt
+    return cur[:, j].tolist()

@@ -127,20 +127,12 @@ def bar_first_pair_count(i: int, j: int, n: int) -> int:
         raise ValueError(f"need 1 <= i < j <= 2n, got ({i}, {j}, n={n})")
     total = 0
     length_mid = j - i - 1
-    for k1 in range(1, i):
-        if (i - 1 - k1) % 2:
-            continue
+    # the height k1 before i has the parity of i - 1, and k2 after j that of
+    # j; neither triangle value is 0 for k1 < i and k2 <= 2n - j
+    for k1 in range(1 + i % 2, i, 2):
         first = _catalan_triangle((i - 1 + k1) // 2, (i - 1 - k1) // 2)
-        if not first:
-            continue
-        for k2 in range(0, j):
-            if (2 * n - j - k2) % 2:
-                continue
+        for k2 in range(j % 2, min(j, 2 * n - j + 1), 2):
             last = _catalan_triangle((2 * n - j + k2) // 2, (2 * n - j - k2) // 2)
-            if not last:
-                continue
-            if (length_mid + k1 - k2) % 2:
-                continue
             mid = binom(length_mid, (length_mid + k1 - k2) // 2) - binom(
                 length_mid, (length_mid + k1 + k2) // 2
             )

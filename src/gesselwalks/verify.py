@@ -10,7 +10,7 @@ one array block per length for the fiber counts and one of at most
 equal got and want in one comparison, scans the rows only of a block that
 differs, and renders only the first four mismatches.  Only the cores that
 allocate per row cut their input into chunks: the marker configurations,
-the floor rows, the floor DP and the enumerator's and norton's word blocks.
+the floor rows and the enumerator's and norton's word blocks.
 
 The bijection and cpt suites read the enumerator's word blocks: dyck's
 ragged cores round-trip a block in one split and one interleave, a word's
@@ -40,6 +40,8 @@ from .exceptions import CapExceededError, checked_at_least
 THEOREM_DP_N_MAX = 10
 THEOREM_ENUM_N_MAX = 5
 CPT_N1_MAX = 2
+# Marker configurations, or class keys turned into floor rows, per block
+DP_CHUNK = 4096
 
 
 @dataclass
@@ -334,7 +336,7 @@ def _floor_rows(n, keys):
 def _floor_path_counts(n, keys):
     """The floor DP's path count for each marker class key of length-2n
     words: one batched DP run per marker count, on the distinct floor rows
-    of all the keys.  Rows are built a chunk of dyck.DP_CHUNK keys at a
+    of all the keys.  Rows are built a chunk of DP_CHUNK keys at a
     time and kept as codes, which are decoded back into the distinct rows.
 
     A row is told apart by one base-(n + 1) code: its floors lie in [0, n]
@@ -345,8 +347,8 @@ def _floor_path_counts(n, keys):
     base = (n + 1) ** np.arange(2 * n + 1, dtype=np.int64)
     codes = np.zeros(len(keys), dtype=np.int64)
     widths = np.zeros(len(keys), dtype=np.int64)  # 2n + 1 - marker count
-    for start in range(0, len(keys), dyck.DP_CHUNK):
-        for idx, rows in _floor_rows(n, keys[start : start + dyck.DP_CHUNK]):
+    for start in range(0, len(keys), DP_CHUNK):
+        for idx, rows in _floor_rows(n, keys[start : start + DP_CHUNK]):
             codes[start + idx] = rows @ base[: rows.shape[1]]
             widths[start + idx] = rows.shape[1]
     out = np.zeros(len(keys), dtype=np.int64)
@@ -425,7 +427,7 @@ def _balanced_signs(pairs):
 
 
 def _configurations(n, signs):
-    """Yield (signs, positions) blocks of at most dyck.DP_CHUNK marker
+    """Yield (signs, positions) blocks of at most DP_CHUNK marker
     configurations of length-2n words: each row of signs, an (S, m) array,
     with every m-set of 1-based positions, in the order of
     product(signs, combinations(range(1, 2n + 1), m))."""
@@ -435,8 +437,8 @@ def _configurations(n, signs):
     sets = list(combinations(range(1, 2 * n + 1), m))
     positions = np.array(sets, dtype=np.int64).reshape(len(sets), m)
     total = len(signs) * len(sets)
-    for start in range(0, total, dyck.DP_CHUNK):
-        index = np.arange(start, min(start + dyck.DP_CHUNK, total))
+    for start in range(0, total, DP_CHUNK):
+        index = np.arange(start, min(start + DP_CHUNK, total))
         yield signs[index // len(sets)], positions[index % len(sets)]
 
 

@@ -14,14 +14,13 @@ that endpoint lies inside the region, so the counts read there are exact;
 g_sequence, which reads the origin after every even step, sweeps the wedge
 min(t, length-t) per axis.
 
-Within that region a layer holds only the coset a walk can occupy.  Every
-step moves the first coordinate by +-1, so x_1 = t (mod 2): on that axis
-index i of layer t stands for coordinate r_t + 2i with r_t = t mod 2, and
-each layer holds half the cells of the region.  The other axes move by -1,
-0 or +1, so there index i stands for coordinate i.  Writing (r_t, g) for
-an axis's residue and stride, a step s shifts the index on that axis by
-(r_t + s - r_{t+1}) / g, an integer.  One pre-pass predicts every layer's
-shape and limb count before the first step.  It refuses a layer that would
+Within that region a layer holds only the points a walk can occupy.
+Every step moves the first coordinate by +-1, so x_1 = t (mod 2), and one
+rule maps indices to points: index (i, j, ...) of layer t is the point
+(2i + t mod 2, j, ...), so each layer holds half the cells of the region.
+A step s into layer t shifts the first index by (s_1 + 1 - t mod 2) // 2
+and every other index by s_k.  One pre-pass predicts every layer's shape
+and limb count before the first step.  It refuses a layer that would
 hold more than DEFAULT_MAX_CELLS int64 words (its cells times its limbs),
 and a sweep whose predicted work passes DEFAULT_MAX_WORK or whose d passes
 MAX_DIMENSION; it builds nothing of size d.
@@ -157,22 +156,11 @@ def _moves(in_shape, out_shape, shifts):
     return out
 
 
-def _cell(point, coset, shape):
-    """The layer index of point, or None when the layer does not hold it."""
-    index = []
-    for x, (r, g), n in zip(point, coset, shape):
-        i, off = divmod(x - r, g)
-        if off or not 0 <= i < n:
-            return None
-        index.append(i)
-    return tuple(index)
-
-
 def _run_dp(d, length, end=None):
-    """Yield (coset, limbs) for the walk counts after 0..length steps.
+    """Yield the limbs of the walk counts after 0..length steps.
 
-    coset holds (r_t, g) per axis, and index i of each limb stands for
-    coordinate r_t + g*i.  Layer t is cut per axis to the cells a walk can
+    Index (i, j, ...) of layer t stands for the point (2i + t mod 2, j, ...)
+    (module docstring).  Layer t is cut per axis to the cells a walk can
     reach in t steps and, with end given, can still leave for end in the
     remaining length-t (end is read afresh per layer, d coordinates, so an
     endless repeat(0) is the origin).  Each limb is a view of that live
@@ -183,12 +171,9 @@ def _run_dp(d, length, end=None):
     """
     import numpy as np
 
-    def coset_at(t):
-        return ((t % 2, 2),) + ((0, 1),) * (d - 1)
-
     def axis_sizes(t):
-        # lazily, so the pre-pass builds nothing of size d (coset_at: axis 1
-        # holds x_1 = t mod 2 at stride 2, so only it can be empty)
+        # lazily, so the pre-pass builds nothing of size d (axis 1 holds
+        # x_1 = t mod 2 at stride 2, so only it can be empty)
         his = repeat(t) if end is None else (min(t, x + length - t) for x in end)
         for k, h in zip(range(d), his):
             yield (h - t % 2) // 2 + 1 if k == 0 else h + 1
@@ -247,13 +232,8 @@ def _run_dp(d, length, end=None):
         raise CapExceededError(f"DP sweep in d = {d} exceeds the cap of {MAX_DIMENSION} dimensions")
 
     def index_shifts(steps, t):
-        # each step's index shift into layer t; it depends on t only through
-        # the parity of the first axis
-        out = []
-        for s in steps:
-            pairs = zip(s, coset_at(t - 1), coset_at(t))
-            out.append(tuple((r + x - r2) // g for x, (r, g), (r2, _) in pairs))
-        return out
+        # each step's index shift into layer t (module docstring)
+        return [((s[0] + 1 - t % 2) // 2,) + s[1:] for s in steps]
 
     def merged(shape):
         # the last two axes as one; at d = 1 there is only the last
@@ -275,13 +255,12 @@ def _run_dp(d, length, end=None):
     carry_every = 1
     while (2 * d) ** (carry_every + 1) << bits <= 1 << 63:
         carry_every += 1
-    coset = coset_at(0)
     sizes = tuple(axis_sizes(0))
     row = rows[0]
     buffers = [np.zeros(sizes[:-1] + (row,), dtype=np.int64)]
     buffers[0].flat[0] = 1
     limbs = [live(buffers[0])]
-    yield coset, limbs
+    yield limbs
     # The up steps U_1, ..., U_d (U_k = e_1 + ... + e_k) and their negatives,
     # 2d tuples of d coordinates, so O(d^2): built only once both caps have
     # passed and the first layer exists.  U_(d-1) and U_d differ by e_d, so at
@@ -295,7 +274,7 @@ def _run_dp(d, length, end=None):
     # indexed by t % 2
     shifts = [(index_shifts(single_steps, t), index_shifts(paired_steps, t)) for t in (2, 1)]
     for t in range(1, length + 1):
-        new_coset, new_sizes, new_row = coset_at(t), tuple(axis_sizes(t)), rows[t]
+        new_sizes, new_row = tuple(axis_sizes(t)), rows[t]
         shape, new_shape = sizes[:-1] + (row,), new_sizes[:-1] + (new_row,)
         single, paired = shifts[t % 2]
         if new_row == row:
@@ -316,9 +295,9 @@ def _run_dp(d, length, end=None):
             if buffers[-1].max(initial=0) > mask:
                 buffers.append(buffers[-1] >> bits)
                 buffers[-2] &= mask
-        coset, sizes, row = new_coset, new_sizes, new_row
+        sizes, row = new_sizes, new_row
         limbs.extend(map(live, buffers))
-        yield coset, limbs
+        yield limbs
 
 
 def _step_limb(x, shape, moves, n_single, blank, row):
@@ -375,10 +354,12 @@ def _value(limbs, index, bits) -> int:
     return sum(int(limb[index]) << (bits * k) for k, limb in enumerate(limbs))
 
 
-def _read(coset, limbs, point, bits) -> int:
-    """The exact count at point; 0 when the layer does not hold it."""
-    cell = _cell(point, coset, limbs[0].shape)
-    return 0 if cell is None else _value(limbs, cell, bits)
+def _read(limbs, t, point, bits) -> int:
+    """The exact count at point after t steps; 0 when layer t does not hold it."""
+    index = (point[0] // 2, *point[1:])
+    if (point[0] - t) % 2 or not all(0 <= i < n for i, n in zip(index, limbs[0].shape)):
+        return 0
+    return _value(limbs, index, bits)
 
 
 def _sum_of_squares(limbs, bits) -> int:
@@ -431,12 +412,12 @@ def count_confined_walks(d: int, length: int, *, end: Sequence[int] | None = Non
         if any(end):
             if min(end) < 0 or not length:
                 return 0
-            for coset, limbs in _run_dp(d, length, end):
+            for limbs in _run_dp(d, length, end):
                 pass
-            return _read(coset, limbs, end, _limb_bits(d))
+            return _read(limbs, length, end, _limb_bits(d))
     if length % 2 or not length:
         return int(not length)
-    for _, limbs in _run_dp(d, length // 2):
+    for limbs in _run_dp(d, length // 2):
         pass
     # the last axis of an open sweep is longest at its last layer, so the
     # stored buffers behind these views hold the live cells and zero pads
@@ -456,7 +437,7 @@ def g_sequence(d: int, n_max: int) -> list[int]:
     if not n_max:
         return [1]
     out = []
-    for t, (coset, limbs) in enumerate(_run_dp(d, 2 * n_max, repeat(0))):
+    for t, limbs in enumerate(_run_dp(d, 2 * n_max, repeat(0))):
         if t % 2 == 0:
-            out.append(_read(coset, limbs, (0,) * d, _limb_bits(d)))
+            out.append(_value(limbs, (0,) * d, _limb_bits(d)))
     return out

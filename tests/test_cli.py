@@ -54,6 +54,17 @@ def test_count_walk_endpoint(capsys):
     assert out.strip() == "1"
 
 
+@pytest.mark.parametrize("argv", [("--endpoint", "-1,0"), ("--endpoint=-1,0",), ("--endp", "-1,0")])
+def test_a_negative_endpoint_parses_in_every_spelling(capsys, argv):
+    # argparse alone reads "-1,0" after a space as an unknown option
+    assert run_cli(capsys, "count", "--d", "2", "--length", "3", *argv) == (0, "0\n", "")
+
+
+def test_run_suite_rejects_an_unknown_suite():
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        verify.run_suite("nope")
+
+
 def test_count_json_string_counts(capsys):
     code, out, _ = run_cli(capsys, "count", "--d", "2", "--n", "5", "--format", "json")
     assert code == 0
@@ -474,7 +485,7 @@ def test_a_failing_block_gives_the_per_case_digest(flips, size):
 def test_cpt_configurations_are_every_marker_configuration_in_order(monkeypatch):
     from itertools import combinations, product
 
-    monkeypatch.setattr(dyck, "DP_CHUNK", 7)
+    monkeypatch.setattr(verify, "DP_CHUNK", 7)
     for pairs in range(4):
         balanced = [s for s in product((1, -1), repeat=2 * pairs) if sum(s) == 0]
         assert list(map(tuple, verify._balanced_signs(pairs).tolist())) == balanced
@@ -522,7 +533,7 @@ def test_verify_reports_do_not_depend_on_the_block_size(monkeypatch):
         return [(e.name, e.status, e.actual) for e in entries]
 
     want = report()
-    monkeypatch.setattr(dyck, "DP_CHUNK", 7)
+    monkeypatch.setattr(verify, "DP_CHUNK", 7)
     monkeypatch.setattr(norton, "CHUNK", 5)
     monkeypatch.setattr(enumeration, "CHUNK", 6)
     monkeypatch.setattr(enumeration, "_TALLY_BLOCK_BYTES", 0)
@@ -629,7 +640,7 @@ def test_floor_rows_and_counts_are_the_oracle_up_to_the_caps(drawn, chunk):
             seen.append(r)
     assert sorted(seen) == list(range(len(picks)))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dyck, "DP_CHUNK", chunk)  # the keys span several chunks
+        patch.setattr(verify, "DP_CHUNK", chunk)  # the keys span several chunks
         got = verify._floor_path_counts(n, keys).tolist()
     assert got == [dyck.count_ph_paths(c, k) for c, k in zip(constraints, lengths)]
 

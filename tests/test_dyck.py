@@ -448,6 +448,16 @@ def test_markers_to_word_rejects_unbalanced_path():
 
 
 @pytest.mark.parametrize(
+    "positions, signs, message",
+    [((1, 5), (1, -1), "exceed the combined word length"), ((1, 2), (1, 1), "must balance")],
+)
+def test_markers_to_word_rejects_markers_it_cannot_place(positions, signs, message):
+    # a path of 2 steps and 2 markers make a word of 4 letters
+    with pytest.raises(ValueError, match=message):
+        markers_to_word((1, -1), positions, signs)
+
+
+@pytest.mark.parametrize(
     "path, message",
     [((2, -1, -1), "path step 0 is 2"), ((1, 0, 0, -1), "path step 1 is 0"), ((1, 1, -2), "path step 2 is -2")],
 )
@@ -529,9 +539,10 @@ def test_count_ph_paths_cap():
 def test_path_dp_caps_read_the_module_constant(monkeypatch):
     from gesselwalks import CapExceededError, dyck
 
-    monkeypatch.setattr(dyck, "DEFAULT_MAX_STEPS", 128)
-    assert ballot_count_dp(0, 0, 100) == catalan(50)
-    assert count_ph_paths(PHConstraint((), ()), 100) == catalan(50)
+    # 66 steps still fit int64 cells: comb(66, 33) < 2^63
+    monkeypatch.setattr(dyck, "DEFAULT_MAX_STEPS", 66)
+    assert ballot_count_dp(0, 0, 66) == catalan(33)
+    assert count_ph_paths(PHConstraint((), ()), 66) == catalan(33)
     monkeypatch.setattr(dyck, "DEFAULT_MAX_STEPS", 4)
     with pytest.raises(CapExceededError):
         ballot_count_dp(0, 0, 6)
@@ -605,31 +616,31 @@ def test_batched_floor_dp_counts_every_row_by_brute_force(case):
 
 @given(st.integers(-1, 6), st.integers(-1, 6), _floor_stacks(max_steps=16))
 @settings(max_examples=150, deadline=None)
-def test_batched_floor_dp_matches_the_loop_reference_across_chunks(i, j, case):
+def test_batched_floor_dp_matches_the_loop_reference(i, j, case):
     from gesselwalks import dyck
 
     k, rows = case
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dyck, "DP_CHUNK", 2)  # chunk boundaries inside every stack of 3 or more
-        got = dyck._count_paths(i, j, k, rows)
-    assert got == [_count_paths_loop(i, j, k, row) for row in rows]
+    assert dyck._count_paths(i, j, k, rows) == [_count_paths_loop(i, j, k, row) for row in rows]
 
 
-def test_batched_floor_dp_is_exact_across_the_int64_boundary(monkeypatch):
+def test_batched_floor_dp_is_exact_in_int64_up_to_the_step_cap():
     from math import comb
 
-    from gesselwalks import dyck
+    from gesselwalks import CapExceededError, dyck
 
-    monkeypatch.setattr(dyck, "DEFAULT_MAX_STEPS", 80)
-    # comb(66, 33) < 2**63 <= comb(67, 33): the cells turn into Python ints at k = 67
-    assert comb(66, 33) < 2**63 <= comb(67, 33)
-    for k in range(62, 73):
+    # a cell counts at most comb(k, k // 2) paths of k steps, so the int64
+    # cells are exact only while the cap keeps that below 2^63
+    cap = dyck.DEFAULT_MAX_STEPS
+    assert comb(cap, cap // 2) < 2**63
+    for k in range(cap - 6, cap + 1):
         rows = [[0] * (k + 1), [t % 3 for t in range(k + 1)], [min(t, k - t, 5) // 2 for t in range(k + 1)]]
         for i, j in ((0, 0), (1, 3), (4, 0)):
             got = dyck._count_paths(i, j, k, rows)
             assert got == [_count_paths_loop(i, j, k, row) for row in rows], (i, j, k)
             assert got[0] == ballot_count(i, j, k)
             assert all(type(c) is int for c in got)
+    with pytest.raises(CapExceededError, match=f"cap {cap}"):
+        dyck._count_paths(0, 0, cap + 2, [[0] * (cap + 3)])
 
 
 def test_count_ph_paths_unconstrained_is_catalan():

@@ -130,6 +130,7 @@ def test_triangle_ext_extends_the_clamped_triangle():
     # off the wedge the extension is generally nonzero
     assert triangle_ext(-1, 0) == 1
     assert triangle_ext(0, 2) == -1
+    assert triangle_ext(3, -1) == 0
 
 
 @given(st.integers(-40, 40), st.integers(-3, 40))

@@ -31,6 +31,7 @@ def test_as_bits_forms():
     assert as_bits("1101") == (1, 1, 0, 1)
     assert as_bits("+-+-") == (1, 0, 1, 0)
     assert as_bits([1, 0, 1]) == (1, 0, 1)
+    assert as_bits("1 1 0") == (1, 1, 0)  # whitespace is skipped
     with pytest.raises(ValueError):
         as_bits("12")
 

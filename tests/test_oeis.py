@@ -38,6 +38,8 @@ def test_load_fixtures_and_offsets():
 def test_unknown_sequence():
     with pytest.raises(FixtureError):
         load_fixture("A000045")
+    with pytest.raises(FixtureError, match="unsupported sequence id A999999"):
+        computed_terms("A999999", [1])
 
 
 def test_computed_terms_route():

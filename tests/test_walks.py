@@ -89,9 +89,9 @@ def test_odd_length_origin_return_is_zero():
 def _origin_by_full_sweep(d, n):
     """G_d(n) read at the origin after all 2n steps of the sweep toward it."""
     origin = (0,) * d
-    for coset, limbs in walks._run_dp(d, 2 * n, origin):
+    for limbs in walks._run_dp(d, 2 * n, origin):
         pass
-    return walks._read(coset, limbs, origin, walks._limb_bits(d))
+    return walks._read(limbs, 2 * n, origin, walks._limb_bits(d))
 
 
 @pytest.mark.parametrize("d, n_max", [(1, 40), (2, 40), (3, 20), (4, 10)])
@@ -141,19 +141,24 @@ def test_sum_of_squares_is_exact(shape, bits):
             assert walks._sum_of_squares(limbs, bits) == sum(v * v for v in values)
 
 
+def _point(t, cell):
+    """The orthant point that index cell of layer t stands for."""
+    return (2 * cell[0] + t % 2, *cell[1:])
+
+
 def _endpoint_counts(d, length):
     """The nonzero counts of the last layer of one open sweep, keyed by the
     orthant point each cell stands for."""
     import numpy as np
 
-    for coset, limbs in walks._run_dp(d, length):
+    for limbs in walks._run_dp(d, length):
         pass
     bits = walks._limb_bits(d)
     counts = {}
     for cell in np.ndindex(limbs[0].shape):
         value = walks._value(limbs, cell, bits)
         if value:
-            counts[tuple(r + g * i for (r, g), i in zip(coset, cell))] = value
+            counts[_point(length, cell)] = value
     return counts
 
 
@@ -172,7 +177,7 @@ def test_walk_table_total_and_lookup():
                 continue
             brute += 1
     assert sum(counts.values()) == brute
-    # keys are points of the orthant, not indices into the stored coset
+    # keys are points of the orthant, not indices into the stored layer
     assert counts == {(0, 0): 2, (0, 1): 1, (2, 0): 1, (2, 1): 2, (2, 2): 1}
 
 
@@ -200,7 +205,7 @@ def _largest_limb_cells(d, length, end=None):
     bits = walks._limb_bits(d)
     return max(
         ceil((t * log2(2 * d) + 1) / bits) * limbs[0].size
-        for t, (_, limbs) in enumerate(walks._run_dp(d, length, end))
+        for t, limbs in enumerate(walks._run_dp(d, length, end))
     )
 
 
@@ -337,25 +342,23 @@ def test_work_cap_bounds_the_limb_count(d, length):
     # the work cap predicts at most ceil((t*log2(2d) + 1) / B) limbs
     # after t steps; the open-ended sweep holds the largest counts
     bits = walks._limb_bits(d)
-    for t, (_, limbs) in enumerate(walks._run_dp(d, length)):
+    for t, limbs in enumerate(walks._run_dp(d, length)):
         assert len(limbs) <= ceil((t * log2(2 * d) + 1) / bits), t
 
 
 def _layers(d, length, end=None):
-    """(coset, limb shapes) of every layer of one sweep."""
-    sweep = walks._run_dp(d, length, end)
-    return [(coset, {limb.shape for limb in limbs}) for coset, limbs in sweep]
+    """The limb shapes of every layer of one sweep."""
+    return [{limb.shape for limb in limbs} for limbs in walks._run_dp(d, length, end)]
 
 
 def test_sweep_covers_only_the_live_region():
     # a Gessel step moves x by +-1, so layer t holds only x = t (mod 2):
-    # index (i, j) stands for the point (t % 2 + 2i, j)
-    gessel_coset = [((t % 2, 2), (0, 1)) for t in range(11)]
+    # index (i, j) stands for the point (2i + t % 2, j)
     to_origin = _layers(2, 10, (0, 0))
     wedge = [min(t, 10 - t) for t in range(11)]
-    assert to_origin == [(c, {(m // 2 + 1, m + 1)}) for c, m in zip(gessel_coset, wedge)]
+    assert to_origin == [{((m - t % 2) // 2 + 1, m + 1)} for t, m in enumerate(wedge)]
     open_end = _layers(2, 10)
-    assert open_end == [(c, {(t // 2 + 1, t + 1)}) for t, c in enumerate(gessel_coset)]
+    assert open_end == [{((t - t % 2) // 2 + 1, t + 1)} for t in range(11)]
 
 
 def _exact_values(limbs, bits):
@@ -369,7 +372,7 @@ def _origin_sweep_limbs(length):
     bits = walks._limb_bits(2)
     return [
         (len(limbs), int(_exact_values(limbs, bits).max()), int(limbs[-1].max()))
-        for _, limbs in walks._run_dp(2, length, (0, 0))
+        for limbs in walks._run_dp(2, length, (0, 0))
     ]
 
 
@@ -401,7 +404,7 @@ def test_limbs_grow_only_on_the_carry_steps_that_need_them(d, length):
     bits = walks._limb_bits(d)
     due = {1: 3, 2: 2}.get(d, 1)
     held = 1
-    for t, (_, limbs) in enumerate(walks._run_dp(d, length)):
+    for t, limbs in enumerate(walks._run_dp(d, length)):
         if t % due == 0 or t == length:
             assert max(int(limb.max()) for limb in limbs) < 2**bits, t
             largest = int(_exact_values(limbs, bits).max())
@@ -439,7 +442,7 @@ def _walk_cases(draw):
 @given(_walk_cases())
 @example(((6, 6), 6))  # far corner of the box
 @example(((4, 0), 3))  # end beyond L
-@example(((2, 1), 3))  # end off the x_1 parity coset
+@example(((2, 1), 3))  # end off the parity x_1 = length (mod 2)
 @settings(max_examples=60, deadline=None)
 def test_dp_matches_brute_force(case):
     end, length = case
@@ -499,7 +502,7 @@ def _layer_cases(draw):
     d = draw(st.integers(1, 4))
     length = draw(st.integers(0, (70, 40, 20, 12)[d - 1]))
     k = draw(st.integers(0, length + 1))
-    kind = draw(st.sampled_from(["open", "wall", "corner", "off coset", "any"]))
+    kind = draw(st.sampled_from(["open", "wall", "corner", "off parity", "any"]))
     if kind == "open":
         end = None
     elif kind == "wall":
@@ -509,7 +512,7 @@ def _layer_cases(draw):
         end = (length,) * d
     else:
         end = draw(st.tuples(*[st.integers(0, length + 1)] * d))
-        if kind == "off coset" and (end[0] - length) % 2 == 0:
+        if kind == "off parity" and (end[0] - length) % 2 == 0:
             end = (end[0] + 1,) + end[1:]
     # with no slack, rows change length wherever 1/16 of a layer allows,
     # so the sweep also takes the steps that lay its rows out anew
@@ -524,7 +527,7 @@ def _layer_cases(draw):
 @example((2, 30, (0, 9), 0))
 @example((3, 20, (0, 0, 7), 0))
 @example((2, 25, (25, 25), 2**18))  # far corner
-@example((2, 25, (4, 3), 0))  # off the x_1 parity coset
+@example((2, 25, (4, 3), 0))  # off the parity x_1 = length (mod 2)
 @example((4, 12, (3, 0, 2, 1), 0))
 @settings(max_examples=40, deadline=None)
 def test_every_layer_matches_the_dict_dp(case):
@@ -537,13 +540,13 @@ def test_every_layer_matches_the_dict_dp(case):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(walks, "_ROW_SLACK", slack)
         layers = zip(walks._run_dp(d, length, end), _dict_layers(d, length))
-        for t, ((coset, limbs), want) in enumerate(layers):
+        for t, (limbs, want) in enumerate(layers):
             his = [t] * d if end is None else [min(t, x + length - t) for x in end]
-            shape = tuple(max(0, (h - r) // g + 1) for h, (r, g) in zip(his, coset))
+            shape = (max(0, (his[0] - t % 2) // 2 + 1), *(h + 1 for h in his[1:]))
             assert {limb.shape for limb in limbs} == {shape}, t
             assert limbs[0].base.size <= _stored_limb_cells(shape, len(limbs)), t
             got = {
-                tuple(r + g * i for (r, g), i in zip(coset, cell)): value
+                _point(t, cell): value
                 for cell, value in np.ndenumerate(_exact_values(limbs, bits))
                 if value
             }
@@ -579,7 +582,7 @@ def _peak_and_bound(monkeypatch, d, length, end=None):
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        for _, limbs in walks._run_dp(d, length, end):
+        for limbs in walks._run_dp(d, length, end):
             layers.append((len(limbs), limbs[0].shape))
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:

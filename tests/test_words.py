@@ -54,6 +54,8 @@ def test_parse_rejects_garbage():
         GesselWord.parse("1 x")
     with pytest.raises(MalformedWordError):
         GesselWord.from_codes((3,), d=2)
+    with pytest.raises(MalformedWordError, match="alphabet size must be >= 1, got 0"):
+        GesselWord((), 0)
 
 
 def test_empty_word_is_complete():
