@@ -935,6 +935,17 @@ def test_enumeration_refuses_a_huge_d_before_building_its_tables(capsys, monkeyp
     assert err == f"error: d = {d} exceeds enumeration cap d <= {enumeration.DEFAULT_MAX_D}\n"
 
 
+def test_enumeration_table_cap_exits_on_the_smallest_refused_d(capsys):
+    # the count tables of n = 2 fit up to d = 306; d = 307 is refused
+    # while they are built, before the first block
+    code, out, err = run_cli(capsys, "count", "--method", "enum", "--d", "307", "--n", "2")
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: state tables at d = 307, n = 2 exceed enumeration table cap "
+        f"{enumeration.DEFAULT_MAX_TABLE_BYTES:.3g} bytes\n"
+    )
+
+
 def test_cpt_tallies_only_the_classes_it_looks_up():
     import numpy as np
 
@@ -1142,6 +1153,7 @@ def _fuzz_caps(monkeypatch):
         (enumeration, "DEFAULT_MAX_LENGTH", 2 * FUZZ_CAP),
         (enumeration, "DEFAULT_MAX_D", FUZZ_CAP),
         (enumeration, "DEFAULT_MAX_WORK", 10**5),
+        (enumeration, "DEFAULT_MAX_TABLE_BYTES", 10**3),
         (oeis, "MAX_INDEX", FUZZ_CAP),
         (walks, "DEFAULT_MAX_CELLS", 10**4),
         (walks, "DEFAULT_MAX_WORK", 10**6),

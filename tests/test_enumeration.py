@@ -188,9 +188,10 @@ def test_tiny_chunks_match_brute_force(monkeypatch, chunk, marker_cap, d, n):
 
 
 def test_frontier_memory_grows_as_d_not_d_squared():
-    # a block's tests and gathers hold O(d) values per parent row; an array
-    # of d letter differences for each of the 2d candidate children of
-    # every row would peak near 161 MiB here
+    # the tables' build holds d letter differences per surviving child of
+    # a state, and a block O(d) ids per row; an array of d letter
+    # differences for each of the 2d candidate children of every row would
+    # peak near 161 MiB here
     import tracemalloc
 
     count_complete_words(1, 1)  # numpy's import is not the frontier's
@@ -204,9 +205,11 @@ def test_frontier_memory_grows_as_d_not_d_squared():
 
 
 def test_frontier_holds_one_chunk_of_children_per_level():
-    # each level keeps its block, its survivor indices and one chunk of
-    # children; holding every child of a block with its d letter
-    # differences peaks near 17 MiB here
+    # the tables come first: their build peaks near 33 MiB here, on the
+    # 40,001 states of level 2 (200 letter differences, 400 survivor bits
+    # and 200 imbalance terms each), and leaves 15.6 MiB of survivor masks.
+    # Each level of the frontier then keeps its block, its survivors' ids
+    # and one chunk of children: about 0.7 MiB over the tables.
     import tracemalloc
 
     count_complete_words(1, 1)  # numpy's import is not the frontier's
@@ -214,26 +217,34 @@ def test_frontier_holds_one_chunk_of_children_per_level():
     try:
         assert count_complete_words(200, 2) == 139700
         peak = tracemalloc.get_traced_memory()[1]
+        tables = enumeration._state_tables(200, 2, None, 0)
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        for _ in enumeration._word_blocks(200, 2, None, 0, tables):
+            pass
+        frontier = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20
+    assert peak < 36 * 2**20
+    assert frontier < 2 * 2**20
 
 
 def block_rows(d, n, tally):
     """The row count of every block _word_blocks yields."""
-    blocks = enumeration._word_blocks(d, n, None, tally)
-    return [len(block) if tally is None else block[1].shape[1] for block in blocks]
+    return [len(block) for block in enumeration._word_blocks(d, n, None, tally)]
 
 
 @pytest.mark.parametrize("d, n", [(2, 7), (3, 5), (8, 3), (200, 2)])
 def test_tally_blocks_fill_a_byte_budget_and_word_blocks_keep_chunk_rows(d, n):
-    # a tally row costs about 8d + 2 bytes; from d = 8 on the budget is
-    # below CHUNK rows, so tally blocks keep CHUNK rows too.  Each case has
-    # more rows on its last tested level than one block holds.
-    rows = max(enumeration.CHUNK, enumeration._TALLY_BLOCK_BYTES // (8 * d + 2))
-    assert rows > enumeration.CHUNK or d >= 8
+    # a tally row is one id, and takes 2d more while its children are
+    # found; from d = 32 on the budget is below CHUNK rows, so tally blocks
+    # keep CHUNK rows too.  A tally block holds all of its level's rows when
+    # they fit: the 5,164 rows of the last tested level of (8, 3) do.
+    rows = max(enumeration.CHUNK, enumeration._TALLY_BLOCK_BYTES // (2 * d + 1))
+    assert rows > enumeration.CHUNK or d >= 32
     for tally in (0, 2):
-        assert max(block_rows(d, n, tally)) == rows, (d, n, tally)
+        blocks = block_rows(d, n, tally)
+        assert max(blocks) == min(rows, sum(blocks)), (d, n, tally)
     assert max(block_rows(d, n, None)) == enumeration.CHUNK
 
 
@@ -246,8 +257,8 @@ def test_tally_blocks_shrink_to_chunk_rows_without_a_byte_budget(monkeypatch):
 
 
 def test_a_count_run_at_small_d_stays_small():
-    # the tally blocks of d = 2 hold about 14.5K rows each, one per level:
-    # about 1.4 MiB in all
+    # the tables of d = 2 hold at most 26 states a level, and its tally
+    # blocks about 52K one-byte ids each, one per level: about 1.0 MiB in all
     import tracemalloc
 
     count_complete_words(1, 1)  # numpy's import is not the frontier's
@@ -396,6 +407,96 @@ def test_work_cap_probes_only_what_its_bound_does_not_clear(monkeypatch):
     assert count_complete_words(2, 7) == 1020162
     assert count_complete_words(3, 6) == 2909626
     assert count_complete_words(7, 0) == 1
+
+
+@st.composite
+def table_cases(draw):
+    """(d, n, marker_cap, tally) of a word run or of a tally run."""
+    d, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        return d, n, draw(st.sampled_from([None, 0, 1, 2])), None
+    return d, n, None, draw(st.sampled_from([0, *range(-d, 0), *range(1, d + 1)]))
+
+
+@given(table_cases())
+@settings(max_examples=100, deadline=None)
+def test_state_tables_restate_the_prefix_test_property(case):
+    # Rebuild every state vector from the empty prefix through the tables
+    # alone, with the letter steps spelled out here, and test each level's
+    # states with _extensions and the marker cap.
+    import numpy as np
+
+    d, n, marker_cap, tally = case
+    codes = [*range(-d, 0), *range(1, d + 1)]
+    nexts, leaf = enumeration._state_tables(d, n, marker_cap, tally)
+    # a state: its d letter differences, then its count of code tally and
+    # its counts of 1 and -1 where the run keeps them
+    steps = np.zeros((d, 2 * d), int)
+    for c, code in enumerate(codes):
+        steps[abs(code) - 1, c] = 1 if code > 0 else -1
+    if tally:
+        steps = np.vstack([steps, [code == tally for code in codes]])
+    if marker_cap is not None:
+        steps = np.vstack([steps, [code == 1 for code in codes], [code == -1 for code in codes]])
+    states = np.zeros((len(steps), 1), int)
+    assert len(nexts) == 2 * n - 1 - (tally is not None)
+    for pos, nxt in enumerate(nexts):
+        assert nxt.shape == (states.shape[1], 2 * d)
+        ok = enumeration._extensions(states[:d], 2 * n - pos)
+        if marker_cap is not None:
+            ok[d] &= states[-2] < marker_cap
+            ok[d - 1] &= states[-1] < marker_cap
+        assert ((nxt >= 0) == ok.T).all(), pos
+        parent, letter = np.nonzero(nxt >= 0)
+        ids = nxt[parent, letter].astype(int)
+        children = states[:, parent] + steps[:, letter]
+        distinct = np.unique(ids)
+        assert (distinct == np.arange(len(distinct))).all()  # ids 0.., each used
+        states = np.zeros((len(steps), len(distinct)), int)
+        states[:, ids] = children
+        # one vector per id, and one id per vector
+        assert (states[:, ids] == children).all(), pos
+        assert len({tuple(v) for v in states.T.tolist()}) == states.shape[1], pos
+    if tally is None:
+        # level 2n - 1: each forced letter cancels its state's imbalance of 1
+        assert len(leaf) == states.shape[1]
+        for state, code in zip(states.T, leaf.tolist()):
+            assert np.abs(state[:d]).sum() == 1
+            assert not (state[:d] + steps[:d, codes.index(code)]).any()
+    else:
+        counts, ok = leaf
+        assert (ok == enumeration._extensions(states[:d], 2)).all()
+        if tally:
+            assert (counts == states[d]).all()
+        else:
+            assert counts is None
+
+
+def test_table_cap_fires_before_the_first_block(monkeypatch):
+    def no_blocks(*args, **kwargs):
+        raise AssertionError("entered _word_blocks")
+
+    monkeypatch.setattr(enumeration, "_word_blocks", no_blocks)
+    monkeypatch.setattr(enumeration, "DEFAULT_MAX_TABLE_BYTES", 100)
+    for call in (
+        lambda: count_complete_words(3, 4),
+        lambda: iter_complete_words(3, 4),
+        lambda: profile_triangle_row(4),
+        lambda: marker_position_triangle(4),
+    ):
+        with pytest.raises(CapExceededError, match="exceed enumeration table cap 100 bytes"):
+            call()
+
+
+def test_table_cap_admits_the_measured_requests_and_refuses_the_next():
+    # the tables of the work cap's largest requests, (4, 7) and (6, 6), and
+    # of the word runs of (130, 1) and (200, 2) fit; at n = 2 the count
+    # tables fit up to d = 306
+    for d, n, tally in [(4, 7, 0), (6, 6, 0), (130, 1, None), (200, 2, None), (306, 2, 0)]:
+        enumeration._state_tables(d, n, None, tally)
+    for d, n in [(307, 2), (1024, 2), (100, 3)]:
+        with pytest.raises(CapExceededError, match=f"d = {d}, n = {n} exceed enumeration table cap"):
+            count_complete_words(d, n)
 
 
 def test_profile_triangle_rows():

@@ -373,6 +373,20 @@ def test_only_exceptions_states_an_integer_range_rule():
     ]
 
 
+def test_only_the_state_tables_and_the_row_estimate_run_the_prefix_test():
+    # _extensions is the one statement of the prefix test: the frontier
+    # reads it through the state tables, and the work cap's estimate
+    # probes with it
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            for node in ast.walk(stmt):
+                func = getattr(node, "func", None)
+                if getattr(func, "id", getattr(func, "attr", None)) == "_extensions":
+                    callers.add(f"{path.name}:{stmt.name}")
+    assert callers == {"enumeration.py:_state_tables", "enumeration.py:_estimated_rows"}
+
+
 def test_library_imports_no_network_module():
     # b-files come from the package data or a path the user names
     found = []
